@@ -254,27 +254,22 @@ class SelectionResult:
         return self.estimates[idx]
 
 
-def select_mt_parameter(data, family: Callable[[float], MTFunction],
-                        omegas: Sequence[float], model: ModelOrFactory
-                        ) -> SelectionResult:
-    """Pick the weight-family parameter minimizing the sandwich MSE trace.
+def select_by_trace(omegas: Sequence[float],
+                    fit: Callable[[float], tuple]) -> SelectionResult:
+    """The width-selection rule: the omega whose ``fit(omega) -> (estimate,
+    trace)`` has the smallest empirical asymptotic MSE trace.
 
-    Re-estimates theta on the same dataset for every candidate omega, per the
-    selection rule. Candidates whose weights degenerate or whose curvature
-    matrix is singular get a NaN trace and are skipped; if all fail, raises.
-    Ties resolve to the smallest omega.
+    Candidates are visited in sorted order. One whose fit raises
+    DegenerateWeights, SingularMatrix or NotPositiveDefinite gets a NaN trace
+    and is skipped; any other error propagates. Raises DegenerateWeights when
+    every candidate fails. Ties resolve to the smallest omega.
     """
     omegas = np.sort(np.asarray(list(omegas), dtype=float))
-    x = as_dataset(data)
     traces = np.full(omegas.size, np.nan)
     estimates: list = [None] * omegas.size
     for i, omega in enumerate(omegas):
-        u = family(float(omega))
         try:
-            model_i = model(x, u) if callable(model) else model
-            est = estimate_mt_gqmle(x, u, model_i)
-            traces[i] = sandwich(x, est.theta, model_i, u).trace
-            estimates[i] = est
+            estimates[i], traces[i] = fit(float(omega))
         except (DegenerateWeights, SingularMatrix, NotPositiveDefinite):
             continue
     if np.all(np.isnan(traces)):
@@ -282,6 +277,22 @@ def select_mt_parameter(data, family: Callable[[float], MTFunction],
     idx = int(np.nanargmin(traces))  # first minimum == smallest omega on ties
     return SelectionResult(omega_opt=float(omegas[idx]), omegas=omegas,
                            traces=traces, estimates=estimates)
+
+
+def select_mt_parameter(data, family: Callable[[float], MTFunction],
+                        omegas: Sequence[float], model: ModelOrFactory
+                        ) -> SelectionResult:
+    """``select_by_trace`` with the sandwich MSE trace of a full re-estimate
+    of theta on the same dataset for every candidate omega."""
+    x = as_dataset(data)
+
+    def fit(omega):
+        u = family(omega)
+        model_i = model(x, u) if callable(model) else model
+        est = estimate_mt_gqmle(x, u, model_i)
+        return est, sandwich(x, est.theta, model_i, u).trace
+
+    return select_by_trace(omegas, fit)
 
 
 def fisher_information(score: Optional[Callable], data, theta0) -> np.ndarray:

@@ -24,18 +24,23 @@ def _load_config(path: str, axis=None, values=None) -> ExperimentConfig:
     return config
 
 
-def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+def _run(config: ExperimentConfig, output, include_timing: bool) -> int:
+    """Run the experiment; write its CSV to ``output`` (else the config's
+    path), or print the rows when neither is set."""
     table = run_experiment(config)
-    out = args.output or config.output
+    out = output or config.output
     if out:
-        emit_csv(table, out, include_timing=args.timing)
+        emit_csv(table, out, include_timing=include_timing)
         print(f"wrote {len(table.rows)} rows to {out}")
     else:
         for row in table.rows:
             print(f"{row.sweep_value:g} {row.estimator} "
                   f"mse={row.empirical_mse:.6g} failures={row.failures}")
     return 0
+
+
+def _cmd_run(args) -> int:
+    return _run(_load_config(args.config), args.output, args.timing)
 
 
 def _cmd_sweep(args) -> int:
@@ -44,16 +49,7 @@ def _cmd_sweep(args) -> int:
         print("error: --values is empty", file=sys.stderr)
         return 2
     config = _load_config(args.config, axis=args.axis, values=values)
-    table = run_experiment(config)
-    out = args.output or config.output
-    if out:
-        emit_csv(table, out, include_timing=False)
-        print(f"wrote {len(table.rows)} rows to {out}")
-    else:
-        for row in table.rows:
-            print(f"{row.sweep_value:g} {row.estimator} "
-                  f"mse={row.empirical_mse:.6g} failures={row.failures}")
-    return 0
+    return _run(config, args.output, False)
 
 
 def _cmd_timing(args) -> int:

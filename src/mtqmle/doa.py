@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel
+from .exceptions import SingularMatrix
 from .samplers import NoiseSpec, texture_expectation
 from .transform import constant_mt_function, empirical_mt_moments, gaussian_mt_function
 
@@ -195,7 +196,7 @@ def empirical_asymptotic_mse_doa(data, model: ULAModel, theta_hat: float,
     denom = float(np.sum(beta * scaled))
     num = float(np.sum(alpha ** 2 * scaled ** 2))
     if denom == 0.0 or not np.isfinite(denom):
-        raise ValueError("degenerate curvature")
+        raise SingularMatrix("degenerate curvature")
     return num / denom ** 2
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import baselines, doa, regression, samplers
+from . import asymptotics, baselines, doa, regression, samplers
 
 
 @functools.lru_cache(maxsize=8)
@@ -113,8 +113,10 @@ class ResultTable:
 
 
 # --- per-application plumbing -------------------------------------------------
+# Synthesis, baselines, the estimate at a fixed omega, the per-omega fit
+# (theta_hat, empirical asymptotic MSE trace) and the closed-form trace.
 
-class _RegressionContext:
+class _Regression:
     def __init__(self, config: ExperimentConfig, snr_db: float):
         angles = config.angles
         probe = regression.build_steering_regressors(
@@ -125,39 +127,18 @@ class _RegressionContext:
                                         lam=config.noise_lam)
         self.model = regression.build_steering_regressors(
             config.p, angles[0], angles[1], self.noise)
-        self.theta0 = np.asarray(config.theta0, dtype=float)
-        self.alpha0 = regression.unrealify(self.theta0)
-        self._tukey_c = None
+        self.alpha0 = regression.unrealify(config.theta0)
         self._config = config
 
     def synthesize(self, n: int, rng) -> np.ndarray:
         return samplers.synthesize_regression(self.model.a_matrix, self.alpha0,
                                               self.noise, n, rng)
 
-    def tukey_c(self) -> float:
-        if self._tukey_c is None:
-            self._tukey_c = _tuned_tukey_c(self._config.tukey_are,
-                                           self._config.p)
-        return self._tukey_c
-
-    def select_omega(self, x: np.ndarray, omegas: np.ndarray):
-        traces = np.full(omegas.size, np.nan)
-        for i, om in enumerate(omegas):
-            try:
-                traces[i] = np.trace(
-                    regression.empirical_asymptotic_mse_regression(
-                        x, self.model, float(om)))
-            except ValueError:
-                continue
-        if np.all(np.isnan(traces)):
-            raise ValueError("all omega candidates degenerate")
-        return float(omegas[int(np.nanargmin(traces))]), traces
-
-    def estimator(self, name: str, omega_policy) -> Callable:
+    def baseline(self, name: str) -> Callable:
         if name == "gqmle":
             return lambda x: regression.gqmle_regression(x, self.model)
         if name == "tukey":
-            c = self.tukey_c()
+            c = _tuned_tukey_c(self._config.tukey_are, self._config.p)
             return lambda x: baselines.tukey_m_estimator(x, self.model, c).theta
         if name == "mle":
             if self.noise.kind == "gaussian":
@@ -167,153 +148,130 @@ class _RegressionContext:
                     x, self.model, self.noise.lam).theta
             raise ValueError("omniscient MLE is unavailable for "
                              f"{self.noise.kind!r} regression noise")
-        if name == "mt-gqmle":
-            if omega_policy == "select":
-                omegas = self._config.omega_candidates()
-
-                def run(x):
-                    omega_opt, _ = self.select_omega(x, omegas)
-                    return regression.mt_gqmle_regression(x, self.model, omega_opt)
-
-                return run
-            return lambda x: regression.mt_gqmle_regression(
-                x, self.model, float(omega_policy))
         raise ValueError(name)
 
-    def omega_used(self, x0: np.ndarray, omega_policy):
-        if omega_policy == "select":
-            return self.select_omega(x0, self._config.omega_candidates())[0]
-        return float(omega_policy)
+    def estimate(self, x: np.ndarray, omega: float) -> np.ndarray:
+        return regression.mt_gqmle_regression(x, self.model, omega)
+
+    def fit(self, x: np.ndarray, omega: float) -> tuple:
+        theta, mse = regression.mt_fit_regression(x, self.model, omega)
+        return theta, float(np.trace(mse))
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
         return float(np.trace(regression.asymptotic_mse_regression(
             self.model, omega, n)))
 
-    def empirical_asymptotic_trace(self, x0: np.ndarray, omega: float) -> float:
-        return float(np.trace(regression.empirical_asymptotic_mse_regression(
-            x0, self.model, omega)))
 
-
-class _DOAContext:
+class _DOA:
     def __init__(self, config: ExperimentConfig, snr_db: float):
         sigma2 = samplers.doa_sigma2_for_snr_db(config.sigma2_s, snr_db)
         self.noise = samplers.NoiseSpec(config.noise_kind, sigma2, config.p,
                                         lam=config.noise_lam)
         self.model = doa.ULAModel(config.p, config.sigma2_s, self.noise)
-        self.theta0 = np.asarray(config.theta0, dtype=float)
+        self.theta0 = float(config.theta0[0])
         self._config = config
 
     def synthesize(self, n: int, rng) -> np.ndarray:
-        return samplers.synthesize_doa(self._config.p, float(self.theta0[0]),
+        return samplers.synthesize_doa(self._config.p, self.theta0,
                                        self._config.sigma2_s, self.noise, n, rng)
 
-    def select_omega(self, x: np.ndarray, omegas: np.ndarray):
-        traces = np.full(omegas.size, np.nan)
-        thetas = np.full(omegas.size, np.nan)
-        for i, om in enumerate(omegas):
-            try:
-                th = doa.estimate_doa(x, self.model, float(om),
-                                      self._config.k_theta)
-                traces[i] = doa.empirical_asymptotic_mse_doa(
-                    x, self.model, th, float(om))
-                thetas[i] = th
-            except ValueError:
-                continue
-        if np.all(np.isnan(traces)):
-            raise ValueError("all omega candidates degenerate")
-        idx = int(np.nanargmin(traces))
-        return float(omegas[idx]), float(thetas[idx]), traces
-
-    def estimator(self, name: str, omega_policy) -> Callable:
+    def baseline(self, name: str) -> Callable:
         if name == "gqmle":
-            return lambda x: np.array([doa.bartlett_doa(
-                x, self.model, self._config.k_theta)])
-        if name == "mt-gqmle":
-            if omega_policy == "select":
-                omegas = self._config.omega_candidates()
-
-                def run(x):
-                    _, theta, _ = self.select_omega(x, omegas)
-                    return np.array([theta])
-
-                return run
-            return lambda x: np.array([doa.estimate_doa(
-                x, self.model, float(omega_policy), self._config.k_theta)])
+            return lambda x: doa.bartlett_doa(x, self.model,
+                                              self._config.k_theta)
         raise ValueError(name)
 
-    def omega_used(self, x0: np.ndarray, omega_policy):
-        if omega_policy == "select":
-            return self.select_omega(x0, self._config.omega_candidates())[0]
-        return float(omega_policy)
+    def estimate(self, x: np.ndarray, omega: float) -> float:
+        return doa.estimate_doa(x, self.model, omega, self._config.k_theta)
+
+    def fit(self, x: np.ndarray, omega: float) -> tuple:
+        theta = self.estimate(x, omega)
+        return theta, doa.empirical_asymptotic_mse_doa(x, self.model, theta,
+                                                       omega)
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
-        return doa.asymptotic_mse_doa(self.model, float(self.theta0[0]),
-                                      omega, n)
-
-    def empirical_asymptotic_trace(self, x0: np.ndarray, omega: float) -> float:
-        theta = doa.estimate_doa(x0, self.model, omega, self._config.k_theta)
-        return doa.empirical_asymptotic_mse_doa(x0, self.model, theta, omega)
+        return doa.asymptotic_mse_doa(self.model, self.theta0, omega, n)
 
 
-def _context(config: ExperimentConfig, snr_db: float):
-    if config.application == "regression":
-        return _RegressionContext(config, snr_db)
-    return _DOAContext(config, snr_db)
+_APPLICATIONS = {"regression": _Regression, "doa": _DOA}
+
+
+def _runner(app, name: str, config: ExperimentConfig, omega_policy
+            ) -> Callable:
+    """x -> (theta_hat, selection), where selection is (omega_opt, its
+    empirical asymptotic MSE trace) for mt-gqmle with omega selection and
+    None otherwise."""
+    if name != "mt-gqmle":
+        estimate = app.baseline(name)
+        return lambda x: (estimate(x), None)
+    if omega_policy != "select":
+        omega = float(omega_policy)
+        return lambda x: (app.estimate(x, omega), None)
+    omegas = config.omega_candidates()
+
+    def run(x):
+        sel = asymptotics.select_by_trace(omegas,
+                                          functools.partial(app.fit, x))
+        return sel.best_estimate, (sel.omega_opt, float(np.nanmin(sel.traces)))
+
+    return run
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run the configured sweep; deterministic for a fixed config and seed.
 
     A trial where an estimator raises is recorded as a failure for that
-    estimator and excluded from its average.
+    estimator and excluded from its average. The mt-gqmle asymptotic columns
+    are evaluated at the width of trial 0: the omega trial 0's selection
+    picked (NaN when that selection failed), or the fixed omega.
     """
+    theta0 = np.asarray(config.theta0, dtype=float)
     rows = []
     for sweep_idx, sweep_value in enumerate(config.sweep_values):
         snr_db = float(sweep_value) if config.sweep_axis == "snr" else config.snr_db
         n = int(sweep_value) if config.sweep_axis == "n" else config.n_samples
         omega_policy = (float(sweep_value) if config.sweep_axis == "omega"
                         else config.omega)
-        ctx = _context(config, snr_db)
-        runners = {name: ctx.estimator(name, omega_policy)
+        app = _APPLICATIONS[config.application](config, snr_db)
+        runners = {name: _runner(app, name, config, omega_policy)
                    for name in config.estimators}
         sq_err = {name: [] for name in config.estimators}
         failures = {name: 0 for name in config.estimators}
         seconds = {name: 0.0 for name in config.estimators}
-        calls = {name: 0 for name in config.estimators}
         x0 = None
+        picked = None                      # (omega, empirical trace) of trial 0
         for trial in range(config.trials):
             rng = samplers.stream_rng(config.seed,
                                       sweep_idx * config.trials + trial)
-            x = ctx.synthesize(n, rng)
+            x = app.synthesize(n, rng)
             if trial == 0:
                 x0 = x
             for name, run in runners.items():
                 start = time.perf_counter()
                 try:
-                    theta = np.asarray(run(x), dtype=float).ravel()
+                    theta, selection = run(x)
+                    theta = np.asarray(theta, dtype=float).ravel()
                 except ValueError:
                     failures[name] += 1
                     continue
                 finally:
                     seconds[name] += time.perf_counter() - start
-                    calls[name] += 1
-                sq_err[name].append(float(np.sum((theta - ctx.theta0) ** 2)))
+                if trial == 0 and selection is not None:
+                    picked = selection
+                sq_err[name].append(float(np.sum((theta - theta0) ** 2)))
 
-        mt_omega = None
-        if "mt-gqmle" in config.estimators:
+        if "mt-gqmle" in runners and omega_policy != "select":
+            omega = float(omega_policy)
             try:
-                mt_omega = ctx.omega_used(x0, omega_policy)
+                picked = (omega, app.fit(x0, omega)[1])
             except ValueError:
-                mt_omega = None
+                picked = (omega, np.nan)
         for name in config.estimators:
             asym = np.nan
             emp_asym = np.nan
-            if name == "mt-gqmle" and mt_omega is not None:
-                asym = ctx.asymptotic_trace(mt_omega, n)
-                try:
-                    emp_asym = ctx.empirical_asymptotic_trace(x0, mt_omega)
-                except ValueError:
-                    pass
+            if name == "mt-gqmle" and picked is not None:
+                omega, emp_asym = picked
+                asym = app.asymptotic_trace(omega, n)
             ok = len(sq_err[name])
             rows.append(ResultRow(
                 sweep_value=float(sweep_value),
@@ -323,7 +281,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 empirical_asymptotic_mse_trace=float(emp_asym),
                 failures=failures[name],
                 trials=config.trials,
-                mean_seconds=seconds[name] / max(calls[name], 1)))
+                mean_seconds=seconds[name] / config.trials))
     return ResultTable(rows=rows)
 
 

@@ -104,17 +104,21 @@ def projected_mt_function(model: RegressionModel, omega: float) -> MTFunction:
     return gaussian_mt_function(omega, projector=model.proj_perp)
 
 
+def _least_squares(model: RegressionModel, mean: np.ndarray) -> np.ndarray:
+    """Realified (A^H A)^-1 A^H mean."""
+    return realify(np.linalg.solve(model.aha, model.a_matrix.conj().T @ mean))
+
+
 def mt_gqmle_regression(data, model: RegressionModel, omega: float
                         ) -> np.ndarray:
     """Closed-form estimate: realified (A^H A)^-1 A^H mu_hat^(u)."""
     mean = empirical_mt_moments(data, projected_mt_function(model, omega)).mt_mean
-    return realify(np.linalg.solve(model.aha, model.a_matrix.conj().T @ mean))
+    return _least_squares(model, mean)
 
 
 def gqmle_regression(data, model: RegressionModel) -> np.ndarray:
     """Unweighted limit: least squares on the plain sample mean."""
-    mean = as_dataset(data).mean(axis=0)
-    return realify(np.linalg.solve(model.aha, model.a_matrix.conj().T @ mean))
+    return _least_squares(model, as_dataset(data).mean(axis=0))
 
 
 @functools.lru_cache(maxsize=256)
@@ -152,9 +156,9 @@ def asymptotic_mse_regression(model: RegressionModel, omega: float, n: int
     return _texture_ratio(model, omega) * (model.sigma2_z / (2.0 * n)) * model.b_matrix
 
 
-def empirical_asymptotic_mse_regression(data, model: RegressionModel,
-                                        omega: float) -> np.ndarray:
-    """Empirical estimate sum u^2 zeta zeta^T / (sum u)^2 with
+def mt_fit_regression(data, model: RegressionModel, omega: float) -> tuple:
+    """The closed-form estimate and its empirical asymptotic MSE, both from one
+    weighted-moment pass: (theta_hat, sum u^2 zeta zeta^T / (sum u)^2) with
     zeta = B [Re h; Im h], h = A^H (x - mu_hat^(u))."""
     x = as_dataset(data)
     u = projected_mt_function(model, omega)
@@ -164,7 +168,13 @@ def empirical_asymptotic_mse_regression(data, model: RegressionModel,
     h = (x - mean) @ model.a_matrix.conj()
     zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T
     num = np.einsum("n,nk,nj->kj", scaled ** 2, zeta, zeta)
-    return num / np.sum(scaled) ** 2
+    return _least_squares(model, mean), num / np.sum(scaled) ** 2
+
+
+def empirical_asymptotic_mse_regression(data, model: RegressionModel,
+                                        omega: float) -> np.ndarray:
+    """Empirical asymptotic MSE matrix, the second output of mt_fit_regression."""
+    return mt_fit_regression(data, model, omega)[1]
 
 
 def influence_regression(y, theta0, model: RegressionModel, omega: float
@@ -215,8 +225,7 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction,
     zeros_cov = np.zeros((m, p, p), dtype=complex)
 
     def solver(moments):
-        return realify(np.linalg.solve(model.aha,
-                                       a.conj().T @ moments.mt_mean))
+        return _least_squares(model, moments.mt_mean)
 
     space = ParameterSpace(lower=-bounds * np.ones(m),
                            upper=bounds * np.ones(m),

@@ -137,13 +137,8 @@ class MTDiagnostic:
     warnings: list = field(default_factory=list)
 
 
-def mt_weights(data, u: MTFunction) -> np.ndarray:
-    """Normalized weights u(x_n) / sum_m u(x_m).
-
-    Raises DegenerateWeights when every weight vanishes. Normalization is
-    done in log space (max-shifted), so any common scale of u cancels exactly.
-    """
-    lw = u.log_weights(data)
+def _normalize(lw: np.ndarray) -> np.ndarray:
+    """Max-shifted, normalized weights from log-weights."""
     top = np.max(lw)
     if top == -np.inf:
         raise DegenerateWeights("MT-function annihilates sample")
@@ -151,17 +146,26 @@ def mt_weights(data, u: MTFunction) -> np.ndarray:
     return w / w.sum()
 
 
+def mt_weights(data, u: MTFunction) -> np.ndarray:
+    """Normalized weights u(x_n) / sum_m u(x_m).
+
+    Raises DegenerateWeights when every weight vanishes. Normalization is
+    done in log space (max-shifted), so any common scale of u cancels exactly.
+    """
+    return _normalize(u.log_weights(data))
+
+
 def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
     """Reweighted mean and covariance with their normalized weights."""
     x = as_dataset(data)
-    phi = mt_weights(x, u)
+    lw = u.log_weights(x)
+    phi = _normalize(lw)
     mean = phi @ x
     # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
     y = np.sqrt(phi)[:, None] * (x - mean)
     cov = hermitize(y.T @ y.conj())
-    mass = float(np.exp(u.log_weights(x)).mean())
     return EmpiricalMTMoments(weights=phi, mt_mean=mean, mt_cov=cov,
-                              weight_mass=mass)
+                              weight_mass=float(np.exp(lw).mean()))
 
 
 def empirical_mt_mean(data, u: MTFunction) -> np.ndarray:

@@ -11,11 +11,13 @@ from mtqmle.asymptotics import (
     psi_u_batch,
     sandwich,
     score_identity_check,
+    select_by_trace,
     select_mt_parameter,
 )
 from mtqmle.doa import doa_moment_model
 from mtqmle.estimator import ParameterSpace, ParametricMomentModel
-from mtqmle.exceptions import DegenerateWeights, SingularMatrix
+from mtqmle.exceptions import (DegenerateWeights, NotPositiveDefinite,
+                               SingularMatrix)
 from mtqmle.regression import (
     asymptotic_mse_regression,
     empirical_asymptotic_mse_regression,
@@ -332,6 +334,41 @@ class TestSelection:
             select_mt_parameter(
                 x, zero_family, [1.0, 2.0],
                 lambda data, u: regression_moment_model(reg_t, data, u))
+
+    def test_rule_sorts_and_ties_to_smallest_omega(self):
+        sel = select_by_trace([3.0, 1.0, 2.0],
+                              lambda om: (10 * om, 7.0 if om == 1.0 else 5.0))
+        np.testing.assert_array_equal(sel.omegas, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(sel.traces, [7.0, 5.0, 5.0])
+        assert sel.omega_opt == 2.0 and sel.best_estimate == 20.0
+
+    @pytest.mark.parametrize("error", [SingularMatrix, NotPositiveDefinite])
+    def test_rule_skips_typed_failures(self, error):
+        def fit(om):
+            if om == 1.0:
+                raise error("stub")
+            return om, om
+
+        sel = select_by_trace([2.0, 1.0, 3.0], fit)
+        assert np.isnan(sel.traces[0]) and sel.estimates[0] is None
+        assert sel.omega_opt == 2.0
+
+    def test_rule_propagates_plain_value_error(self):
+        def fit(om):
+            if om == 2.0:
+                raise ValueError("boom")
+            return om, om
+
+        with pytest.raises(ValueError, match="boom") as info:
+            select_by_trace([1.0, 2.0], fit)
+        assert info.type is ValueError
+
+    def test_rule_all_failing_raises(self):
+        def fit(om):
+            raise (SingularMatrix if om < 2 else NotPositiveDefinite)("stub")
+
+        with pytest.raises(DegenerateWeights, match="all grid points"):
+            select_by_trace([1.0, 2.0], fit)
 
 
 class TestFisherInformation:

@@ -18,6 +18,7 @@ from mtqmle.doa import (
     steering,
     steering_grid,
 )
+from mtqmle.exceptions import SingularMatrix
 from mtqmle.samplers import NoiseSpec, stream_rng, synthesize_doa
 from mtqmle.transform import gaussian_mt_function
 
@@ -186,6 +187,11 @@ class TestEmpiricalAsymptoticMSE:
         emp = empirical_asymptotic_mse_doa(x, ula_k, theta_hat, omega)
         closed = asymptotic_mse_doa(ula_k, THETA0_DOA, omega, n)
         assert emp == pytest.approx(closed, rel=0.15)
+
+    def test_zero_snapshots_raise_singular(self, ula_k):
+        with pytest.raises(SingularMatrix, match="degenerate curvature"):
+            empirical_asymptotic_mse_doa(np.zeros((10, 4), dtype=complex),
+                                         ula_k, THETA0_DOA, 4.0)
 
 
 class TestInfluence:

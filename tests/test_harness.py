@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mtqmle import doa, regression, samplers
 from mtqmle.harness import (
     ExperimentConfig,
     ResultTable,
@@ -134,6 +135,73 @@ class TestRunExperiment:
         for row in table.by("mt-gqmle"):
             assert row.empirical_asymptotic_mse_trace == pytest.approx(
                 row.asymptotic_mse_trace, rel=0.15)
+
+
+def _first_minimum(omegas, traces):
+    """(omega, trace) of the first minimum, NaN traces skipped."""
+    best = None
+    for om, tr in zip(omegas, traces):
+        if not np.isnan(tr) and (best is None or tr < best[1]):
+            best = (float(om), tr)
+    return best
+
+
+class TestTrialZeroSelection:
+    """With omega selection, the asymptotic columns come from the selection
+    on trial 0's dataset, stream (seed, sweep_idx * trials)."""
+
+    def test_regression(self):
+        cfg = small_regression_config(
+            noise_kind="t", noise_lam=0.2, sweep_axis="snr",
+            sweep_values=[-10.0, 5.0], omega="select",
+            omega_grid=[1.0, 25.0, 5], n_samples=300, trials=2)
+        table = run_experiment(cfg)
+        alpha0 = regression.unrealify(cfg.theta0)
+        probe = regression.build_steering_regressors(
+            cfg.p, cfg.angles[0], cfg.angles[1],
+            samplers.NoiseSpec("gaussian", 1.0, cfg.p))
+        for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
+                                                   table.by("mt-gqmle"))):
+            sigma2 = samplers.regression_sigma2_for_snr_db(probe.a_matrix, snr)
+            noise = samplers.NoiseSpec("t", sigma2, cfg.p, lam=0.2)
+            model = regression.build_steering_regressors(
+                cfg.p, cfg.angles[0], cfg.angles[1], noise)
+            x0 = samplers.synthesize_regression(
+                model.a_matrix, alpha0, noise, cfg.n_samples,
+                samplers.stream_rng(cfg.seed, sweep_idx * cfg.trials))
+            omegas = cfg.omega_candidates()
+            traces = [float(np.trace(
+                regression.empirical_asymptotic_mse_regression(
+                    x0, model, float(om)))) for om in omegas]
+            omega, trace = _first_minimum(omegas, traces)
+            assert row.empirical_asymptotic_mse_trace == trace
+            assert row.asymptotic_mse_trace == float(np.trace(
+                regression.asymptotic_mse_regression(model, omega,
+                                                     cfg.n_samples)))
+
+    def test_doa(self):
+        cfg = small_doa_config(sweep_values=[-10.0, 0.0], omega="select",
+                               omega_grid=[1.0, 16.0, 4], trials=2)
+        table = run_experiment(cfg)
+        theta0 = float(cfg.theta0[0])
+        for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
+                                                   table.by("mt-gqmle"))):
+            sigma2 = samplers.doa_sigma2_for_snr_db(cfg.sigma2_s, snr)
+            noise = samplers.NoiseSpec("k", sigma2, cfg.p, lam=cfg.noise_lam)
+            model = doa.ULAModel(cfg.p, cfg.sigma2_s, noise)
+            x0 = samplers.synthesize_doa(
+                cfg.p, theta0, cfg.sigma2_s, noise, cfg.n_samples,
+                samplers.stream_rng(cfg.seed, sweep_idx * cfg.trials))
+            omegas = cfg.omega_candidates()
+            traces = []
+            for om in omegas:
+                th = doa.estimate_doa(x0, model, float(om), cfg.k_theta)
+                traces.append(doa.empirical_asymptotic_mse_doa(
+                    x0, model, th, float(om)))
+            omega, trace = _first_minimum(omegas, traces)
+            assert row.empirical_asymptotic_mse_trace == trace
+            assert row.asymptotic_mse_trace == doa.asymptotic_mse_doa(
+                model, theta0, omega, cfg.n_samples)
 
 
 class TestCSV:
