@@ -19,7 +19,9 @@ from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel
 from .exceptions import SingularMatrix
 from .samplers import NoiseSpec, texture_expectation
-from .transform import constant_mt_function, empirical_mt_moments, gaussian_mt_function
+from .transform import (_moments, constant_mt_function, empirical_mt_moments,
+                        gaussian_log_weights, gaussian_mt_function,
+                        squared_norms)
 
 _DEFAULT_DELTA = 1e-3
 _DEFAULT_GRID = 10_000
@@ -91,21 +93,30 @@ class SpectrumCurve:
         return float(self.thetas[int(np.argmax(self.values))])
 
 
-def _spectrum_from_moments(moments, thetas: np.ndarray, p: int) -> SpectrumCurve:
-    c_hat = moments.mt_cov + np.outer(moments.mt_mean, moments.mt_mean.conj())
-    c_hat = hermitize(c_hat)
-    steer = steering_grid(thetas, p)
-    vals = np.einsum("ki,ij,kj->k", steer.conj(), c_hat, steer).real
-    return SpectrumCurve(thetas=thetas, values=vals)
+def _lag_basis(thetas: np.ndarray, p: int) -> np.ndarray:
+    """(G, 2p-1) real basis [1, 2 cos(pi d sin theta), -2 sin(pi d sin theta)]
+    over lags d = 1..p-1, shared by every spectrum on the same grid."""
+    phase = np.pi * np.outer(np.sin(thetas), np.arange(1, p))
+    return np.hstack([np.ones((thetas.size, 1)), 2.0 * np.cos(phase),
+                      -2.0 * np.sin(phase)])
+
+
+def _spectrum(moments, thetas: np.ndarray, basis: np.ndarray) -> SpectrumCurve:
+    """a^H C a, C = cov + mean mean^H, in lag form: r_0 + 2 sum_d Re(r_d
+    e^{i pi d sin theta}) with r_d the sum of the d-th subdiagonal of C."""
+    mean = moments.mt_mean
+    c_hat = hermitize(moments.mt_cov + np.outer(mean, mean.conj()))
+    lags = np.array([np.trace(c_hat, offset=-d) for d in range(mean.size)])
+    values = basis @ np.concatenate([lags.real, lags[1:].imag])
+    return SpectrumCurve(thetas=thetas, values=values)
 
 
 def mt_spectrum(data, model: ULAModel, omega: float,
                 grid: np.ndarray = None) -> SpectrumCurve:
     """Reweighted spatial spectrum over the angle grid."""
-    x = as_dataset(data)
     thetas = model.grid() if grid is None else np.asarray(grid, dtype=float)
-    moments = empirical_mt_moments(x, gaussian_mt_function(omega))
-    return _spectrum_from_moments(moments, thetas, model.p)
+    moments = empirical_mt_moments(data, gaussian_mt_function(omega))
+    return _spectrum(moments, thetas, _lag_basis(thetas, model.p))
 
 
 def estimate_doa(data, model: ULAModel, omega: float,
@@ -116,9 +127,9 @@ def estimate_doa(data, model: ULAModel, omega: float,
 
 def bartlett_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID) -> float:
     """Constant-weight (classical Bartlett) scan over the same grid."""
-    x = as_dataset(data)
-    moments = empirical_mt_moments(x, constant_mt_function())
-    return _spectrum_from_moments(moments, model.grid(k_theta), model.p).argmax_theta
+    thetas = model.grid(k_theta)
+    moments = empirical_mt_moments(data, constant_mt_function())
+    return _spectrum(moments, thetas, _lag_basis(thetas, model.p)).argmax_theta
 
 
 def _h_factor(p: int, s_abs2, nu2, omega2):
@@ -184,20 +195,40 @@ def _scan_statistics(x: np.ndarray, theta: float, p: int):
     return alpha, beta
 
 
+def _empirical_mse(lw: np.ndarray, alpha, beta) -> float:
+    scaled = np.exp(lw - np.max(lw))        # the ratio is scale invariant
+    denom = float(np.sum(beta * scaled))
+    num = float(np.sum(alpha ** 2 * scaled ** 2))
+    if denom == 0.0 or not np.isfinite(denom):
+        raise SingularMatrix("degenerate curvature")
+    return num / denom ** 2
+
+
 def empirical_asymptotic_mse_doa(data, model: ULAModel, theta_hat: float,
                                  omega: float) -> float:
     """Empirical asymptotic MSE: sum u^2 alpha^2 / (sum u beta)^2 with the
     spectrum slope alpha and curvature beta statistics at theta_hat."""
     x = as_dataset(data)
     lw = gaussian_mt_function(omega).log_weights(x)
-    top = np.max(lw)
-    scaled = np.exp(lw - top)               # the ratio is scale invariant
-    alpha, beta = _scan_statistics(x, theta_hat, model.p)
-    denom = float(np.sum(beta * scaled))
-    num = float(np.sum(alpha ** 2 * scaled ** 2))
-    if denom == 0.0 or not np.isfinite(denom):
-        raise SingularMatrix("degenerate curvature")
-    return num / denom ** 2
+    return _empirical_mse(lw, *_scan_statistics(x, theta_hat, model.p))
+
+
+def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
+    """Per-dataset fitter: omega -> (estimate_doa, empirical_asymptotic_mse_doa
+    at it). Validation, the norms and the spectrum basis are computed once;
+    widths with the same estimate share its scan statistics."""
+    x = as_dataset(data)
+    norms = squared_norms(x)
+    thetas = model.grid(k_theta)
+    basis = _lag_basis(thetas, model.p)
+    stats = functools.cache(lambda theta: _scan_statistics(x, theta, model.p))
+
+    def fit(omega: float) -> tuple:
+        lw = gaussian_log_weights(norms, omega)
+        theta = _spectrum(_moments(x, lw), thetas, basis).argmax_theta
+        return theta, _empirical_mse(lw, *stats(theta))
+
+    return fit
 
 
 @functools.lru_cache(maxsize=256)
@@ -264,7 +295,8 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     u = gaussian_mt_function(omega)
     moments = empirical_mt_moments(x, u)
     grid = model.grid(k_theta)
-    theta_ref = _spectrum_from_moments(moments, grid, p).argmax_theta
+    basis = _lag_basis(grid, p)
+    theta_ref = _spectrum(moments, grid, basis).argmax_theta
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)
     eye = np.eye(p)
 
@@ -286,7 +318,7 @@ def doa_moment_model(model: ULAModel, data, omega: float,
         return block[None, None]
 
     def solver(mom):
-        return np.array([_spectrum_from_moments(mom, grid, p).argmax_theta])
+        return np.array([_spectrum(mom, grid, basis).argmax_theta])
 
     lo, hi = model.theta_bounds
     space = ParameterSpace(lower=[lo], upper=[hi], grid_sizes=k_theta)

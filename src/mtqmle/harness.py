@@ -113,8 +113,8 @@ class ResultTable:
 
 
 # --- per-application plumbing -------------------------------------------------
-# Synthesis, baselines, the estimate at a fixed omega, the per-omega fit
-# (theta_hat, empirical asymptotic MSE trace) and the closed-form trace.
+# Synthesis, baselines, the estimate at a fixed omega, the per-dataset fitter
+# omega -> (theta_hat, empirical asymptotic MSE trace), the closed-form trace.
 
 class _Regression:
     def __init__(self, config: ExperimentConfig, snr_db: float):
@@ -153,9 +153,14 @@ class _Regression:
     def estimate(self, x: np.ndarray, omega: float) -> np.ndarray:
         return regression.mt_gqmle_regression(x, self.model, omega)
 
-    def fit(self, x: np.ndarray, omega: float) -> tuple:
-        theta, mse = regression.mt_fit_regression(x, self.model, omega)
-        return theta, float(np.trace(mse))
+    def fitter(self, x: np.ndarray) -> Callable:
+        fit = regression.mt_fitter_regression(x, self.model)
+
+        def fit_trace(omega: float) -> tuple:
+            theta, mse = fit(omega)
+            return theta, float(np.trace(mse))
+
+        return fit_trace
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
         return float(np.trace(regression.asymptotic_mse_regression(
@@ -184,10 +189,8 @@ class _DOA:
     def estimate(self, x: np.ndarray, omega: float) -> float:
         return doa.estimate_doa(x, self.model, omega, self._config.k_theta)
 
-    def fit(self, x: np.ndarray, omega: float) -> tuple:
-        theta = self.estimate(x, omega)
-        return theta, doa.empirical_asymptotic_mse_doa(x, self.model, theta,
-                                                       omega)
+    def fitter(self, x: np.ndarray) -> Callable:
+        return doa.mt_fitter_doa(x, self.model, self._config.k_theta)
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
         return doa.asymptotic_mse_doa(self.model, self.theta0, omega, n)
@@ -210,8 +213,7 @@ def _runner(app, name: str, config: ExperimentConfig, omega_policy
     omegas = config.omega_candidates()
 
     def run(x):
-        sel = asymptotics.select_by_trace(omegas,
-                                          functools.partial(app.fit, x))
+        sel = asymptotics.select_by_trace(omegas, app.fitter(x))
         return sel.best_estimate, (sel.omega_opt, float(np.nanmin(sel.traces)))
 
     return run
@@ -220,10 +222,11 @@ def _runner(app, name: str, config: ExperimentConfig, omega_policy
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run the configured sweep; deterministic for a fixed config and seed.
 
-    A trial where an estimator raises is recorded as a failure for that
-    estimator and excluded from its average. The mt-gqmle asymptotic columns
-    are evaluated at the width of trial 0: the omega trial 0's selection
-    picked (NaN when that selection failed), or the fixed omega.
+    A trial where an estimator raises or returns a non-finite estimate is
+    recorded as a failure for that estimator and excluded from its average.
+    The mt-gqmle asymptotic columns are evaluated at the width of trial 0:
+    the omega trial 0's selection picked (NaN when that selection failed), or
+    the fixed omega.
     """
     theta0 = np.asarray(config.theta0, dtype=float)
     rows = []
@@ -251,6 +254,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 try:
                     theta, selection = run(x)
                     theta = np.asarray(theta, dtype=float).ravel()
+                    if not np.all(np.isfinite(theta)):
+                        raise ValueError("non-finite estimate")
                 except ValueError:
                     failures[name] += 1
                     continue
@@ -263,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         if "mt-gqmle" in runners and omega_policy != "select":
             omega = float(omega_policy)
             try:
-                picked = (omega, app.fit(x0, omega)[1])
+                picked = (omega, app.fitter(x0)(omega)[1])
             except ValueError:
                 picked = (omega, np.nan)
         for name in config.estimators:

@@ -19,7 +19,9 @@ import numpy as np
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel
 from .samplers import NoiseSpec, texture_expectation
-from .transform import MTFunction, empirical_mt_moments, gaussian_mt_function
+from .transform import (MTFunction, _normalize, empirical_mt_moments,
+                        gaussian_log_weights, gaussian_mt_function,
+                        squared_norms)
 
 _COLLINEARITY_TOL = 1e-8
 
@@ -156,19 +158,29 @@ def asymptotic_mse_regression(model: RegressionModel, omega: float, n: int
     return _texture_ratio(model, omega) * (model.sigma2_z / (2.0 * n)) * model.b_matrix
 
 
-def mt_fit_regression(data, model: RegressionModel, omega: float) -> tuple:
-    """The closed-form estimate and its empirical asymptotic MSE, both from one
-    weighted-moment pass: (theta_hat, sum u^2 zeta zeta^T / (sum u)^2) with
-    zeta = B [Re h; Im h], h = A^H (x - mu_hat^(u))."""
+def mt_fitter_regression(data, model: RegressionModel):
+    """Per-dataset fitter: omega -> (theta_hat, empirical asymptotic MSE
+    sum u^2 zeta zeta^T / (sum u)^2), zeta = B [Re h; Im h] with
+    h = A^H (x - mu_hat^(u)). Validation and ||P_perp x||^2 are computed once."""
     x = as_dataset(data)
-    u = projected_mt_function(model, omega)
-    lw = u.log_weights(x)
-    scaled = np.exp(lw - np.max(lw))        # ratio below is scale invariant
-    mean = empirical_mt_moments(x, u).mt_mean
-    h = (x - mean) @ model.a_matrix.conj()
-    zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T
-    num = np.einsum("n,nk,nj->kj", scaled ** 2, zeta, zeta)
-    return _least_squares(model, mean), num / np.sum(scaled) ** 2
+    norms = squared_norms(x, model.proj_perp)
+    a_conj = model.a_matrix.conj()
+
+    def fit(omega: float) -> tuple:
+        lw = gaussian_log_weights(norms, omega)
+        mean = _normalize(lw) @ x
+        scaled = np.exp(lw - np.max(lw))    # ratio below is scale invariant
+        h = (x - mean) @ a_conj
+        zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T
+        num = np.einsum("n,nk,nj->kj", scaled ** 2, zeta, zeta)
+        return _least_squares(model, mean), num / np.sum(scaled) ** 2
+
+    return fit
+
+
+def mt_fit_regression(data, model: RegressionModel, omega: float) -> tuple:
+    """The closed-form estimate and its empirical asymptotic MSE at one width."""
+    return mt_fitter_regression(data, model)(omega)
 
 
 def empirical_asymptotic_mse_regression(data, model: RegressionModel,

@@ -102,14 +102,24 @@ def gaussian_mt_function(width: float, projector: Optional[np.ndarray] = None
     else:
         proj = None
 
-    w2 = float(width) ** 2
-
     def log_fn(x):
-        y = x if proj is None else x @ proj.T
-        return -np.einsum("ni,ni->n", y, y.conj()).real / w2
+        return gaussian_log_weights(squared_norms(x, proj), width)
 
     params = {"width": float(width), "projected": proj is not None}
     return MTFunction(log_fn, family="gaussian", params=params)
+
+
+def squared_norms(x: np.ndarray, projector=None) -> np.ndarray:
+    """||P x_n||^2 per row of a validated dataset (P = identity if None)."""
+    y = x if projector is None else x @ projector.T
+    return np.einsum("ni,ni->n", y, y.conj()).real
+
+
+def gaussian_log_weights(sq_norms: np.ndarray, width: float) -> np.ndarray:
+    """-||P x||^2 / width^2; many widths can share one ``squared_norms``."""
+    if not width > 0:
+        raise ValueError("width must be positive")
+    return -sq_norms / float(width) ** 2
 
 
 @dataclass
@@ -138,8 +148,9 @@ class MTDiagnostic:
 
 
 def _normalize(lw: np.ndarray) -> np.ndarray:
-    """Max-shifted, normalized weights from log-weights."""
-    top = np.max(lw)
+    """Max-shifted, normalized weights from log-weights; DegenerateWeights
+    when every weight vanishes or the sample is empty."""
+    top = np.max(lw, initial=-np.inf)
     if top == -np.inf:
         raise DegenerateWeights("MT-function annihilates sample")
     w = np.exp(lw - top)
@@ -158,7 +169,11 @@ def mt_weights(data, u: MTFunction) -> np.ndarray:
 def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
     """Reweighted mean and covariance with their normalized weights."""
     x = as_dataset(data)
-    lw = u.log_weights(x)
+    return _moments(x, u.log_weights(x))
+
+
+def _moments(x: np.ndarray, lw: np.ndarray) -> EmpiricalMTMoments:
+    """``empirical_mt_moments`` of a validated dataset from its log-weights."""
     phi = _normalize(lw)
     mean = phi @ x
     # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
@@ -185,16 +200,15 @@ def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:
     """
     x = as_dataset(data)
     lw = u.log_weights(x)
-    mean_weight = float(np.exp(lw).mean())
-    tiny = float(np.mean(lw < np.log(_TINY_WEIGHT)))
     notes = []
-    top = np.max(lw)
-    if top == -np.inf:
-        notes.append("all weights are zero")
+    try:
+        phi = _normalize(lw)
+    except DegenerateWeights:
+        notes.append("all weights are zero" if lw.size else "empty dataset")
         return MTDiagnostic(mean_weight=0.0, tiny_fraction=1.0, ess=0.0,
                             degenerate=True, warnings=notes)
-    w = np.exp(lw - top)
-    phi = w / w.sum()
+    mean_weight = float(np.exp(lw).mean())
+    tiny = float(np.mean(lw < np.log(_TINY_WEIGHT)))
     ess = float(1.0 / np.sum(phi ** 2))
     if ess < _ESS_WARN:
         notes.append(f"effective sample size {ess:.2f} < {_ESS_WARN:g}")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from mtqmle.asymptotics import fisher_information, sandwich
+from mtqmle import doa
+from mtqmle.asymptotics import fisher_information, sandwich, select_by_trace
 from mtqmle.core import sample_covariance, sample_mean
 from mtqmle.doa import (
     ULAModel,
@@ -14,15 +15,18 @@ from mtqmle.doa import (
     gaussian_crlb_doa,
     gaussian_score_doa,
     influence_doa,
+    mt_fitter_doa,
     mt_spectrum,
     steering,
     steering_grid,
 )
-from mtqmle.exceptions import SingularMatrix
-from mtqmle.samplers import NoiseSpec, stream_rng, synthesize_doa
-from mtqmle.transform import gaussian_mt_function
+from mtqmle.exceptions import DegenerateWeights, SingularMatrix
+from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
+                             synthesize_doa)
+from mtqmle.transform import (EmpiricalMTMoments, empirical_mt_moments,
+                              gaussian_mt_function)
 
-from conftest import THETA0_DOA
+from conftest import THETA0_DOA, random_pd
 
 
 def make_doa_data(model, n, seed, theta0=THETA0_DOA):
@@ -91,6 +95,37 @@ class TestSpectrum:
         np.testing.assert_allclose(curve.values, complex_vals.real, rtol=1e-12)
 
 
+def _einsum_spectrum(c_hat, grid, p):
+    steer = steering_grid(grid, p)
+    return np.einsum("ki,ij,kj->k", steer.conj(), c_hat, steer).real
+
+
+class TestLagFormSpectrum:
+    @pytest.mark.parametrize("p", [2, 3, 4, 7])
+    def test_matches_steering_einsum(self, rng, p):
+        grid = np.linspace(-np.pi / 2, np.pi / 2, 997)
+        for _ in range(5):
+            mean = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+            cov = random_pd(rng, p)
+            moments = EmpiricalMTMoments(weights=None, mt_mean=mean,
+                                         mt_cov=cov, weight_mass=1.0)
+            lag = doa._spectrum(moments, grid, doa._lag_basis(grid, p))
+            oracle = _einsum_spectrum(cov + np.outer(mean, mean.conj()),
+                                      grid, p)
+            np.testing.assert_allclose(lag.values, oracle, rtol=1e-10)
+
+    def test_argmax_matches_einsum_on_k_noise(self, ula_k):
+        grid = ula_k.grid(10 ** 4)
+        for stream in range(20):
+            x = synthesize_doa(4, THETA0_DOA, 1.0, ula_k.noise, 1000,
+                               stream_rng(57, stream))
+            for omega in (2.0, 8.0):
+                mom = empirical_mt_moments(x, gaussian_mt_function(omega))
+                c_hat = mom.mt_cov + np.outer(mom.mt_mean, mom.mt_mean.conj())
+                oracle = grid[int(np.argmax(_einsum_spectrum(c_hat, grid, 4)))]
+                assert estimate_doa(x, ula_k, omega, 10 ** 4) == oracle
+
+
 class TestEstimate:
     def test_noiseless_snapshot(self, ula_gaussian):
         theta_star = np.deg2rad(30.0)
@@ -114,6 +149,10 @@ class TestEstimate:
         lo, hi = ula_k.theta_bounds
         step = (hi - lo) / (k_theta - 1)
         assert abs(got - THETA0_DOA) <= 2 * step + 0.02
+
+    def test_empty_dataset_raises(self, ula_k):
+        with pytest.raises(DegenerateWeights):
+            estimate_doa(np.zeros((0, 4), dtype=complex), ula_k, 4.0, 101)
 
     def test_bartlett_matches_wide_weight(self, ula_gaussian):
         x = make_doa_data(ula_gaussian, 300, 53)
@@ -192,6 +231,33 @@ class TestEmpiricalAsymptoticMSE:
         with pytest.raises(SingularMatrix, match="degenerate curvature"):
             empirical_asymptotic_mse_doa(np.zeros((10, 4), dtype=complex),
                                          ula_k, THETA0_DOA, 4.0)
+
+
+class TestFitter:
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    def test_equals_per_width_estimate_and_mse(self, snr_db):
+        """Every width of the per-dataset fitter is bit-for-bit estimate_doa
+        followed by empirical_asymptotic_mse_doa at that estimate."""
+        noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, snr_db), 4, lam=0.75)
+        model = ULAModel(4, 1.0, noise)
+        for stream in (0, 1):
+            x = synthesize_doa(4, THETA0_DOA, 1.0, noise, 1000,
+                               stream_rng(58, stream))
+            fit = mt_fitter_doa(x, model)
+            for omega in np.linspace(1.0, 30.0, 30):
+                theta = estimate_doa(x, model, float(omega))
+                trace = empirical_asymptotic_mse_doa(x, model, theta,
+                                                     float(omega))
+                assert fit(float(omega)) == (theta, trace)
+
+    def test_zero_snapshots_fail_every_width(self, ula_k):
+        fit = mt_fitter_doa(np.zeros((10, 4), dtype=complex), ula_k, 101)
+        omegas = [1.0, 4.0, 16.0]
+        for omega in omegas:
+            with pytest.raises(SingularMatrix):
+                fit(omega)
+        with pytest.raises(DegenerateWeights):
+            select_by_trace(omegas, fit)
 
 
 class TestInfluence:

@@ -117,6 +117,16 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         assert all(r.failures == 0 for r in table.rows)
 
+    def test_non_finite_estimate_counts_as_failure(self, monkeypatch):
+        monkeypatch.setattr(regression, "gqmle_regression",
+                            lambda x, model: np.full(4, np.nan))
+        cfg = small_regression_config()
+        table = run_experiment(cfg)
+        for row in table.by("gqmle"):
+            assert row.failures == cfg.trials
+            assert np.isnan(row.empirical_mse)
+        assert all(r.failures == 0 for r in table.by("mt-gqmle"))
+
     def test_doa_snr_sweep_error_decreases(self):
         cfg = small_doa_config(noise_kind="gaussian", noise_lam=None,
                                sweep_values=[-10.0, 0.0, 10.0], trials=10,

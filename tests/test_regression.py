@@ -12,6 +12,8 @@ from mtqmle.regression import (
     gaussian_fim_regression,
     influence_regression,
     mean_weight_regression,
+    mt_fit_regression,
+    mt_fitter_regression,
     mt_gqmle_regression,
     projected_mt_function,
     realify,
@@ -19,7 +21,8 @@ from mtqmle.regression import (
     regression_moment_model,
     unrealify,
 )
-from mtqmle.samplers import NoiseSpec, sample_noise, stream_rng, synthesize_regression
+from mtqmle.samplers import (NoiseSpec, regression_sigma2_for_snr_db,
+                             sample_noise, stream_rng, synthesize_regression)
 from mtqmle.transform import empirical_mt_moments
 
 from conftest import THETA0_REG
@@ -188,6 +191,27 @@ class TestEmpiricalAsymptoticMSE:
         emp = np.trace(empirical_asymptotic_mse_regression(x, reg_t, 8.0))
         closed = np.trace(asymptotic_mse_regression(reg_t, 8.0, n))
         assert emp == pytest.approx(closed, rel=0.15)
+
+
+class TestFitter:
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    def test_equals_per_width_fit(self, reg_gaussian, alpha0, snr_db):
+        """Every width of the per-dataset fitter is bit-for-bit the public
+        one-width fit (the closed-form estimate and its MSE matrix)."""
+        sigma2 = regression_sigma2_for_snr_db(reg_gaussian.a_matrix, snr_db)
+        model = build_steering_regressors(10, np.pi / 3, np.pi / 6,
+                                          NoiseSpec("t", sigma2, 10, lam=0.2))
+        for stream in (0, 1):
+            x = synthesize_regression(model.a_matrix, alpha0, model.noise,
+                                      500, stream_rng(38, stream))
+            fit = mt_fitter_regression(x, model)
+            for omega in np.linspace(1.0, 30.0, 30):
+                theta, mse = fit(float(omega))
+                ref_theta, ref_mse = mt_fit_regression(x, model, float(omega))
+                assert np.array_equal(theta, ref_theta)
+                assert np.array_equal(mse, ref_mse)
+                assert np.array_equal(
+                    theta, mt_gqmle_regression(x, model, float(omega)))
 
 
 class TestInfluenceClosedForm:

@@ -50,6 +50,11 @@ class TestMTWeights:
         with pytest.raises(DegenerateWeights, match="annihilates"):
             mt_weights(x, zero)
 
+    def test_empty_dataset_raises(self):
+        with pytest.raises(DegenerateWeights):
+            mt_weights(np.zeros((0, 3), dtype=complex),
+                       gaussian_mt_function(1.0))
+
     def test_underflow_safe_normalization(self):
         # raw weights underflow float64; log-space normalization still works
         x = 60.0 * np.ones((3, 2), dtype=complex)
@@ -115,6 +120,12 @@ class TestEmpiricalMoments:
         np.testing.assert_allclose(m1.mt_cov, m2.mt_cov, rtol=1e-14)
 
 
+    def test_empty_dataset_raises(self):
+        for u in (constant_mt_function(), gaussian_mt_function(2.0)):
+            with pytest.raises(DegenerateWeights):
+                empirical_mt_moments(np.zeros((0, 3), dtype=complex), u)
+
+
 class TestGaussianMTFunction:
     def test_value_at_origin(self):
         for width in (0.5, 3.0, 100.0):
@@ -177,6 +188,12 @@ class TestCheckMTCondition:
         zero = MTFunction.from_callable(lambda d: np.zeros(d.shape[0]))
         diag = check_mt_condition(x, zero)
         assert diag.degenerate and diag.ess == 0.0
+
+    def test_empty_dataset_reported_not_raised(self):
+        diag = check_mt_condition(np.zeros((0, 3), dtype=complex),
+                                  gaussian_mt_function(1.0))
+        assert diag.degenerate and diag.ess == 0.0
+        assert diag.warnings == ["empty dataset"]
 
 
 def test_mt_mean_consistency_rate(reg_gaussian, alpha0):
