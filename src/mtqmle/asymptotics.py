@@ -30,7 +30,7 @@ import numpy as np
 from .core import as_dataset, cholesky_pd, logdet_pd
 from .estimator import EstimationResult, ParametricMomentModel, estimate_mt_gqmle
 from .exceptions import DegenerateWeights, NotPositiveDefinite, SingularMatrix
-from .transform import MTFunction
+from .transform import MTFunction, _weights
 
 _COND_LIMIT = 1e14
 _FD_STEP = 1e-5
@@ -178,14 +178,11 @@ def sandwich(data, theta_hat, model: ParametricMomentModel, u: MTFunction
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     n = x.shape[0]
     lw = u.log_weights(x)
-    top = np.max(lw)
-    if top == -np.inf:
-        raise DegenerateWeights("MT-function annihilates sample")
+    scaled = _weights(lw)[0]                         # u / max(u), in (0, 1]
     if model.space.on_boundary(theta_hat):
         warnings.warn("estimate lies on the parameter-space boundary; "
                       "the sandwich asymptotics assume an interior optimum",
                       RuntimeWarning, stacklevel=2)
-    scaled = np.exp(lw - top)                        # u / max(u), in (0, 1]
     psi = psi_u_batch(x, theta_hat, model)           # (n, m)
     gam = gamma_u_batch(x, theta_hat, model)         # (n, m, m)
     g_scaled = np.einsum("n,nk,nj->kj", scaled ** 2, psi, psi) / n
@@ -195,7 +192,7 @@ def sandwich(data, theta_hat, model: ParametricMomentModel, u: MTFunction
         raise SingularMatrix("F matrix singular")
     finv_g = np.linalg.solve(f_scaled, g_scaled)
     c_hat = _symmetrize(np.linalg.solve(f_scaled, finv_g.T) / n)
-    umax = np.exp(top)                               # <= 1 for Gaussian u
+    umax = np.exp(np.max(lw))                        # <= 1 for Gaussian u
     return SandwichMatrices(g_hat=_symmetrize(g_scaled) * umax ** 2,
                             f_hat=_symmetrize(f_scaled) * umax,
                             c_hat=c_hat, n_samples=n)

@@ -19,9 +19,9 @@ from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel
 from .exceptions import SingularMatrix
 from .samplers import NoiseSpec, texture_expectation
-from .transform import (_moments, constant_mt_function, empirical_mt_moments,
-                        gaussian_log_weights, gaussian_mt_function,
-                        squared_norms)
+from .transform import (_moments, _weights, constant_mt_function,
+                        empirical_mt_moments, gaussian_log_weights,
+                        gaussian_mt_function, squared_norms)
 
 _DEFAULT_DELTA = 1e-3
 _DEFAULT_GRID = 10_000
@@ -93,30 +93,30 @@ class SpectrumCurve:
         return float(self.thetas[int(np.argmax(self.values))])
 
 
-def _lag_basis(thetas: np.ndarray, p: int) -> np.ndarray:
-    """(G, 2p-1) real basis [1, 2 cos(pi d sin theta), -2 sin(pi d sin theta)]
-    over lags d = 1..p-1, shared by every spectrum on the same grid."""
-    phase = np.pi * np.outer(np.sin(thetas), np.arange(1, p))
-    return np.hstack([np.ones((thetas.size, 1)), 2.0 * np.cos(phase),
-                      -2.0 * np.sin(phase)])
+def _scanner(thetas: np.ndarray, p: int):
+    """(mean, cov) -> SpectrumCurve of a^H C a over thetas, C = cov + mean
+    mean^H, in lag form: r_0 + 2 sum_d Re(r_d e^{i pi d sin theta}) with r_d
+    the sum of the d-th subdiagonal of C. The (G, 2p-1) real basis
+    [1, 2 Re a_d, 2 Im a_d] of the steering vectors is built once per call."""
+    steer = steering_grid(thetas, p)[:, 1:]
+    basis = np.hstack([np.ones((thetas.size, 1)), 2.0 * steer.real,
+                       2.0 * steer.imag])
 
+    def scan(mean, cov) -> SpectrumCurve:
+        c_hat = hermitize(cov + np.outer(mean, mean.conj()))
+        lags = np.array([np.trace(c_hat, offset=-d) for d in range(p)])
+        values = basis @ np.concatenate([lags.real, lags[1:].imag])
+        return SpectrumCurve(thetas=thetas, values=values)
 
-def _spectrum(moments, thetas: np.ndarray, basis: np.ndarray) -> SpectrumCurve:
-    """a^H C a, C = cov + mean mean^H, in lag form: r_0 + 2 sum_d Re(r_d
-    e^{i pi d sin theta}) with r_d the sum of the d-th subdiagonal of C."""
-    mean = moments.mt_mean
-    c_hat = hermitize(moments.mt_cov + np.outer(mean, mean.conj()))
-    lags = np.array([np.trace(c_hat, offset=-d) for d in range(mean.size)])
-    values = basis @ np.concatenate([lags.real, lags[1:].imag])
-    return SpectrumCurve(thetas=thetas, values=values)
+    return scan
 
 
 def mt_spectrum(data, model: ULAModel, omega: float,
                 grid: np.ndarray = None) -> SpectrumCurve:
     """Reweighted spatial spectrum over the angle grid."""
     thetas = model.grid() if grid is None else np.asarray(grid, dtype=float)
-    moments = empirical_mt_moments(data, gaussian_mt_function(omega))
-    return _spectrum(moments, thetas, _lag_basis(thetas, model.p))
+    m = empirical_mt_moments(data, gaussian_mt_function(omega))
+    return _scanner(thetas, model.p)(m.mt_mean, m.mt_cov)
 
 
 def estimate_doa(data, model: ULAModel, omega: float,
@@ -127,9 +127,9 @@ def estimate_doa(data, model: ULAModel, omega: float,
 
 def bartlett_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID) -> float:
     """Constant-weight (classical Bartlett) scan over the same grid."""
-    thetas = model.grid(k_theta)
-    moments = empirical_mt_moments(data, constant_mt_function())
-    return _spectrum(moments, thetas, _lag_basis(thetas, model.p)).argmax_theta
+    m = empirical_mt_moments(data, constant_mt_function())
+    scan = _scanner(model.grid(k_theta), model.p)
+    return scan(m.mt_mean, m.mt_cov).argmax_theta
 
 
 def _h_factor(p: int, s_abs2, nu2, omega2):
@@ -183,7 +183,9 @@ def gaussian_crlb_doa(model: ULAModel, theta0: float, n: int) -> float:
         s2s ** 2 * np.pi ** 2 * np.cos(theta0) ** 2 * p ** 2 * (p ** 2 - 1) * n)
 
 
-def _scan_statistics(x: np.ndarray, theta: float, p: int):
+def _empirical_mse(x: np.ndarray, theta: float, p: int, scaled) -> float:
+    """sum u^2 alpha^2 / (sum u beta)^2 with the spectrum slope alpha and
+    curvature beta statistics at theta; scaled is u up to a common factor."""
     a = steering(theta, p)
     da = steering(theta, p, 1)
     dda = steering(theta, p, 2)
@@ -192,11 +194,6 @@ def _scan_statistics(x: np.ndarray, theta: float, p: int):
     ddax = x @ dda.conj()
     alpha = 2.0 * np.real(dax * ax.conj())
     beta = 2.0 * np.real(ddax * ax.conj() + np.abs(dax) ** 2)
-    return alpha, beta
-
-
-def _empirical_mse(lw: np.ndarray, alpha, beta) -> float:
-    scaled = np.exp(lw - np.max(lw))        # the ratio is scale invariant
     denom = float(np.sum(beta * scaled))
     num = float(np.sum(alpha ** 2 * scaled ** 2))
     if denom == 0.0 or not np.isfinite(denom):
@@ -209,24 +206,21 @@ def empirical_asymptotic_mse_doa(data, model: ULAModel, theta_hat: float,
     """Empirical asymptotic MSE: sum u^2 alpha^2 / (sum u beta)^2 with the
     spectrum slope alpha and curvature beta statistics at theta_hat."""
     x = as_dataset(data)
-    lw = gaussian_mt_function(omega).log_weights(x)
-    return _empirical_mse(lw, *_scan_statistics(x, theta_hat, model.p))
+    scaled = _weights(gaussian_mt_function(omega).log_weights(x))[0]
+    return _empirical_mse(x, theta_hat, model.p, scaled)
 
 
 def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
     """Per-dataset fitter: omega -> (estimate_doa, empirical_asymptotic_mse_doa
-    at it). Validation, the norms and the spectrum basis are computed once;
-    widths with the same estimate share its scan statistics."""
+    at it). Validation, the norms and the spectrum basis are computed once."""
     x = as_dataset(data)
     norms = squared_norms(x)
-    thetas = model.grid(k_theta)
-    basis = _lag_basis(thetas, model.p)
-    stats = functools.cache(lambda theta: _scan_statistics(x, theta, model.p))
+    scan = _scanner(model.grid(k_theta), model.p)
 
     def fit(omega: float) -> tuple:
-        lw = gaussian_log_weights(norms, omega)
-        theta = _spectrum(_moments(x, lw), thetas, basis).argmax_theta
-        return theta, _empirical_mse(lw, *stats(theta))
+        scaled, phi = _weights(gaussian_log_weights(norms, omega))
+        theta = scan(*_moments(x, phi)).argmax_theta
+        return theta, _empirical_mse(x, theta, model.p, scaled)
 
     return fit
 
@@ -294,9 +288,8 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     p = model.p
     u = gaussian_mt_function(omega)
     moments = empirical_mt_moments(x, u)
-    grid = model.grid(k_theta)
-    basis = _lag_basis(grid, p)
-    theta_ref = _spectrum(moments, grid, basis).argmax_theta
+    scan = _scanner(model.grid(k_theta), p)
+    theta_ref = scan(moments.mt_mean, moments.mt_cov).argmax_theta
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)
     eye = np.eye(p)
 
@@ -318,7 +311,7 @@ def doa_moment_model(model: ULAModel, data, omega: float,
         return block[None, None]
 
     def solver(mom):
-        return np.array([_spectrum(mom, grid, basis).argmax_theta])
+        return np.array([scan(mom.mt_mean, mom.mt_cov).argmax_theta])
 
     lo, hi = model.theta_bounds
     space = ParameterSpace(lower=[lo], upper=[hi], grid_sizes=k_theta)

@@ -19,7 +19,7 @@ import numpy as np
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel
 from .samplers import NoiseSpec, texture_expectation
-from .transform import (MTFunction, _normalize, empirical_mt_moments,
+from .transform import (MTFunction, _weights, empirical_mt_moments,
                         gaussian_log_weights, gaussian_mt_function,
                         squared_norms)
 
@@ -167,9 +167,8 @@ def mt_fitter_regression(data, model: RegressionModel):
     a_conj = model.a_matrix.conj()
 
     def fit(omega: float) -> tuple:
-        lw = gaussian_log_weights(norms, omega)
-        mean = _normalize(lw) @ x
-        scaled = np.exp(lw - np.max(lw))    # ratio below is scale invariant
+        scaled, phi = _weights(gaussian_log_weights(norms, omega))
+        mean = phi @ x
         h = (x - mean) @ a_conj
         zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T
         num = np.einsum("n,nk,nj->kj", scaled ** 2, zeta, zeta)

@@ -147,14 +147,15 @@ class MTDiagnostic:
     warnings: list = field(default_factory=list)
 
 
-def _normalize(lw: np.ndarray) -> np.ndarray:
-    """Max-shifted, normalized weights from log-weights; DegenerateWeights
-    when every weight vanishes or the sample is empty."""
+def _weights(lw: np.ndarray) -> tuple:
+    """Max-shifted weights exp(lw - max lw), which any common scale of u
+    leaves unchanged, and their normalization; DegenerateWeights when every
+    weight vanishes or the sample is empty."""
     top = np.max(lw, initial=-np.inf)
     if top == -np.inf:
         raise DegenerateWeights("MT-function annihilates sample")
     w = np.exp(lw - top)
-    return w / w.sum()
+    return w, w / w.sum()
 
 
 def mt_weights(data, u: MTFunction) -> np.ndarray:
@@ -163,24 +164,25 @@ def mt_weights(data, u: MTFunction) -> np.ndarray:
     Raises DegenerateWeights when every weight vanishes. Normalization is
     done in log space (max-shifted), so any common scale of u cancels exactly.
     """
-    return _normalize(u.log_weights(data))
+    return _weights(u.log_weights(data))[1]
 
 
 def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
     """Reweighted mean and covariance with their normalized weights."""
     x = as_dataset(data)
-    return _moments(x, u.log_weights(x))
+    lw = u.log_weights(x)
+    phi = _weights(lw)[1]
+    mean, cov = _moments(x, phi)
+    return EmpiricalMTMoments(weights=phi, mt_mean=mean, mt_cov=cov,
+                              weight_mass=float(np.exp(lw).mean()))
 
 
-def _moments(x: np.ndarray, lw: np.ndarray) -> EmpiricalMTMoments:
-    """``empirical_mt_moments`` of a validated dataset from its log-weights."""
-    phi = _normalize(lw)
+def _moments(x: np.ndarray, phi: np.ndarray) -> tuple:
+    """Weighted mean and covariance of a validated dataset."""
     mean = phi @ x
     # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
     y = np.sqrt(phi)[:, None] * (x - mean)
-    cov = hermitize(y.T @ y.conj())
-    return EmpiricalMTMoments(weights=phi, mt_mean=mean, mt_cov=cov,
-                              weight_mass=float(np.exp(lw).mean()))
+    return mean, hermitize(y.T @ y.conj())
 
 
 def empirical_mt_mean(data, u: MTFunction) -> np.ndarray:
@@ -202,7 +204,7 @@ def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:
     lw = u.log_weights(x)
     notes = []
     try:
-        phi = _normalize(lw)
+        phi = _weights(lw)[1]
     except DegenerateWeights:
         notes.append("all weights are zero" if lw.size else "empty dataset")
         return MTDiagnostic(mean_weight=0.0, tiny_fraction=1.0, ess=0.0,

@@ -23,8 +23,7 @@ from mtqmle.doa import (
 from mtqmle.exceptions import DegenerateWeights, SingularMatrix
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa)
-from mtqmle.transform import (EmpiricalMTMoments, empirical_mt_moments,
-                              gaussian_mt_function)
+from mtqmle.transform import empirical_mt_moments, gaussian_mt_function
 
 from conftest import THETA0_DOA, random_pd
 
@@ -107,9 +106,7 @@ class TestLagFormSpectrum:
         for _ in range(5):
             mean = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             cov = random_pd(rng, p)
-            moments = EmpiricalMTMoments(weights=None, mt_mean=mean,
-                                         mt_cov=cov, weight_mass=1.0)
-            lag = doa._spectrum(moments, grid, doa._lag_basis(grid, p))
+            lag = doa._scanner(grid, p)(mean, cov)
             oracle = _einsum_spectrum(cov + np.outer(mean, mean.conj()),
                                       grid, p)
             np.testing.assert_allclose(lag.values, oracle, rtol=1e-10)
@@ -230,6 +227,11 @@ class TestEmpiricalAsymptoticMSE:
     def test_zero_snapshots_raise_singular(self, ula_k):
         with pytest.raises(SingularMatrix, match="degenerate curvature"):
             empirical_asymptotic_mse_doa(np.zeros((10, 4), dtype=complex),
+                                         ula_k, THETA0_DOA, 4.0)
+
+    def test_empty_dataset_raises(self, ula_k):
+        with pytest.raises(DegenerateWeights):
+            empirical_asymptotic_mse_doa(np.zeros((0, 4), dtype=complex),
                                          ula_k, THETA0_DOA, 4.0)
 
 

@@ -12,7 +12,6 @@ from mtqmle.regression import (
     gaussian_fim_regression,
     influence_regression,
     mean_weight_regression,
-    mt_fit_regression,
     mt_fitter_regression,
     mt_gqmle_regression,
     projected_mt_function,
@@ -196,8 +195,9 @@ class TestEmpiricalAsymptoticMSE:
 class TestFitter:
     @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
     def test_equals_per_width_fit(self, reg_gaussian, alpha0, snr_db):
-        """Every width of the per-dataset fitter is bit-for-bit the public
-        one-width fit (the closed-form estimate and its MSE matrix)."""
+        """Every width of the per-dataset fitter is bit-for-bit the fixed-omega
+        estimate and the MSE matrix sum u^2 zeta zeta^T / (sum u)^2 written
+        out from the public weights (u max-shifted)."""
         sigma2 = regression_sigma2_for_snr_db(reg_gaussian.a_matrix, snr_db)
         model = build_steering_regressors(10, np.pi / 3, np.pi / 6,
                                           NoiseSpec("t", sigma2, 10, lam=0.2))
@@ -207,9 +207,14 @@ class TestFitter:
             fit = mt_fitter_regression(x, model)
             for omega in np.linspace(1.0, 30.0, 30):
                 theta, mse = fit(float(omega))
-                ref_theta, ref_mse = mt_fit_regression(x, model, float(omega))
-                assert np.array_equal(theta, ref_theta)
-                assert np.array_equal(mse, ref_mse)
+                u = projected_mt_function(model, float(omega))
+                lw = u.log_weights(x)
+                scaled = np.exp(lw - np.max(lw))
+                mean = empirical_mt_moments(x, u).mt_mean
+                h = (x - mean) @ model.a_matrix.conj()
+                zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T
+                oracle = np.einsum("n,nk,nj->kj", scaled ** 2, zeta, zeta)
+                assert np.array_equal(mse, oracle / np.sum(scaled) ** 2)
                 assert np.array_equal(
                     theta, mt_gqmle_regression(x, model, float(omega)))
 
