@@ -42,8 +42,6 @@ from .transform import (
     MTFunction,
     check_mt_condition,
     constant_mt_function,
-    empirical_mt_cov,
-    empirical_mt_mean,
     empirical_mt_moments,
     gaussian_mt_function,
     mt_weights,
@@ -63,8 +61,6 @@ __all__ = [
     "check_identifiability",
     "check_mt_condition",
     "constant_mt_function",
-    "empirical_mt_cov",
-    "empirical_mt_mean",
     "empirical_mt_moments",
     "estimate_gqmle",
     "estimate_mt_gqmle",

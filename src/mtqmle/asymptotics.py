@@ -254,7 +254,8 @@ class SelectionResult:
 def select_by_trace(omegas: Sequence[float],
                     fit: Callable[[float], tuple]) -> SelectionResult:
     """The width-selection rule: the omega whose ``fit(omega) -> (estimate,
-    trace)`` has the smallest empirical asymptotic MSE trace.
+    mse)`` has the smallest trace of its empirical asymptotic MSE (a scalar
+    or a square matrix).
 
     Candidates are visited in sorted order. One whose fit raises
     DegenerateWeights, SingularMatrix or NotPositiveDefinite gets a NaN trace
@@ -266,9 +267,10 @@ def select_by_trace(omegas: Sequence[float],
     estimates: list = [None] * omegas.size
     for i, omega in enumerate(omegas):
         try:
-            estimates[i], traces[i] = fit(float(omega))
+            estimates[i], mse = fit(float(omega))
         except (DegenerateWeights, SingularMatrix, NotPositiveDefinite):
             continue
+        traces[i] = np.trace(np.atleast_2d(mse))
     if np.all(np.isnan(traces)):
         raise DegenerateWeights("all grid points degenerate")
     idx = int(np.nanargmin(traces))  # first minimum == smallest omega on ties
@@ -279,15 +281,15 @@ def select_by_trace(omegas: Sequence[float],
 def select_mt_parameter(data, family: Callable[[float], MTFunction],
                         omegas: Sequence[float], model: ModelOrFactory
                         ) -> SelectionResult:
-    """``select_by_trace`` with the sandwich MSE trace of a full re-estimate
-    of theta on the same dataset for every candidate omega."""
+    """``select_by_trace`` with the sandwich MSE of a full re-estimate of
+    theta on the same dataset for every candidate omega."""
     x = as_dataset(data)
 
     def fit(omega):
         u = family(omega)
         model_i = model(x, u) if callable(model) else model
         est = estimate_mt_gqmle(x, u, model_i)
-        return est, sandwich(x, est.theta, model_i, u).trace
+        return est, sandwich(x, est.theta, model_i, u).c_hat
 
     return select_by_trace(omegas, fit)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .harness import ExperimentConfig, emit_csv, run_experiment, timing_report
 
@@ -17,10 +18,7 @@ from .harness import ExperimentConfig, emit_csv, run_experiment, timing_report
 def _load_config(path: str, axis=None, values=None) -> ExperimentConfig:
     config = ExperimentConfig.from_json(path)
     if axis is not None:
-        raw = {k: getattr(config, k) for k in config.__dataclass_fields__}
-        raw["sweep_axis"] = axis
-        raw["sweep_values"] = values
-        config = ExperimentConfig.from_dict(raw)
+        config = replace(config, sweep_axis=axis, sweep_values=values)
     return config
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,6 +70,13 @@ class ExperimentConfig:
             self.p = 10 if self.application == "regression" else 4
         if not (isinstance(self.omega, (int, float)) or self.omega == "select"):
             raise ValueError("omega must be a number or 'select'")
+        lo, hi, count = self.omega_grid
+        widths = [lo, hi] + ([] if self.omega == "select" else [self.omega])
+        widths += self.sweep_values if self.sweep_axis == "omega" else []
+        if not all(np.isfinite(w) and w > 0 for w in widths):
+            raise ValueError("omega widths must be finite and > 0")
+        if not (float(count).is_integer() and count >= 1):
+            raise ValueError("omega_grid count must be an integer >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -113,8 +120,8 @@ class ResultTable:
 
 
 # --- per-application plumbing -------------------------------------------------
-# Synthesis, baselines, the estimate at a fixed omega, the per-dataset fitter
-# omega -> (theta_hat, empirical asymptotic MSE trace), the closed-form trace.
+# Synthesis, baselines, the per-dataset fitter omega -> (theta_hat, empirical
+# asymptotic MSE) that every mt-gqmle call selects over, the closed-form trace.
 
 class _Regression:
     def __init__(self, config: ExperimentConfig, snr_db: float):
@@ -150,17 +157,8 @@ class _Regression:
                              f"{self.noise.kind!r} regression noise")
         raise ValueError(name)
 
-    def estimate(self, x: np.ndarray, omega: float) -> np.ndarray:
-        return regression.mt_gqmle_regression(x, self.model, omega)
-
     def fitter(self, x: np.ndarray) -> Callable:
-        fit = regression.mt_fitter_regression(x, self.model)
-
-        def fit_trace(omega: float) -> tuple:
-            theta, mse = fit(omega)
-            return theta, float(np.trace(mse))
-
-        return fit_trace
+        return regression.mt_fitter_regression(x, self.model)
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
         return float(np.trace(regression.asymptotic_mse_regression(
@@ -186,9 +184,6 @@ class _DOA:
                                               self._config.k_theta)
         raise ValueError(name)
 
-    def estimate(self, x: np.ndarray, omega: float) -> float:
-        return doa.estimate_doa(x, self.model, omega, self._config.k_theta)
-
     def fitter(self, x: np.ndarray) -> Callable:
         return doa.mt_fitter_doa(x, self.model, self._config.k_theta)
 
@@ -202,15 +197,13 @@ _APPLICATIONS = {"regression": _Regression, "doa": _DOA}
 def _runner(app, name: str, config: ExperimentConfig, omega_policy
             ) -> Callable:
     """x -> (theta_hat, selection), where selection is (omega_opt, its
-    empirical asymptotic MSE trace) for mt-gqmle with omega selection and
-    None otherwise."""
+    empirical asymptotic MSE trace) for mt-gqmle and None otherwise. A fixed
+    omega is a one-candidate selection."""
     if name != "mt-gqmle":
         estimate = app.baseline(name)
         return lambda x: (estimate(x), None)
-    if omega_policy != "select":
-        omega = float(omega_policy)
-        return lambda x: (app.estimate(x, omega), None)
-    omegas = config.omega_candidates()
+    omegas = (config.omega_candidates() if omega_policy == "select"
+              else [float(omega_policy)])
 
     def run(x):
         sel = asymptotics.select_by_trace(omegas, app.fitter(x))
@@ -224,9 +217,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 
     A trial where an estimator raises or returns a non-finite estimate is
     recorded as a failure for that estimator and excluded from its average.
-    The mt-gqmle asymptotic columns are evaluated at the width of trial 0:
-    the omega trial 0's selection picked (NaN when that selection failed), or
-    the fixed omega.
+    The mt-gqmle asymptotic columns are evaluated at the width trial 0's
+    selection picked, or at the fixed omega. The empirical trace is NaN when
+    trial 0's call failed, and so is the closed-form one under selection.
     """
     theta0 = np.asarray(config.theta0, dtype=float)
     rows = []
@@ -241,14 +234,13 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         sq_err = {name: [] for name in config.estimators}
         failures = {name: 0 for name in config.estimators}
         seconds = {name: 0.0 for name in config.estimators}
-        x0 = None
-        picked = None                      # (omega, empirical trace) of trial 0
+        # (omega, empirical trace) of trial 0
+        picked = (None if omega_policy == "select"
+                  else (float(omega_policy), np.nan))
         for trial in range(config.trials):
             rng = samplers.stream_rng(config.seed,
                                       sweep_idx * config.trials + trial)
             x = app.synthesize(n, rng)
-            if trial == 0:
-                x0 = x
             for name, run in runners.items():
                 start = time.perf_counter()
                 try:
@@ -265,12 +257,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                     picked = selection
                 sq_err[name].append(float(np.sum((theta - theta0) ** 2)))
 
-        if "mt-gqmle" in runners and omega_policy != "select":
-            omega = float(omega_policy)
-            try:
-                picked = (omega, app.fitter(x0)(omega)[1])
-            except ValueError:
-                picked = (omega, np.nan)
         for name in config.estimators:
             asym = np.nan
             emp_asym = np.nan
@@ -343,10 +329,7 @@ def timing_report(config: ExperimentConfig) -> list:
 
     Comparative only; absolute numbers are machine dependent.
     """
-    reduced = ExperimentConfig.from_dict({
-        **{k: getattr(config, k) for k in config.__dataclass_fields__},
-        "sweep_values": [config.sweep_values[0]],
-    })
-    table = run_experiment(reduced)
+    table = run_experiment(replace(config,
+                                   sweep_values=[config.sweep_values[0]]))
     return [(row.estimator, row.mean_seconds, row.trials - row.failures)
             for row in table.rows]

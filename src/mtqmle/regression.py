@@ -177,15 +177,10 @@ def mt_fitter_regression(data, model: RegressionModel):
     return fit
 
 
-def mt_fit_regression(data, model: RegressionModel, omega: float) -> tuple:
-    """The closed-form estimate and its empirical asymptotic MSE at one width."""
-    return mt_fitter_regression(data, model)(omega)
-
-
 def empirical_asymptotic_mse_regression(data, model: RegressionModel,
                                         omega: float) -> np.ndarray:
-    """Empirical asymptotic MSE matrix, the second output of mt_fit_regression."""
-    return mt_fit_regression(data, model, omega)[1]
+    """Empirical asymptotic MSE matrix, the second output of the fitter."""
+    return mt_fitter_regression(data, model)(omega)[1]
 
 
 def influence_regression(y, theta0, model: RegressionModel, omega: float

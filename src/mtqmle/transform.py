@@ -129,7 +129,6 @@ class EmpiricalMTMoments:
     weights: Optional[np.ndarray]  # (n,) normalized, sums to 1
     mt_mean: np.ndarray            # (p,)
     mt_cov: np.ndarray             # (p, p) Hermitian PSD
-    weight_mass: float             # sum_n u(x_n) / n, diagnostic only
 
     @property
     def n_samples(self) -> Optional[int]:
@@ -170,11 +169,9 @@ def mt_weights(data, u: MTFunction) -> np.ndarray:
 def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
     """Reweighted mean and covariance with their normalized weights."""
     x = as_dataset(data)
-    lw = u.log_weights(x)
-    phi = _weights(lw)[1]
+    phi = _weights(u.log_weights(x))[1]
     mean, cov = _moments(x, phi)
-    return EmpiricalMTMoments(weights=phi, mt_mean=mean, mt_cov=cov,
-                              weight_mass=float(np.exp(lw).mean()))
+    return EmpiricalMTMoments(weights=phi, mt_mean=mean, mt_cov=cov)
 
 
 def _moments(x: np.ndarray, phi: np.ndarray) -> tuple:
@@ -183,14 +180,6 @@ def _moments(x: np.ndarray, phi: np.ndarray) -> tuple:
     # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
     y = np.sqrt(phi)[:, None] * (x - mean)
     return mean, hermitize(y.T @ y.conj())
-
-
-def empirical_mt_mean(data, u: MTFunction) -> np.ndarray:
-    return empirical_mt_moments(data, u).mt_mean
-
-
-def empirical_mt_cov(data, u: MTFunction) -> np.ndarray:
-    return empirical_mt_moments(data, u).mt_cov
 
 
 def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:

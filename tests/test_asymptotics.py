@@ -370,6 +370,21 @@ class TestSelection:
         with pytest.raises(DegenerateWeights, match="all grid points"):
             select_by_trace([1.0, 2.0], fit)
 
+    def test_rule_ranks_matrix_mse_by_trace(self):
+        # om = 2 has the largest single entry but the smallest trace
+        mses = {1.0: np.diag([3.0, 3.0]),
+                2.0: np.array([[1.0, 9.0], [9.0, 4.0]]),
+                3.0: np.diag([2.0, 4.0])}
+        sel = select_by_trace([3.0, 1.0, 2.0], lambda om: (om, mses[om]))
+        np.testing.assert_array_equal(sel.traces, [6.0, 5.0, 6.0])
+        assert sel.omega_opt == 2.0 and sel.best_estimate == 2.0
+
+    def test_rule_one_candidate(self):
+        sel = select_by_trace([4.0], lambda om: ("est", np.eye(3) * om))
+        np.testing.assert_array_equal(sel.omegas, [4.0])
+        np.testing.assert_array_equal(sel.traces, [12.0])
+        assert sel.omega_opt == 4.0 and sel.best_estimate == "est"
+
 
 class TestFisherInformation:
     def test_gaussian_regression_closed_form(self, reg_gaussian):

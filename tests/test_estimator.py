@@ -34,7 +34,7 @@ from conftest import THETA0_REG, random_dataset
 def model_moments_at(model, theta):
     """Population-style moments: the model's own mean/covariance at theta."""
     return EmpiricalMTMoments(weights=None, mt_mean=model.mt_mean(theta),
-                              mt_cov=model.mt_cov(theta), weight_mass=1.0)
+                              mt_cov=model.mt_cov(theta))
 
 
 def small_regression_setup(seed=0, n=200, omega=3.0):
@@ -95,7 +95,7 @@ class TestObjective:
             space=space)
         moments = EmpiricalMTMoments(weights=None,
                                      mt_mean=np.zeros(2, dtype=complex),
-                                     mt_cov=2 * eye, weight_mass=1.0)
+                                     mt_cov=2 * eye)
         assert objective_j_u(moments, mm, [0.5]) == pytest.approx(
             -(2 - 2 * np.log(2)), abs=1e-12)
 
@@ -132,8 +132,7 @@ class TestObjective:
             space=space)
         moments = EmpiricalMTMoments(weights=None,
                                      mt_mean=np.zeros(2, dtype=complex),
-                                     mt_cov=np.eye(2, dtype=complex),
-                                     weight_mass=1.0)
+                                     mt_cov=np.eye(2, dtype=complex))
         with pytest.raises(NotPositiveDefinite):
             objective_j_u(moments, bad, [0.5])
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mtqmle import doa, regression, samplers
+from mtqmle.exceptions import SingularMatrix
 from mtqmle.harness import (
     ExperimentConfig,
     ResultTable,
@@ -68,6 +69,24 @@ class TestConfig:
     def test_bad_sweep_axis(self):
         with pytest.raises(ValueError, match="sweep axis"):
             small_regression_config(sweep_axis="width")
+
+    @pytest.mark.parametrize("overrides", [
+        dict(omega=-2.0),
+        dict(omega=0.0),
+        dict(omega=float("nan")),
+        dict(omega=float("inf")),
+        dict(sweep_values=[2.0, 0.0]),
+        dict(sweep_values=[2.0, -8.0]),
+        dict(sweep_values=[float("inf")]),
+        dict(omega_grid=[0.0, 10.0, 5]),
+        dict(omega_grid=[1.0, -10.0, 5]),
+        dict(omega_grid=[1.0, float("nan"), 5]),
+        dict(omega_grid=[1.0, 10.0, 0]),
+        dict(omega_grid=[1.0, 10.0, 2.5]),
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_bad_widths_rejected(self, overrides):
+        with pytest.raises(ValueError, match="omega"):
+            small_regression_config(**overrides)
 
     def test_json_roundtrip(self, tmp_path):
         cfg = small_regression_config()
@@ -156,9 +175,102 @@ def _first_minimum(omegas, traces):
     return best
 
 
+def _regression_trials(cfg, sweep_idx, snr):
+    """(model, every trial's dataset) of a regression config at one sweep
+    value."""
+    probe = regression.build_steering_regressors(
+        cfg.p, cfg.angles[0], cfg.angles[1],
+        samplers.NoiseSpec("gaussian", 1.0, cfg.p))
+    sigma2 = samplers.regression_sigma2_for_snr_db(probe.a_matrix, snr)
+    noise = samplers.NoiseSpec(cfg.noise_kind, sigma2, cfg.p,
+                               lam=cfg.noise_lam)
+    model = regression.build_steering_regressors(
+        cfg.p, cfg.angles[0], cfg.angles[1], noise)
+    xs = [samplers.synthesize_regression(
+        model.a_matrix, regression.unrealify(cfg.theta0), noise,
+        cfg.n_samples, samplers.stream_rng(cfg.seed,
+                                           sweep_idx * cfg.trials + trial))
+        for trial in range(cfg.trials)]
+    return model, xs
+
+
+def _doa_trials(cfg, sweep_idx, snr):
+    """(model, every trial's dataset) of a DOA config at one sweep value."""
+    sigma2 = samplers.doa_sigma2_for_snr_db(cfg.sigma2_s, snr)
+    noise = samplers.NoiseSpec(cfg.noise_kind, sigma2, cfg.p,
+                               lam=cfg.noise_lam)
+    model = doa.ULAModel(cfg.p, cfg.sigma2_s, noise)
+    xs = [samplers.synthesize_doa(
+        cfg.p, float(cfg.theta0[0]), cfg.sigma2_s, noise, cfg.n_samples,
+        samplers.stream_rng(cfg.seed, sweep_idx * cfg.trials + trial))
+        for trial in range(cfg.trials)]
+    return model, xs
+
+
+def _mean_sq_err(thetas, theta0):
+    """The harness's empirical MSE of a list of estimates."""
+    theta0 = np.asarray(theta0, dtype=float)
+    return float(np.mean([
+        float(np.sum((np.asarray(th, dtype=float).ravel() - theta0) ** 2))
+        for th in thetas]))
+
+
 class TestTrialZeroSelection:
-    """With omega selection, the asymptotic columns come from the selection
-    on trial 0's dataset, stream (seed, sweep_idx * trials)."""
+    """The asymptotic columns come from trial 0's dataset, stream
+    (seed, sweep_idx * trials): its selection, or the fixed omega."""
+
+    def test_regression_fixed_omega(self):
+        cfg = small_regression_config(
+            noise_kind="t", noise_lam=0.2, sweep_axis="snr",
+            sweep_values=[-10.0, 5.0], omega=6.0, n_samples=300, trials=2)
+        table = run_experiment(cfg)
+        for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
+                                                   table.by("mt-gqmle"))):
+            model, xs = _regression_trials(cfg, sweep_idx, snr)
+            x0 = xs[0]
+            assert row.failures == 0
+            assert row.empirical_mse == _mean_sq_err(
+                [regression.mt_gqmle_regression(x, model, 6.0) for x in xs],
+                cfg.theta0)
+            assert row.empirical_asymptotic_mse_trace == float(np.trace(
+                regression.empirical_asymptotic_mse_regression(x0, model,
+                                                               6.0)))
+            assert row.asymptotic_mse_trace == float(np.trace(
+                regression.asymptotic_mse_regression(model, 6.0,
+                                                     cfg.n_samples)))
+
+    def test_doa_fixed_omega(self):
+        cfg = small_doa_config(sweep_values=[-10.0, 0.0], omega=4.0,
+                               trials=2)
+        table = run_experiment(cfg)
+        for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
+                                                   table.by("mt-gqmle"))):
+            model, xs = _doa_trials(cfg, sweep_idx, snr)
+            thetas = [doa.estimate_doa(x, model, 4.0, cfg.k_theta)
+                      for x in xs]
+            x0, th = xs[0], thetas[0]
+            assert row.failures == 0
+            assert row.empirical_mse == _mean_sq_err(thetas, cfg.theta0)
+            assert row.empirical_asymptotic_mse_trace == \
+                doa.empirical_asymptotic_mse_doa(x0, model, th, 4.0)
+            assert row.asymptotic_mse_trace == doa.asymptotic_mse_doa(
+                model, float(cfg.theta0[0]), 4.0, cfg.n_samples)
+
+    def test_fixed_omega_failed_mse_fails_the_call(self, monkeypatch):
+        """A fixed width is a one-candidate selection: a typed error from
+        the empirical MSE fails the call, as it does under selection."""
+        def singular(*args):
+            raise SingularMatrix("stub")
+
+        monkeypatch.setattr(doa, "_empirical_mse", singular)
+        cfg = small_doa_config(trials=2)
+        table = run_experiment(cfg)
+        row = table.by("mt-gqmle")[0]
+        assert row.failures == cfg.trials
+        assert np.isnan(row.empirical_mse)
+        assert np.isfinite(row.asymptotic_mse_trace)
+        assert np.isnan(row.empirical_asymptotic_mse_trace)
+        assert table.by("gqmle")[0].failures == 0
 
     def test_regression(self):
         cfg = small_regression_config(
@@ -166,19 +278,9 @@ class TestTrialZeroSelection:
             sweep_values=[-10.0, 5.0], omega="select",
             omega_grid=[1.0, 25.0, 5], n_samples=300, trials=2)
         table = run_experiment(cfg)
-        alpha0 = regression.unrealify(cfg.theta0)
-        probe = regression.build_steering_regressors(
-            cfg.p, cfg.angles[0], cfg.angles[1],
-            samplers.NoiseSpec("gaussian", 1.0, cfg.p))
         for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
                                                    table.by("mt-gqmle"))):
-            sigma2 = samplers.regression_sigma2_for_snr_db(probe.a_matrix, snr)
-            noise = samplers.NoiseSpec("t", sigma2, cfg.p, lam=0.2)
-            model = regression.build_steering_regressors(
-                cfg.p, cfg.angles[0], cfg.angles[1], noise)
-            x0 = samplers.synthesize_regression(
-                model.a_matrix, alpha0, noise, cfg.n_samples,
-                samplers.stream_rng(cfg.seed, sweep_idx * cfg.trials))
+            model, (x0, *_) = _regression_trials(cfg, sweep_idx, snr)
             omegas = cfg.omega_candidates()
             traces = [float(np.trace(
                 regression.empirical_asymptotic_mse_regression(
@@ -193,15 +295,9 @@ class TestTrialZeroSelection:
         cfg = small_doa_config(sweep_values=[-10.0, 0.0], omega="select",
                                omega_grid=[1.0, 16.0, 4], trials=2)
         table = run_experiment(cfg)
-        theta0 = float(cfg.theta0[0])
         for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
                                                    table.by("mt-gqmle"))):
-            sigma2 = samplers.doa_sigma2_for_snr_db(cfg.sigma2_s, snr)
-            noise = samplers.NoiseSpec("k", sigma2, cfg.p, lam=cfg.noise_lam)
-            model = doa.ULAModel(cfg.p, cfg.sigma2_s, noise)
-            x0 = samplers.synthesize_doa(
-                cfg.p, theta0, cfg.sigma2_s, noise, cfg.n_samples,
-                samplers.stream_rng(cfg.seed, sweep_idx * cfg.trials))
+            model, (x0, *_) = _doa_trials(cfg, sweep_idx, snr)
             omegas = cfg.omega_candidates()
             traces = []
             for om in omegas:
@@ -211,7 +307,7 @@ class TestTrialZeroSelection:
             omega, trace = _first_minimum(omegas, traces)
             assert row.empirical_asymptotic_mse_trace == trace
             assert row.asymptotic_mse_trace == doa.asymptotic_mse_doa(
-                model, theta0, omega, cfg.n_samples)
+                model, float(cfg.theta0[0]), omega, cfg.n_samples)
 
 
 class TestCSV:

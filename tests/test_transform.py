@@ -9,8 +9,6 @@ from mtqmle.transform import (
     MTFunction,
     check_mt_condition,
     constant_mt_function,
-    empirical_mt_cov,
-    empirical_mt_mean,
     empirical_mt_moments,
     gaussian_mt_function,
     mt_weights,
@@ -68,26 +66,27 @@ class TestEmpiricalMoments:
     def test_constant_reduces_to_standard(self, rng):
         x = random_dataset(rng, 30, 4)
         u = constant_mt_function()
-        np.testing.assert_allclose(empirical_mt_mean(x, u), sample_mean(x),
+        moments = empirical_mt_moments(x, u)
+        np.testing.assert_allclose(moments.mt_mean, sample_mean(x),
                                    rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(empirical_mt_cov(x, u),
+        np.testing.assert_allclose(moments.mt_cov,
                                    sample_covariance(x), rtol=1e-12,
                                    atol=1e-14)
 
     def test_single_sample(self):
         x = np.array([[2.0 - 1.0j, 0.5j]])
         np.testing.assert_allclose(
-            empirical_mt_mean(x, gaussian_mt_function(2.0)), x[0])
+            empirical_mt_moments(x, gaussian_mt_function(2.0)).mt_mean, x[0])
 
     def test_symmetric_data_mean_near_zero(self):
         rng = np.random.default_rng(7)
         x = random_dataset(rng, 10 ** 5, 2, scale=np.sqrt(0.5))
-        mean = empirical_mt_mean(x, gaussian_mt_function(2.0))
+        mean = empirical_mt_moments(x, gaussian_mt_function(2.0)).mt_mean
         assert np.linalg.norm(mean) < 0.02
 
     def test_identical_samples_zero_cov(self):
         x = np.tile(np.array([1 + 2j, -1j]), (6, 1))
-        cov = empirical_mt_cov(x, gaussian_mt_function(1.0))
+        cov = empirical_mt_moments(x, gaussian_mt_function(1.0)).mt_cov
         np.testing.assert_allclose(cov, np.zeros((2, 2)), atol=1e-14)
 
     def test_weighted_outer_product_oracle(self, rng):
@@ -99,14 +98,14 @@ class TestEmpiricalMoments:
         for w_n, x_n in zip(phi, x):
             d = x_n - mean
             oracle += w_n * np.outer(d, d.conj())
-        np.testing.assert_allclose(empirical_mt_cov(x, u), oracle, rtol=1e-10,
-                                   atol=1e-14)
+        np.testing.assert_allclose(empirical_mt_moments(x, u).mt_cov, oracle,
+                                   rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cov_always_psd(self, seed):
         rng = np.random.default_rng(seed)
         x = random_dataset(rng, 15, 4, scale=3.0)
-        cov = empirical_mt_cov(x, gaussian_mt_function(1.0))
+        cov = empirical_mt_moments(x, gaussian_mt_function(1.0)).mt_cov
         assert np.linalg.eigvalsh(cov).min() >= -1e-10 * np.trace(cov).real
 
     def test_scale_invariance(self, rng):
@@ -208,7 +207,8 @@ def test_mt_mean_consistency_rate(reg_gaussian, alpha0):
             rng = stream_rng(9000 + rep, i)
             x = synthesize_regression(reg_gaussian.a_matrix, alpha0,
                                       reg_gaussian.noise, n, rng)
-            reps.append(np.linalg.norm(empirical_mt_mean(x, u) - target))
+            mean = empirical_mt_moments(x, u).mt_mean
+            reps.append(np.linalg.norm(mean - target))
         errs.append(np.mean(reps))
     assert errs[0] > errs[1] > errs[2]
     slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
