@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import as_dataset, cholesky_pd, logdet_pd
+from .core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from .estimator import EstimationResult, ParametricMomentModel, estimate_mt_gqmle
 from .exceptions import DegenerateWeights, NotPositiveDefinite, SingularMatrix
 from .transform import MTFunction, _weights
@@ -40,36 +40,82 @@ def log_phi_u(data, theta, model: ParametricMomentModel) -> np.ndarray:
     """log of the fitted Gaussian density at each sample, shape (n,)."""
     x = as_dataset(data)
     theta = np.asarray(theta, dtype=float).ravel()
-    sigma = model.mt_cov(theta)
-    p = sigma.shape[0]
-    chol = cholesky_pd(sigma)
+    chol = cholesky_pd(model.mt_cov(theta))
     resid = np.linalg.solve(chol, (x - model.mt_mean(theta)).T)
     quad = np.einsum("pn,pn->n", resid.conj(), resid).real
-    return -p * np.log(np.pi) - logdet_pd(sigma) - quad
+    return -chol.shape[0] * np.log(np.pi) - _logdet_cholesky(chol) - quad
+
+
+def _score(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
+           ) -> tuple:
+    """Score of log phi for every sample, shape (n, m), from one Cholesky
+    factor of S(theta), with the pieces it is built from: the solve with that
+    factor, dm_k (m, p), w = S^-1 (x - m) (p, n), b_k = S^-1 dm_k (p, m),
+    A_k = S^-1 dS_k (m, p, p) and the rows w^H dS_k (m, n, p)."""
+    d_mean = np.asarray(model.d_mean(theta))
+    d_cov = np.asarray(model.d_cov(theta))
+    chol = cholesky_pd(model.mt_cov(theta))
+
+    def solve(rhs):
+        return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
+
+    e = x - model.mt_mean(theta)                      # (n, p)
+    w = solve(e.T)
+    b = solve(d_mean.T)
+    a = solve(d_cov)
+    w_ds = w.T.conj() @ d_cov
+    psi = (-np.trace(a, axis1=1, axis2=2).real + 2.0 * np.real(e.conj() @ b)
+           + np.einsum("kna,an->nk", w_ds, w).real)
+    return psi, (solve, d_mean, w, b, a, w_ds)
+
+
+def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
+               ) -> tuple:
+    """Score (n, m) and Hessian (n, m, m) of log phi for every sample.
+
+    The Hessian is analytic when the model carries second derivatives, built
+    from the score's own pieces: with A_k = S^-1 dS_k, b_k = S^-1 dm_k and
+    w = S^-1 (x - m),
+
+        Gamma_kj = tr[A_j A_k] - tr[S^-1 dS_kj] - 2 Re{dm_j^H b_k}
+                   + 2 Re{w^H dm_kj} - 2 Re{w^H dS_j b_k} - 2 Re{w^H dS_k b_j}
+                   + w^H dS_kj w - w^H dS_j A_k w - w^H dS_k A_j w.
+
+    Otherwise it is central differences of the score with a scaled step.
+    """
+    psi, (solve, d_mean, w, b, a, w_ds) = _score(x, theta, model)
+    m = theta.size
+    if model.has_second_derivatives:
+        d2_mean = np.asarray(model.d2_mean(theta))    # (m, m, p)
+        d2_cov = np.asarray(model.d2_cov(theta))      # (m, m, p, p)
+        wc = w.T.conj()
+        out = (np.einsum("jab,kba->kj", a, a).real
+               - np.trace(solve(d2_cov), axis1=2, axis2=3).real
+               - 2.0 * (d_mean.conj() @ b).real.T
+               + 2.0 * np.einsum("na,kja->nkj", wc, d2_mean).real
+               + np.stack([np.einsum("jna,an->nj", wc @ d2_cov[k], w)
+                           for k in range(m)], axis=1).real)
+        # X_kj = 2 Re{w^H dS_j b_k} + w^H dS_j A_k w enters as -(X_kj + X_jk)
+        cross = (2.0 * (w_ds @ b).real.transpose(1, 2, 0)
+                 + np.einsum("jna,kan->nkj", w_ds, a @ w).real)
+        out = out - cross - np.swapaxes(cross, 1, 2)
+    else:
+        out = np.empty((x.shape[0], m, m))
+        for j in range(m):
+            step = _FD_STEP * (1.0 + abs(theta[j]))
+            hi = theta.copy()
+            lo = theta.copy()
+            hi[j] += step
+            lo[j] -= step
+            out[:, :, j] = (_score(x, hi, model)[0]
+                            - _score(x, lo, model)[0]) / (2.0 * step)
+    return psi, 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 def psi_u_batch(data, theta, model: ParametricMomentModel) -> np.ndarray:
     """Score vectors for every sample, shape (n, m)."""
-    x = as_dataset(data)
     theta = np.asarray(theta, dtype=float).ravel()
-    sigma = model.mt_cov(theta)
-    mean = model.mt_mean(theta)
-    d_mean = np.asarray(model.d_mean(theta))          # (m, p)
-    d_cov = np.asarray(model.d_cov(theta))            # (m, p, p)
-    chol = cholesky_pd(sigma)
-
-    def solve(b):
-        return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, b))
-
-    e = x - mean                                      # (n, p)
-    w = solve(e.T).T                                  # (n, p) rows S^-1 e_n
-    sinv_dmean = solve(d_mean.T)                      # (p, m)
-    a_k = np.stack([solve(d_cov[k]) for k in range(d_cov.shape[0])])  # (m,p,p)
-
-    term1 = -np.trace(a_k, axis1=1, axis2=2).real     # (m,)
-    term2 = 2.0 * np.real(e.conj() @ sinv_dmean)      # (n, m)
-    term3 = np.einsum("ni,kij,nj->nk", w.conj(), d_cov, w).real
-    return term1[None, :] + term2 + term3
+    return _score(as_dataset(data), theta, model)[0]
 
 
 def psi_u(x, theta, model: ParametricMomentModel) -> np.ndarray:
@@ -78,72 +124,11 @@ def psi_u(x, theta, model: ParametricMomentModel) -> np.ndarray:
                        model)[0]
 
 
-def _gamma_analytic_batch(x: np.ndarray, theta: np.ndarray,
-                          model: ParametricMomentModel) -> np.ndarray:
-    """Hessians of log phi for all samples, shape (n, m, m), exact.
-
-    With A_k = S^-1 dS_k, b_k = S^-1 dm_k and w = S^-1 (x - m):
-
-        Gamma_kj = tr[A_j A_k] - tr[S^-1 dS_kj] - 2 Re{dm_j^H b_k}
-                   + 2 Re{w^H dm_kj} - 2 Re{w^H dS_j b_k} - 2 Re{w^H dS_k b_j}
-                   + w^H dS_kj w - w^H dS_j A_k w - w^H dS_k A_j w.
-    """
-    sigma = model.mt_cov(theta)
-    mean = model.mt_mean(theta)
-    m = model.theta_dim
-    d_mean = np.asarray(model.d_mean(theta))           # (m, p)
-    d_cov = np.asarray(model.d_cov(theta))             # (m, p, p)
-    d2_mean = np.asarray(model.d2_mean(theta))         # (m, m, p)
-    d2_cov = np.asarray(model.d2_cov(theta))           # (m, m, p, p)
-    chol = cholesky_pd(sigma)
-
-    def solve(rhs):
-        return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
-
-    sinv = solve(np.eye(sigma.shape[0], dtype=complex))
-    e = x - mean
-    w = solve(e.T).T                                   # (n, p)
-    b = solve(d_mean.T).T                              # (m, p) rows S^-1 dm_k
-    a = np.stack([solve(d_cov[k]) for k in range(m)])  # (m, p, p) S^-1 dS_k
-
-    tr_ajak = np.einsum("jab,kba->kj", a, a).real
-    tr_s_d2 = np.einsum("ab,kjba->kj", sinv, d2_cov).real
-    mean_cross = 2.0 * np.einsum("ja,ka->kj", d_mean.conj(), b).real
-    const = tr_ajak - tr_s_d2 - mean_cross             # (m, m)
-
-    wc = w.conj()
-    lin_mu = 2.0 * np.einsum("na,kja->nkj", wc, d2_mean).real
-    sj_bk = np.einsum("jab,kb->kja", d_cov, b)         # (k, j, a) = dS_j b_k
-    lin_cross = 2.0 * np.einsum("na,kja->nkj", wc, sj_bk).real
-    lin_cross = lin_cross + np.swapaxes(lin_cross, 1, 2)
-
-    quad_d2 = np.einsum("na,kjab,nb->nkj", wc, d2_cov, w).real
-    ak_w = np.einsum("kab,nb->kna", a, w)              # (k, n, a) = A_k w_n
-    quad_cross = np.einsum("na,jab,knb->nkj", wc, d_cov, ak_w).real
-    quad_cross = quad_cross + np.swapaxes(quad_cross, 1, 2)
-
-    out = const[None, :, :] + lin_mu - lin_cross + quad_d2 - quad_cross
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
-
-
 def gamma_u_batch(data, theta, model: ParametricMomentModel) -> np.ndarray:
-    """Hessians of log phi per sample: analytic when the model carries second
-    derivatives, else central differences of the score with a scaled step."""
-    x = as_dataset(data)
+    """Hessians of log phi per sample, shape (n, m, m): analytic when the
+    model carries second derivatives, else central differences of the score."""
     theta = np.asarray(theta, dtype=float).ravel()
-    if model.has_second_derivatives:
-        return _gamma_analytic_batch(x, theta, model)
-    m = theta.size
-    out = np.empty((x.shape[0], m, m))
-    for j in range(m):
-        step = _FD_STEP * (1.0 + abs(theta[j]))
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[j] += step
-        lo[j] -= step
-        out[:, :, j] = (psi_u_batch(x, hi, model)
-                        - psi_u_batch(x, lo, model)) / (2.0 * step)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+    return _psi_gamma(as_dataset(data), theta, model)[1]
 
 
 def gamma_u(x, theta, model: ParametricMomentModel) -> np.ndarray:
@@ -156,15 +141,10 @@ class SandwichMatrices:
     g_hat: np.ndarray      # (m, m) symmetric PSD
     f_hat: np.ndarray      # (m, m) symmetric
     c_hat: np.ndarray      # (m, m) symmetric PSD, the asymptotic MSE estimate
-    n_samples: int
 
     @property
     def trace(self) -> float:
         return float(np.trace(self.c_hat))
-
-
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
 
 
 def sandwich(data, theta_hat, model: ParametricMomentModel, u: MTFunction
@@ -183,19 +163,18 @@ def sandwich(data, theta_hat, model: ParametricMomentModel, u: MTFunction
         warnings.warn("estimate lies on the parameter-space boundary; "
                       "the sandwich asymptotics assume an interior optimum",
                       RuntimeWarning, stacklevel=2)
-    psi = psi_u_batch(x, theta_hat, model)           # (n, m)
-    gam = gamma_u_batch(x, theta_hat, model)         # (n, m, m)
+    psi, gam = _psi_gamma(x, theta_hat, model)       # (n, m), (n, m, m)
     g_scaled = np.einsum("n,nk,nj->kj", scaled ** 2, psi, psi) / n
     f_scaled = -np.einsum("n,nkj->kj", scaled, gam) / n
     if not np.all(np.isfinite(f_scaled)) or \
             np.linalg.cond(f_scaled) > _COND_LIMIT:
         raise SingularMatrix("F matrix singular")
     finv_g = np.linalg.solve(f_scaled, g_scaled)
-    c_hat = _symmetrize(np.linalg.solve(f_scaled, finv_g.T) / n)
+    c_hat = hermitize(np.linalg.solve(f_scaled, finv_g.T) / n)
     umax = np.exp(np.max(lw))                        # <= 1 for Gaussian u
-    return SandwichMatrices(g_hat=_symmetrize(g_scaled) * umax ** 2,
-                            f_hat=_symmetrize(f_scaled) * umax,
-                            c_hat=c_hat, n_samples=n)
+    return SandwichMatrices(g_hat=hermitize(g_scaled) * umax ** 2,
+                            f_hat=hermitize(f_scaled) * umax,
+                            c_hat=c_hat)
 
 
 def score_identity_check(data, theta_hat, model: ParametricMomentModel,
@@ -232,10 +211,6 @@ def influence(y, theta0, model: ParametricMomentModel, u: MTFunction,
     if uy == 0.0:
         return np.zeros(theta0.size)
     return np.linalg.solve(f_matrix, psi_u(y, theta0, model) * uy)
-
-
-ModelOrFactory = Union[ParametricMomentModel,
-                       Callable[[np.ndarray, MTFunction], ParametricMomentModel]]
 
 
 @dataclass
@@ -279,15 +254,18 @@ def select_by_trace(omegas: Sequence[float],
 
 
 def select_mt_parameter(data, family: Callable[[float], MTFunction],
-                        omegas: Sequence[float], model: ModelOrFactory
+                        omegas: Sequence[float],
+                        model: Callable[[np.ndarray, MTFunction],
+                                        ParametricMomentModel]
                         ) -> SelectionResult:
     """``select_by_trace`` with the sandwich MSE of a full re-estimate of
-    theta on the same dataset for every candidate omega."""
+    theta on the same dataset for every candidate omega; ``model(x, u)``
+    builds the moment model for each candidate weight."""
     x = as_dataset(data)
 
     def fit(omega):
         u = family(omega)
-        model_i = model(x, u) if callable(model) else model
+        model_i = model(x, u)
         est = estimate_mt_gqmle(x, u, model_i)
         return est, sandwich(x, est.theta, model_i, u).c_hat
 
@@ -307,4 +285,4 @@ def fisher_information(score: Optional[Callable], data, theta0) -> np.ndarray:
     eta = np.atleast_2d(np.asarray(score(x, theta0), dtype=float))
     if eta.shape[0] != x.shape[0]:
         raise ValueError("score returned a wrong number of rows")
-    return _symmetrize(eta.T @ eta / x.shape[0])
+    return hermitize(eta.T @ eta / x.shape[0])

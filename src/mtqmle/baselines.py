@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from .core import as_dataset
-from .regression import RegressionModel, realify, unrealify
+from .regression import RegressionModel, gqmle_regression, realify
 
 # Two MAD scalings are exposed: the default divides by erfinv(3/4), the
 # second by the normal quartile (the conventional Gaussian-consistent 1.4826).
@@ -24,7 +24,6 @@ GAMMA_NORMAL_QUARTILE = 1.0 / (np.sqrt(2.0) * special.erfinv(0.5))
 class FixedPointConfig:
     max_iter: int = 100
     rel_tol: float = 1e-6
-    init: Optional[np.ndarray] = None   # theta = [Re alpha; Im alpha]
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -38,7 +37,6 @@ class BaselineResult:
     theta: np.ndarray
     converged: bool
     n_iter: int
-    scale: Optional[float] = None
     objective_path: Optional[np.ndarray] = None  # diagnostic, one value per iterate
 
 
@@ -80,10 +78,7 @@ def _fixed_point(x: np.ndarray, model: RegressionModel,
     budget runs out. ``objective_fn(residual norms)`` is evaluated at every
     iterate as a monotonicity diagnostic (recorded, never enforced)."""
     a = model.a_matrix
-    if config.init is not None:
-        alpha = unrealify(config.init)
-    else:
-        alpha = np.linalg.solve(model.aha, a.conj().T @ median_location(x))
+    alpha = np.linalg.solve(model.aha, a.conj().T @ median_location(x))
     converged = False
     it = 0
     path = []
@@ -134,11 +129,9 @@ def tukey_m_estimator(data, model: RegressionModel, c: float,
     x = as_dataset(data)
     config = config or FixedPointConfig()
     sigma = mad_scale(x, gamma=gamma)
-    result = _fixed_point(
+    return _fixed_point(
         x, model, lambda r: tukey_weights(r / sigma, c), config,
         objective_fn=lambda r: float(np.sum(tukey_loss(r / sigma, c))))
-    result.scale = sigma
-    return result
 
 
 def mle_t_noise(data, model: RegressionModel, lam: float,
@@ -161,9 +154,8 @@ def mle_t_noise(data, model: RegressionModel, lam: float,
 
 def least_squares(data, model: RegressionModel) -> BaselineResult:
     """Gaussian MLE: least squares on the sample mean (non-iterative)."""
-    x = as_dataset(data)
-    alpha = np.linalg.solve(model.aha, model.a_matrix.conj().T @ x.mean(axis=0))
-    return BaselineResult(theta=realify(alpha), converged=True, n_iter=1)
+    return BaselineResult(theta=gqmle_regression(data, model), converged=True,
+                          n_iter=1)
 
 
 def are_tukey(c: float, p: int) -> float:

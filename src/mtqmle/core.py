@@ -81,17 +81,9 @@ def cholesky_pd(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("matrix not positive definite") from None
 
 
-def logdet_pd(a: np.ndarray) -> float:
-    """log det of a positive-definite matrix via its Cholesky factor."""
-    chol = cholesky_pd(a)
+def _logdet_cholesky(chol: np.ndarray) -> float:
+    """log det A from the lower Cholesky factor of A."""
     return 2.0 * float(np.sum(np.log(np.abs(np.diag(chol)))))
-
-
-def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b with a positive definite (jittered retry as in cholesky_pd)."""
-    chol = cholesky_pd(a)
-    y = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.conj().T, y)
 
 
 def log_det_divergence(a: np.ndarray, b: np.ndarray) -> float:
@@ -103,9 +95,11 @@ def log_det_divergence(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A and B must be square matrices of equal size")
-    p = a.shape[0]
-    trace_term = float(np.trace(solve_pd(b, a)).real)
-    return trace_term - (logdet_pd(a) - logdet_pd(b)) - p
+    chol_b = cholesky_pd(b)
+    b_inv_a = np.linalg.solve(chol_b.conj().T, np.linalg.solve(chol_b, a))
+    trace_term = float(np.trace(b_inv_a).real)
+    logdet_ratio = _logdet_cholesky(cholesky_pd(a)) - _logdet_cholesky(chol_b)
+    return trace_term - logdet_ratio - a.shape[0]
 
 
 def weighted_norm_sq(a: np.ndarray, c: np.ndarray) -> float:

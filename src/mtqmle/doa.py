@@ -325,7 +325,6 @@ def doa_moment_model(model: ULAModel, data, omega: float,
         d2_cov=d2_cov,
         space=space,
         solver=solver if use_solver else None,
-        label="doa",
         info={"r_s": r_s, "r_w": r_w, "theta_ref": theta_ref})
 
 

@@ -49,10 +49,6 @@ class ParameterSpace:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "grid_sizes", grid_sizes)
 
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
     def axes(self) -> list:
         return [np.linspace(lo, hi, k) for lo, hi, k in
                 zip(self.lower, self.upper, self.grid_sizes)]
@@ -94,7 +90,6 @@ class ParametricMomentModel:
     d2_mean: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d2_cov: Optional[Callable[[np.ndarray], np.ndarray]] = None
     solver: Optional[Callable[[EmpiricalMTMoments], np.ndarray]] = None
-    label: str = "model"
     info: dict = field(default_factory=dict)
 
     @property
@@ -107,7 +102,6 @@ class EstimationResult:
     theta: np.ndarray
     objective: float
     method: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 def objective_j_u(moments: EmpiricalMTMoments, model: ParametricMomentModel,
@@ -127,19 +121,13 @@ def _grid_search(moments: EmpiricalMTMoments, model: ParametricMomentModel
         raise ValueError("empty parameter grid")
     best_idx = -1
     best_val = -np.inf
-    values = np.empty(points.shape[0])
     for i, theta in enumerate(points):
         val = objective_j_u(moments, model, theta)
-        values[i] = val
         if val > best_val:  # strict: first (lowest-index) maximizer wins
             best_val = val
             best_idx = i
-    theta = points[best_idx]
-    return EstimationResult(
-        theta=theta, objective=best_val, method="grid",
-        diagnostics={"grid_index": best_idx,
-                     "grid_size": points.shape[0],
-                     "on_boundary": model.space.on_boundary(theta)})
+    return EstimationResult(theta=points[best_idx], objective=best_val,
+                            method="grid")
 
 
 def estimate_mt_gqmle(data, u: MTFunction, model: ParametricMomentModel
@@ -156,9 +144,7 @@ def estimate_mt_gqmle(data, u: MTFunction, model: ParametricMomentModel
             raise ValueError("solver returned a parameter of wrong dimension")
         return EstimationResult(
             theta=theta, objective=objective_j_u(moments, model, theta),
-            method="closed-form",
-            diagnostics={"in_space": model.space.contains(theta),
-                         "on_boundary": model.space.on_boundary(theta)})
+            method="closed-form")
     return _grid_search(moments, model)
 
 

@@ -246,7 +246,6 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction,
         d2_cov=lambda theta: np.zeros((m, m, p, p), dtype=complex),
         space=space,
         solver=solver if use_solver else None,
-        label="regression",
         info={"r0": r0, "r1": r1})
 
 

@@ -128,11 +128,6 @@ def regression_sigma2_for_snr_db(a_matrix: np.ndarray, snr_db: float) -> float:
     return tr / 10.0 ** (snr_db / 10.0)
 
 
-def doa_snr_db(sigma2_s: float, sigma2_z: float) -> float:
-    """SNR = 10 log10(sigma2_s / sigma2_z) in dB."""
-    return 10.0 * np.log10(sigma2_s / sigma2_z)
-
-
 def doa_sigma2_for_snr_db(sigma2_s: float, snr_db: float) -> float:
     return sigma2_s / 10.0 ** (snr_db / 10.0)
 

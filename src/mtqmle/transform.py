@@ -130,10 +130,6 @@ class EmpiricalMTMoments:
     mt_mean: np.ndarray            # (p,)
     mt_cov: np.ndarray             # (p, p) Hermitian PSD
 
-    @property
-    def n_samples(self) -> Optional[int]:
-        return None if self.weights is None else int(self.weights.size)
-
 
 @dataclass
 class MTDiagnostic:

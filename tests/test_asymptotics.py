@@ -34,7 +34,7 @@ from mtqmle.regression import (
 from mtqmle.samplers import stream_rng, synthesize_doa, synthesize_regression
 from mtqmle.transform import MTFunction, constant_mt_function
 
-from conftest import THETA0_REG
+from conftest import THETA0_REG, random_dataset, random_pd
 
 
 def make_regression_data(model, n, seed, theta0=THETA0_REG):
@@ -52,6 +52,38 @@ def fd_of_log_phi(x, theta, model):
         grad[k] = (log_phi_u(x[None], hi, model)[0]
                    - log_phi_u(x[None], lo, model)[0]) / (2 * h)
     return grad
+
+
+def quadratic_moment_model(rng):
+    """p = 3, m = 2 model whose mean and covariance are quadratic in theta,
+    so every first and second derivative is nonzero."""
+    p = 3
+
+    def herm(scale):
+        z = scale * (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+        return z + z.conj().T
+
+    c = rng.standard_normal((5, p)) + 1j * rng.standard_normal((5, p))
+    s0 = random_pd(rng, p) + np.eye(p)
+    h0, h1, h01, h00, h11 = (herm(0.1) for _ in range(5))
+
+    def mean(th):
+        return (c[0] * th[0] + c[1] * th[1] + c[2] * th[0] * th[1]
+                + c[3] * th[0] ** 2 + c[4] * th[1] ** 2)
+
+    def cov(th):
+        return (s0 + th[0] * h0 + th[1] * h1 + th[0] * th[1] * h01
+                + th[0] ** 2 * h00 + th[1] ** 2 * h11)
+
+    return ParametricMomentModel(
+        theta_dim=2, mt_mean=mean, mt_cov=cov,
+        d_mean=lambda th: np.stack([c[0] + c[2] * th[1] + 2 * c[3] * th[0],
+                                    c[1] + c[2] * th[0] + 2 * c[4] * th[1]]),
+        d_cov=lambda th: np.stack([h0 + th[1] * h01 + 2 * th[0] * h00,
+                                   h1 + th[0] * h01 + 2 * th[1] * h11]),
+        d2_mean=lambda th: np.array([[2 * c[3], c[2]], [c[2], 2 * c[4]]]),
+        d2_cov=lambda th: np.array([[2 * h00, h01], [h01, 2 * h11]]),
+        space=ParameterSpace([-0.5, -0.5], [0.5, 0.5], 5))
 
 
 class TestScore:
@@ -142,6 +174,29 @@ class TestHessian:
         h = 1e-5 * (1.0 + abs(theta[0]))
         fd = (psi_u(point, theta + h, mm) - psi_u(point, theta - h, mm)) / (2 * h)
         assert abs(g[0, 0] - fd[0]) / max(abs(fd[0]), 1e-12) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_term_matches_fd(self, seed):
+        # the application models leave 2 Re{w^H dm_kj} and 2 Re{w^H dS_j b_k}
+        # at zero; this quadratic-in-theta model makes every term nonzero
+        mm = quadratic_moment_model(np.random.default_rng(100 + seed))
+        rng = np.random.default_rng(seed)
+        x = random_dataset(rng, 8, 3)
+        theta = rng.uniform(-0.3, 0.3, 2)
+        h = 1e-6
+        gam = gamma_u_batch(x, theta, mm)
+        psi = psi_u_batch(x, theta, mm)
+        fd_gam = np.empty_like(gam)
+        fd_psi = np.empty_like(psi)
+        for j in range(2):
+            hi, lo = theta.copy(), theta.copy()
+            hi[j] += h
+            lo[j] -= h
+            fd_gam[:, :, j] = (psi_u_batch(x, hi, mm)
+                               - psi_u_batch(x, lo, mm)) / (2 * h)
+            fd_psi[:, j] = (log_phi_u(x, hi, mm) - log_phi_u(x, lo, mm)) / (2 * h)
+        assert np.max(np.abs(gam - fd_gam)) / np.max(np.abs(gam)) < 1e-8
+        assert np.max(np.abs(psi - fd_psi)) / np.max(np.abs(psi)) < 1e-8
 
     def test_fd_fallback_agrees_with_analytic(self, reg_gaussian):
         x = make_regression_data(reg_gaussian, 20, 4)
