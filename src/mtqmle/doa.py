@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_dataset, hermitize
-from .estimator import ParameterSpace, ParametricMomentModel
+from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
 from .exceptions import SingularMatrix
 from .samplers import NoiseSpec, texture_expectation
 from .transform import (_moments, _weights, constant_mt_function,
                         empirical_mt_moments, gaussian_log_weights,
-                        gaussian_mt_function, squared_norms)
+                        gaussian_mt_function, squared_norms, width_squared)
 
 _DEFAULT_DELTA = 1e-3
 _DEFAULT_GRID = 10_000
@@ -145,12 +145,10 @@ def asymptotic_mse_doa(model: ULAModel, theta0: float, omega: float, n: int
     The source expectation collapses under BPSK (|S|^2 = sigma2_s); the
     texture expectation is evaluated by the shared deterministic quadrature.
     """
-    if not omega > 0:
-        raise ValueError("omega must be positive")
     p = model.p
     s2z = model.noise.sigma2
     s2s = model.sigma2_s
-    w2 = omega ** 2
+    w2 = width_squared(omega)
 
     def f_num(nu2):
         v2 = nu2 * s2z
@@ -168,8 +166,6 @@ def asymptotic_mse_doa(model: ULAModel, theta0: float, omega: float, n: int
 
     num = texture_expectation(model.noise, f_num)
     den = texture_expectation(model.noise, f_den)
-    if den == 0.0:
-        raise ValueError("texture expectation degenerate")
     scale = 6.0 / (np.pi ** 2 * np.cos(theta0) ** 2 * (p ** 2 - 1) * n)
     return num / den ** 2 * scale
 
@@ -206,7 +202,7 @@ def empirical_asymptotic_mse_doa(data, model: ULAModel, theta_hat: float,
     """Empirical asymptotic MSE: sum u^2 alpha^2 / (sum u beta)^2 with the
     spectrum slope alpha and curvature beta statistics at theta_hat."""
     x = as_dataset(data)
-    scaled = _weights(gaussian_mt_function(omega).log_weights(x))[0]
+    scaled = _weights(gaussian_log_weights(squared_norms(x), omega))[0]
     return _empirical_mse(x, theta_hat, model.p, scaled)
 
 
@@ -229,7 +225,7 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
 def _influence_prefactor(noise: NoiseSpec, sigma2_s: float, p: int,
                          omega: float) -> float:
     s2z = noise.sigma2
-    w2 = omega ** 2
+    w2 = width_squared(omega)
 
     def f_num(nu2):
         v2 = nu2 * s2z
@@ -251,12 +247,11 @@ def influence_doa(y, theta0: float, model: ULAModel, omega: float) -> float:
     """
     y = np.asarray(y, dtype=complex).ravel()
     p = model.p
-    w2 = omega ** 2
     pref = _influence_prefactor(model.noise, model.sigma2_s, p, float(omega))
     a = steering(theta0, p)
     da = steering(theta0, p, 1)
     stat = 12.0 * np.real((da.conj() @ y) * (y.conj() @ a))
-    damp = np.exp(-float(np.real(y.conj() @ y)) / w2)
+    damp = gaussian_mt_function(omega).weights(y[None, :])[0]
     return pref * stat * damp / (np.pi ** 2 * np.cos(theta0) ** 2
                                  * p ** 2 * (p ** 2 - 1))
 
@@ -267,12 +262,8 @@ def fit_spectrum_cov_scalars(model: ULAModel, sigma_hat: np.ndarray,
     p = model.p
     a = steering(theta, p)
     t_a = float(np.real(a.conj() @ sigma_hat @ a))
-    t_i = float(np.trace(sigma_hat).real)
-    gram = np.array([[p ** 2, p], [p, p]], dtype=float)
-    r_s, r_w = np.linalg.solve(gram, np.array([t_a, t_i]))
-    r_w = max(r_w, 1e-12 * max(t_i / p, 1e-30))
-    r_s = max(r_s, 0.0)
-    return float(r_s), float(r_w)
+    return _fit_cov_scalars(sigma_hat, t_a,
+                            np.array([[p ** 2, p], [p, p]], dtype=float))
 
 
 def doa_moment_model(model: ULAModel, data, omega: float,
@@ -284,10 +275,8 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     direct scan estimate. The solver hook replays the spectrum scan, which
     maximizes the fit objective exactly for this covariance structure.
     """
-    x = as_dataset(data)
     p = model.p
-    u = gaussian_mt_function(omega)
-    moments = empirical_mt_moments(x, u)
+    moments = empirical_mt_moments(data, gaussian_mt_function(omega))
     scan = _scanner(model.grid(k_theta), p)
     theta_ref = scan(moments.mt_mean, moments.mt_cov).argmax_theta
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)

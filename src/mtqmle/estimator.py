@@ -153,6 +153,16 @@ def estimate_gqmle(data, model: ParametricMomentModel) -> EstimationResult:
     return estimate_mt_gqmle(data, constant_mt_function(), model)
 
 
+def _fit_cov_scalars(sigma_hat: np.ndarray, t_basis: float,
+                     gram: np.ndarray) -> tuple:
+    """Least-squares fit of Sigma_hat ~ r_b B + r_i I from t_basis = tr(B
+    Sigma_hat) and the Gram matrix of {B, I}, floored to r_b >= 0, r_i > 0."""
+    t_i = float(np.trace(sigma_hat).real)
+    r_b, r_i = np.linalg.solve(gram, np.array([t_basis, t_i]))
+    r_i = max(r_i, 1e-12 * max(t_i / sigma_hat.shape[0], 1e-30))
+    return float(max(r_b, 0.0)), float(r_i)
+
+
 def finite_diff_moment_derivatives(model: ParametricMomentModel, theta,
                                    k: int, step: float):
     """Central differences of mt_mean and mt_cov in coordinate k."""

@@ -10,6 +10,7 @@ depend on execution order.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import time
@@ -19,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import asymptotics, baselines, doa, regression, samplers
+from .transform import width_squared
 
 
 @functools.lru_cache(maxsize=8)
@@ -73,8 +75,8 @@ class ExperimentConfig:
         lo, hi, count = self.omega_grid
         widths = [lo, hi] + ([] if self.omega == "select" else [self.omega])
         widths += self.sweep_values if self.sweep_axis == "omega" else []
-        if not all(np.isfinite(w) and w > 0 for w in widths):
-            raise ValueError("omega widths must be finite and > 0")
+        for w in widths:
+            width_squared(w)
         if not (float(count).is_integer() and count >= 1):
             raise ValueError("omega_grid count must be an integer >= 1")
 
@@ -220,6 +222,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     The mt-gqmle asymptotic columns are evaluated at the width trial 0's
     selection picked, or at the fixed omega. The empirical trace is NaN when
     trial 0's call failed, and so is the closed-form one under selection.
+    The closed-form trace alone is NaN when it raises ValueError at that
+    width, e.g. when a texture expectation underflows.
     """
     theta0 = np.asarray(config.theta0, dtype=float)
     rows = []
@@ -262,7 +266,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             emp_asym = np.nan
             if name == "mt-gqmle" and picked is not None:
                 omega, emp_asym = picked
-                asym = app.asymptotic_trace(omega, n)
+                with contextlib.suppress(ValueError):  # a NaN cell
+                    asym = app.asymptotic_trace(omega, n)
             ok = len(sq_err[name])
             rows.append(ResultRow(
                 sweep_value=float(sweep_value),

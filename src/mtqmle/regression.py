@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_dataset, hermitize
-from .estimator import ParameterSpace, ParametricMomentModel
+from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
 from .samplers import NoiseSpec, texture_expectation
 from .transform import (MTFunction, _weights, empirical_mt_moments,
-                        gaussian_log_weights, gaussian_mt_function,
-                        squared_norms)
+                        gaussian_log_weights, squared_norms, width_squared)
 
 _COLLINEARITY_TOL = 1e-8
 
@@ -103,7 +102,10 @@ def build_steering_regressors(p: int, angle0: float, angle1: float,
 
 def projected_mt_function(model: RegressionModel, omega: float) -> MTFunction:
     """Gaussian weight of width omega on the orthogonal complement of range(A)."""
-    return gaussian_mt_function(omega, projector=model.proj_perp)
+    width_squared(omega)
+    return MTFunction(
+        lambda x: gaussian_log_weights(squared_norms(x, model.proj_perp), omega),
+        family="gaussian", params={"width": float(omega)})
 
 
 def _least_squares(model: RegressionModel, mean: np.ndarray) -> np.ndarray:
@@ -126,7 +128,7 @@ def gqmle_regression(data, model: RegressionModel) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _mean_weight(noise: NoiseSpec, expo: int, omega: float) -> float:
     s2 = noise.sigma2
-    w2 = omega ** 2
+    w2 = width_squared(omega)
     return texture_expectation(
         noise, lambda nu2: np.exp(expo * (np.log(w2) - np.log(s2 * nu2 + w2))))
 
@@ -140,7 +142,7 @@ def _texture_ratio(model: RegressionModel, omega: float) -> float:
     """E[nu^2 (w^2/(2 s^2 nu^2 + w^2))^(p-q)] / E[(w^2/(s^2 nu^2 + w^2))^(p-q)]^2."""
     expo = model.p - model.q
     s2 = model.sigma2_z
-    w2 = omega ** 2
+    w2 = width_squared(omega)
 
     def numerator(nu2):
         # single exp keeps huge-texture tails at 0 instead of 0 * inf
@@ -153,8 +155,6 @@ def _texture_ratio(model: RegressionModel, omega: float) -> float:
 def asymptotic_mse_regression(model: RegressionModel, omega: float, n: int
                               ) -> np.ndarray:
     """Closed-form asymptotic MSE matrix: texture ratio times sigma2/(2n) B."""
-    if not omega > 0:
-        raise ValueError("omega must be positive")
     return _texture_ratio(model, omega) * (model.sigma2_z / (2.0 * n)) * model.b_matrix
 
 
@@ -194,8 +194,8 @@ def influence_regression(y, theta0, model: RegressionModel, omega: float
     theta0 = np.asarray(theta0, dtype=float).ravel()
     pref = 1.0 / mean_weight_regression(model, omega)
     bracket = model.b_matrix @ realify(model.a_matrix.conj().T @ y) - theta0
-    py = model.proj_perp @ y
-    return pref * bracket * np.exp(-float(np.real(py.conj() @ py)) / omega ** 2)
+    damp = projected_mt_function(model, omega).weights(y[None, :])[0]
+    return pref * bracket * damp
 
 
 def fit_noise_cov_scalars(model: RegressionModel, sigma_hat: np.ndarray
@@ -203,13 +203,8 @@ def fit_noise_cov_scalars(model: RegressionModel, sigma_hat: np.ndarray
     """Least-squares fit of Sigma_hat ~ r0 P_A + r1 I over the two-matrix basis."""
     p, q = model.p, model.q
     t_pa = float(np.trace(model.proj_a @ sigma_hat).real)
-    t_i = float(np.trace(sigma_hat).real)
-    gram = np.array([[q, q], [q, p]], dtype=float)
-    r0, r1 = np.linalg.solve(gram, np.array([t_pa, t_i]))
-    # keep the model covariance positive definite
-    r1 = max(r1, 1e-12 * max(t_i / p, 1e-30))
-    r0 = max(r0, 0.0)
-    return float(r0), float(r1)
+    return _fit_cov_scalars(sigma_hat, t_pa,
+                            np.array([[q, q], [q, p]], dtype=float))
 
 
 def regression_moment_model(model: RegressionModel, data, u: MTFunction,

@@ -123,9 +123,7 @@ def regression_snr(a_matrix: np.ndarray, sigma2_z: float) -> float:
 
 
 def regression_sigma2_for_snr_db(a_matrix: np.ndarray, snr_db: float) -> float:
-    a_matrix = np.asarray(a_matrix, dtype=complex)
-    tr = float(np.trace(a_matrix.conj().T @ a_matrix).real)
-    return tr / 10.0 ** (snr_db / 10.0)
+    return regression_snr(a_matrix, 1.0) / 10.0 ** (snr_db / 10.0)
 
 
 def doa_sigma2_for_snr_db(sigma2_s: float, snr_db: float) -> float:
@@ -144,16 +142,17 @@ def texture_expectation(noise: NoiseSpec, fn) -> float:
 
     Deterministic: Gaussian textures evaluate exactly at nu^2 = 1; heavy
     textures use a fixed-seed 10^6-draw Monte Carlo average shared across
-    calls (common random numbers across e.g. an omega sweep).
+    calls (common random numbers across e.g. an omega sweep). Integrands
+    are nonnegative: a zero (underflowed) or infinite average raises.
     """
-    if noise.kind == "gaussian":
-        return float(fn(np.asarray([1.0]))[0])
-    nu2 = _texture_nu2_draws(noise.kind, noise.lam)
+    nu2 = (np.asarray([1.0]) if noise.kind == "gaussian"
+           else _texture_nu2_draws(noise.kind, noise.lam))
     vals = np.asarray(fn(nu2), dtype=float)
     vals = np.where(np.isfinite(vals), vals, 0.0)  # 0 * huge tail guard
     out = float(vals.mean())
-    if not np.isfinite(out):
-        raise ValueError("texture expectation is not integrable")
+    if not (np.isfinite(out) and out != 0.0):
+        raise ValueError(f"texture expectation is {out!r}: underflowed or "
+                         "not integrable")
     return out
 
 

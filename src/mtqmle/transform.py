@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import as_dataset, hermitize
-from .exceptions import DegenerateWeights
+from .exceptions import DegenerateWeights, NotPositiveDefinite
 
 # Weights below this are counted as numerically annihilated in diagnostics.
 _TINY_WEIGHT = 1e-300
@@ -84,29 +84,23 @@ def constant_mt_function() -> MTFunction:
     return MTFunction(lambda x: np.zeros(x.shape[0]), family="constant")
 
 
-def gaussian_mt_function(width: float, projector: Optional[np.ndarray] = None
-                         ) -> MTFunction:
-    """Zero-centered Gaussian weight u(x) = exp(-||P x||^2 / width^2).
+def width_squared(omega) -> float:
+    """omega^2; ValueError unless omega > 0 with a finite, nonzero square."""
+    try:
+        w2 = float(omega) ** 2
+    except OverflowError:
+        w2 = 0.0  # rejected below
+    if not (omega > 0 and 0.0 < w2 < np.inf):
+        raise ValueError("omega must be > 0 with a finite, nonzero square, "
+                         f"got {float(omega):g}")
+    return w2
 
-    ``projector`` defaults to the identity; when given it must be Hermitian
-    idempotent (an orthogonal projector) to 1e-10.
-    """
-    if not width > 0:
-        raise ValueError("width must be positive")
-    if projector is not None:
-        proj = np.asarray(projector, dtype=complex)
-        if not np.allclose(proj, proj.conj().T, atol=1e-10):
-            raise ValueError("projector is not Hermitian")
-        if not np.allclose(proj @ proj, proj, atol=1e-10):
-            raise ValueError("projector is not idempotent")
-    else:
-        proj = None
 
-    def log_fn(x):
-        return gaussian_log_weights(squared_norms(x, proj), width)
-
-    params = {"width": float(width), "projected": proj is not None}
-    return MTFunction(log_fn, family="gaussian", params=params)
+def gaussian_mt_function(width: float) -> MTFunction:
+    """Zero-centered Gaussian weight u(x) = exp(-||x||^2 / width^2)."""
+    width_squared(width)
+    return MTFunction(lambda x: gaussian_log_weights(squared_norms(x), width),
+                      family="gaussian", params={"width": float(width)})
 
 
 def squared_norms(x: np.ndarray, projector=None) -> np.ndarray:
@@ -117,9 +111,7 @@ def squared_norms(x: np.ndarray, projector=None) -> np.ndarray:
 
 def gaussian_log_weights(sq_norms: np.ndarray, width: float) -> np.ndarray:
     """-||P x||^2 / width^2; many widths can share one ``squared_norms``."""
-    if not width > 0:
-        raise ValueError("width must be positive")
-    return -sq_norms / float(width) ** 2
+    return -sq_norms / width_squared(width)
 
 
 @dataclass
@@ -171,11 +163,16 @@ def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
 
 
 def _moments(x: np.ndarray, phi: np.ndarray) -> tuple:
-    """Weighted mean and covariance of a validated dataset."""
+    """Weighted mean and covariance of a validated dataset;
+    NotPositiveDefinite when the covariance overflows."""
     mean = phi @ x
-    # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
-    y = np.sqrt(phi)[:, None] * (x - mean)
-    return mean, hermitize(y.T @ y.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
+        y = np.sqrt(phi)[:, None] * (x - mean)
+        cov = hermitize(y.T @ y.conj())
+    if not np.all(np.isfinite(cov)):
+        raise NotPositiveDefinite("reweighted covariance is not finite")
+    return mean, cov
 
 
 def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:
@@ -185,8 +182,7 @@ def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:
     samples, and the effective sample size 1 / sum phi^2 (n for constant u,
     about 1 when a single sample dominates).
     """
-    x = as_dataset(data)
-    lw = u.log_weights(x)
+    lw = u.log_weights(data)
     notes = []
     try:
         phi = _weights(lw)[1]

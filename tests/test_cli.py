@@ -66,6 +66,13 @@ def test_bad_config_returns_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_overflowing_width_returns_nonzero(tmp_path, capsys):
+    cfg = write_config(tmp_path, sweep_axis="snr", sweep_values=[0.0],
+                       omega=1e160)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "error: omega" in capsys.readouterr().err
+
+
 def test_missing_file_returns_nonzero(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 1

@@ -20,7 +20,8 @@ from mtqmle.doa import (
     steering,
     steering_grid,
 )
-from mtqmle.exceptions import DegenerateWeights, SingularMatrix
+from mtqmle.exceptions import (DegenerateWeights, NotPositiveDefinite,
+                               SingularMatrix)
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa)
 from mtqmle.transform import empirical_mt_moments, gaussian_mt_function
@@ -151,6 +152,13 @@ class TestEstimate:
         with pytest.raises(DegenerateWeights):
             estimate_doa(np.zeros((0, 4), dtype=complex), ula_k, 4.0, 101)
 
+    def test_overflowing_covariance_raises(self, ula_gaussian):
+        """At the scale 1e200 the sample covariance overflows; the scan
+        raises instead of returning the first grid angle of a NaN spectrum."""
+        x = 1e200 * make_doa_data(ula_gaussian, 50, 54)
+        with pytest.raises(NotPositiveDefinite):
+            bartlett_doa(x, ula_gaussian, 101)
+
     def test_bartlett_matches_wide_weight(self, ula_gaussian):
         x = make_doa_data(ula_gaussian, 300, 53)
         assert bartlett_doa(x, ula_gaussian, 801) == pytest.approx(
@@ -162,6 +170,10 @@ class TestAsymptoticMSE:
         got = asymptotic_mse_doa(ula_gaussian, THETA0_DOA, 1e4, 5000)
         crlb = gaussian_crlb_doa(ula_gaussian, THETA0_DOA, 5000)
         assert 0.99 <= got / crlb <= 1.01
+
+    def test_overflowing_width_raises(self, ula_k):
+        with pytest.raises(ValueError, match="omega"):
+            asymptotic_mse_doa(ula_k, THETA0_DOA, 1e160, 1000)
 
     def test_n_scaling(self, ula_k):
         a = asymptotic_mse_doa(ula_k, THETA0_DOA, 4.0, 1000)
@@ -284,6 +296,12 @@ class TestInfluence:
                          for r, d in zip(radii, dirs)])
         assert np.isfinite(vals).all()
         assert radii[int(np.argmax(vals))] < 100.0  # sup attained at moderate norm
+
+    @pytest.mark.parametrize("noise", ["ula_gaussian", "ula_k"])
+    def test_underflowing_width_raises(self, noise, request):
+        model = request.getfixturevalue(noise)
+        with pytest.raises(ValueError, match="texture expectation"):
+            influence_doa(np.ones(4, dtype=complex), THETA0_DOA, model, 1e-30)
 
     @pytest.mark.parametrize("omega", [1.0, 5.0, 30.0])
     def test_weight_rejects_large_outliers(self, omega):

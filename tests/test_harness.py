@@ -83,6 +83,12 @@ class TestConfig:
         dict(omega_grid=[1.0, float("nan"), 5]),
         dict(omega_grid=[1.0, 10.0, 0]),
         dict(omega_grid=[1.0, 10.0, 2.5]),
+        dict(omega=1e160),
+        dict(omega=1e-170),
+        dict(sweep_values=[2.0, 1e160]),
+        dict(sweep_values=[1e-170]),
+        dict(omega_grid=[1.0, 1e160, 5]),
+        dict(omega_grid=[1e-170, 10.0, 5]),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_bad_widths_rejected(self, overrides):
         with pytest.raises(ValueError, match="omega"):
@@ -145,6 +151,23 @@ class TestRunExperiment:
             assert row.failures == cfg.trials
             assert np.isnan(row.empirical_mse)
         assert all(r.failures == 0 for r in table.by("mt-gqmle"))
+
+    @pytest.mark.parametrize("make_config", [
+        lambda: small_regression_config(sweep_axis="snr", sweep_values=[0.0],
+                                        omega=1e-30),
+        lambda: small_doa_config(omega=1e-30),
+    ], ids=["regression", "doa"])
+    def test_failed_closed_form_is_one_nan_cell(self, make_config):
+        """At omega = 1e-30 the texture averages of the closed form
+        underflow: its cell is NaN and every other column is still filled."""
+        cfg = make_config()
+        table = run_experiment(cfg)
+        mt, gq = table.by("mt-gqmle")[0], table.by("gqmle")[0]
+        assert np.isnan(mt.asymptotic_mse_trace)
+        assert mt.failures == gq.failures == 0
+        assert np.isfinite(mt.empirical_mse)
+        assert np.isfinite(mt.empirical_asymptotic_mse_trace)
+        assert np.isfinite(gq.empirical_mse)
 
     def test_doa_snr_sweep_error_decreases(self):
         cfg = small_doa_config(noise_kind="gaussian", noise_lam=None,

@@ -134,6 +134,14 @@ class TestAsymptoticMSE:
             want = ratio * gaussian_crlb_regression(reg_gaussian, 500)
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
+    @pytest.mark.parametrize("noise", ["reg_gaussian", "reg_t"])
+    def test_underflowing_width_raises(self, noise, request):
+        """At omega = 1e-30 every texture average underflows to 0; the
+        closed form raises instead of dividing by it."""
+        model = request.getfixturevalue(noise)
+        with pytest.raises(ValueError, match="texture expectation"):
+            asymptotic_mse_regression(model, 1e-30, 1000)
+
     def test_n_scaling(self, reg_t):
         m1 = asymptotic_mse_regression(reg_t, 4.0, 1000)
         m2 = asymptotic_mse_regression(reg_t, 4.0, 2000)
@@ -246,6 +254,10 @@ class TestInfluenceClosedForm:
             for r in (10.0, 100.0, 1000.0)]
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] < 1e-6
+
+    def test_underflowing_width_raises(self, reg_gaussian):
+        with pytest.raises(ValueError, match="texture expectation"):
+            influence_regression(np.zeros(10), THETA0_REG, reg_gaussian, 1e-30)
 
 
 class TestLikelihoodGuards:

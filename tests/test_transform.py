@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtqmle.core import sample_covariance, sample_mean
-from mtqmle.exceptions import DegenerateWeights
+from mtqmle.exceptions import DegenerateWeights, NotPositiveDefinite
 from mtqmle.regression import projected_mt_function
 from mtqmle.samplers import stream_rng, synthesize_regression
 from mtqmle.transform import (
@@ -10,6 +10,7 @@ from mtqmle.transform import (
     check_mt_condition,
     constant_mt_function,
     empirical_mt_moments,
+    gaussian_log_weights,
     gaussian_mt_function,
     mt_weights,
 )
@@ -124,6 +125,11 @@ class TestEmpiricalMoments:
             with pytest.raises(DegenerateWeights):
                 empirical_mt_moments(np.zeros((0, 3), dtype=complex), u)
 
+    def test_overflowing_covariance_raises(self, rng):
+        x = 1e200 * random_dataset(rng, 20, 3)
+        with pytest.raises(NotPositiveDefinite, match="not finite"):
+            empirical_mt_moments(x, constant_mt_function())
+
 
 class TestGaussianMTFunction:
     def test_value_at_origin(self):
@@ -144,18 +150,15 @@ class TestGaussianMTFunction:
         np.testing.assert_allclose(u.weights(x), u.weights(x + shift),
                                    rtol=1e-9)
 
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            gaussian_mt_function(0.0)
-        with pytest.raises(ValueError):
-            gaussian_mt_function(-1.0)
-
-    def test_bad_projector(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            gaussian_mt_function(1.0, projector=2 * np.eye(3))
-        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            gaussian_mt_function(1.0, projector=skew)
+    def test_invalid_width(self, reg_gaussian):
+        for width in (0.0, -1.0, 1e160, 1e-170):
+            with pytest.raises(ValueError):
+                gaussian_mt_function(width)
+        for width in (1e160, 1e-170):
+            with pytest.raises(ValueError):
+                projected_mt_function(reg_gaussian, width)
+            with pytest.raises(ValueError, match="omega"):
+                gaussian_log_weights(np.ones(3), width)
 
 
 class TestCheckMTCondition:
