@@ -81,9 +81,9 @@ def cholesky_pd(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("matrix not positive definite") from None
 
 
-def _logdet_cholesky(chol: np.ndarray) -> float:
-    """log det A from the lower Cholesky factor of A."""
-    return 2.0 * float(np.sum(np.log(np.abs(np.diag(chol)))))
+def _logdet_cholesky(chol: np.ndarray):
+    """log det A from the lower Cholesky factor of A, or of each A in a stack."""
+    return 2.0 * np.sum(np.log(np.abs(chol.diagonal(0, -2, -1))), axis=-1)
 
 
 def log_det_divergence(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtqmle import estimator
 from mtqmle.core import inv_quad_form, log_det_divergence
 from mtqmle.estimator import (
     ParameterSpace,
@@ -26,6 +27,7 @@ from mtqmle.transform import (
     MTFunction,
     constant_mt_function,
     empirical_mt_moments,
+    gaussian_mt_function,
 )
 
 from conftest import THETA0_REG, random_dataset
@@ -293,3 +295,144 @@ class TestIdentifiability:
         mm = doa_moment_model(ula_gaussian, x, 4.0, k_theta=801)
         report = check_identifiability(mm, np.array([0.3001]))
         assert report.ok
+
+
+# Four samples whose unweighted moments are (0, I/2).
+TOY_X = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=complex)
+TOY_MOMENTS = empirical_mt_moments(TOY_X, constant_mt_function())
+HALF_EYE = 0.5 * np.eye(2, dtype=complex)
+
+
+def table_model(means, covs=None):
+    """1-D model on the grid 0, 1, ..., k - 1: at grid point j the mean is
+    means[j] * (1, 1) and the covariance covs[j] (I/2 when omitted), so
+    against TOY_MOMENTS J_u = -4 means[j]^2 wherever the covariance is I/2."""
+    covs = [HALF_EYE] * len(means) if covs is None else covs
+    return ParametricMomentModel(
+        theta_dim=1,
+        mt_mean=lambda th: means[int(round(th[0]))] * np.ones(2, dtype=complex),
+        mt_cov=lambda th: covs[int(round(th[0]))],
+        d_mean=lambda th: np.zeros((1, 2), dtype=complex),
+        d_cov=lambda th: np.zeros((1, 2, 2), dtype=complex),
+        space=ParameterSpace([0.0], [len(means) - 1.0], len(means)))
+
+
+def assert_grid_matches_per_point(moments, mm):
+    """The stacked grid values equal, bit for bit, J_u point by point through
+    objective_j_u and through the core primitives it was first built from."""
+    points = mm.space.grid_points()
+    stacked = estimator._grid_objective(moments, mm, points)
+    loop = [objective_j_u(moments, mm, th) for th in points]
+    np.testing.assert_array_equal(stacked, loop)
+    primitives = [-(log_det_divergence(moments.mt_cov, mm.mt_cov(th))
+                    + inv_quad_form(moments.mt_mean - mm.mt_mean(th),
+                                    mm.mt_cov(th))) for th in points]
+    np.testing.assert_array_equal(stacked, primitives)
+    return stacked
+
+
+class TestStackedGrid:
+    @pytest.mark.parametrize("chunk", [None, 7, 721, 4096])
+    @pytest.mark.parametrize("omega", [1.0, 3.0, 10.0])
+    def test_doa_grid_matches_per_point(self, monkeypatch, ula_k, omega, chunk):
+        x = synthesize_doa(4, 0.4, 1.0, ula_k.noise, 300, stream_rng(41, 0))
+        u = gaussian_mt_function(omega)
+        mm = doa_moment_model(ula_k, x, omega, k_theta=721, use_solver=False)
+        if chunk is None:   # the default chunk: more than one, the last partial
+            assert 721 // estimator._GRID_CHUNK == 1 and 721 % estimator._GRID_CHUNK
+        else:
+            monkeypatch.setattr(estimator, "_GRID_CHUNK", chunk)
+        vals = assert_grid_matches_per_point(empirical_mt_moments(x, u), mm)
+        est = estimate_mt_gqmle(x, u, mm)
+        assert est.objective == vals.max()
+        assert est.theta[0] == mm.space.grid_points()[np.argmax(vals), 0]
+
+    def test_regression_grid_matches_per_point(self, reg_t, alpha0):
+        x = synthesize_regression(reg_t.a_matrix, alpha0, reg_t.noise, 300,
+                                  stream_rng(42, 0))
+        u = projected_mt_function(reg_t, 3.0)
+        mm = regression_moment_model(reg_t, x, u, use_solver=False)
+        assert mm.space.grid_points().shape == (6561, 4)   # p = 10
+        assert_grid_matches_per_point(empirical_mt_moments(x, u), mm)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 512])
+    def test_tie_across_chunks_goes_to_lowest_index(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_GRID_CHUNK", chunk)
+        mm = table_model([1.0, 0.5, 0.25, 0.0, 0.0, 0.5, 0.0])
+        vals = assert_grid_matches_per_point(TOY_MOMENTS, mm)
+        assert vals[3] == vals[4] == vals[6] == vals.max()
+        est = estimate_gqmle(TOY_X, mm)
+        assert est.theta[0] == 3.0 and est.objective == vals[3]
+
+    @pytest.mark.parametrize("chunk", [2, 512])
+    def test_nan_never_wins(self, monkeypatch, chunk):
+        monkeypatch.setattr(estimator, "_GRID_CHUNK", chunk)
+        mm = table_model([np.nan, np.nan, 0.5, np.nan, 0.25, np.nan])
+        vals = assert_grid_matches_per_point(TOY_MOMENTS, mm)
+        assert np.isnan(vals[[0, 1, 3, 5]]).all()
+        est = estimate_gqmle(TOY_X, mm)
+        assert est.theta[0] == 4.0 and est.objective == vals[4]
+
+    def test_jitter_rescue_in_a_chunk_matches_per_point(self):
+        singular = np.ones((2, 2), dtype=complex)   # PD after the jitter
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular)
+        mm = table_model([0.5, 0.0, 0.25, 0.0],
+                         [HALF_EYE, singular, HALF_EYE, HALF_EYE])
+        vals = assert_grid_matches_per_point(TOY_MOMENTS, mm)
+        assert np.isfinite(vals).all() and vals[1] < vals[3]
+        est = estimate_gqmle(TOY_X, mm)
+        assert est.theta[0] == 3.0 and est.objective == vals[3]
+
+    def test_non_pd_in_a_chunk_raises(self):
+        mm = table_model([0.0, 0.0, 0.0],
+                         [HALF_EYE, np.diag([1.0, -1.0]).astype(complex),
+                          HALF_EYE])
+        with pytest.raises(NotPositiveDefinite):
+            objective_j_u(TOY_MOMENTS, mm, [1.0])
+        with pytest.raises(NotPositiveDefinite):
+            estimate_gqmle(TOY_X, mm)
+
+    def test_no_finite_objective_raises(self):
+        mm = table_model([np.nan] * 5)
+        with pytest.raises(ValueError, match="5-point grid"):
+            estimate_gqmle(TOY_X, mm)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [[0, 1, 2, 3, 4], [3]])
+    def test_non_finite_model_covariance_raises(self, bad, where):
+        covs = [HALF_EYE] * 5
+        for j in where:
+            covs[j] = np.full((2, 2), bad, dtype=complex)
+        mm = table_model([0.0] * 5, covs)
+        with pytest.raises(NotPositiveDefinite):
+            estimate_gqmle(TOY_X, mm)
+        with pytest.raises(NotPositiveDefinite):
+            objective_j_u(TOY_MOMENTS, mm, [float(where[0])])
+
+    def test_factor_counts(self, monkeypatch, ula_k):
+        """objective_j_u factors S_hat (through cholesky_pd) and S(theta); the
+        grid factors S_hat once per fit and each chunk of S(theta) in one
+        batched call."""
+        x = synthesize_doa(4, 0.4, 1.0, ula_k.noise, 300, stream_rng(43, 0))
+        u = gaussian_mt_function(3.0)
+        mm = doa_moment_model(ula_k, x, 3.0, k_theta=721, use_solver=False)
+        moments = empirical_mt_moments(x, u)
+        counts = {"cholesky_pd": 0, "factor": 0}
+
+        def counting(key, fn):
+            def wrapper(a):
+                counts[key] += 1
+                return fn(a)
+            return wrapper
+
+        monkeypatch.setattr(estimator, "cholesky_pd",
+                            counting("cholesky_pd", estimator.cholesky_pd))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            counting("factor", np.linalg.cholesky))
+        for theta in np.linspace(-1.0, 1.0, 10):
+            objective_j_u(moments, mm, [theta])
+        assert counts == {"cholesky_pd": 10, "factor": 20}
+        counts.update(cholesky_pd=0, factor=0)
+        assert estimate_mt_gqmle(x, u, mm).method == "grid"
+        assert counts == {"cholesky_pd": 1, "factor": 1 + 2}   # 721 = 512 + 209

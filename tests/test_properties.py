@@ -86,3 +86,24 @@ def test_shift_along_regressor_range(seed):
         theta_s, mse_s = fit_shift(omega)
         np.testing.assert_allclose(theta_s - realify(beta), theta, rtol=RTOL)
         np.testing.assert_allclose(mse_s, mse, rtol=RTOL)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unitary_map_of_gaussian_weight_moments(seed):
+    """x -> U x for unitary U leaves every norm, hence every Gaussian weight,
+    unchanged, so the moments map to (U m_hat, U S_hat U^H)."""
+    rng = np.random.default_rng(seed)
+    for x in (regression_data(seed), doa_data(seed)):
+        p = x.shape[1]
+        q, r = np.linalg.qr(rng.standard_normal((p, p))
+                            + 1j * rng.standard_normal((p, p)))
+        unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+        for omega in OMEGAS:
+            u = gaussian_mt_function(omega)
+            m = empirical_mt_moments(x, u)
+            m_rot = empirical_mt_moments(x @ unitary.T, u)
+            np.testing.assert_allclose(m_rot.weights, m.weights, rtol=RTOL)
+            np.testing.assert_allclose(m_rot.mt_mean, unitary @ m.mt_mean,
+                                       rtol=RTOL)
+            np.testing.assert_allclose(
+                m_rot.mt_cov, unitary @ m.mt_cov @ unitary.conj().T, rtol=RTOL)
