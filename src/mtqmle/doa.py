@@ -152,12 +152,12 @@ def asymptotic_mse_doa(model: ULAModel, theta0: float, omega: float, n: int
 
     def f_num(nu2):
         v2 = nu2 * s2z
+        d2 = 2.0 * v2 + w2
+        log_v2, log_d2 = np.log(v2), np.log(d2)
         # log-space sum keeps extreme texture draws finite
-        log_gain = np.logaddexp(2.0 * np.log(v2),
-                                np.log(v2) + np.log(w2 * p * s2s)
-                                - np.log(2.0 * v2 + w2))
-        log_h = (-(p + 2) * (np.log(2.0 * v2 + w2) - np.log(w2))
-                 - 2.0 * p * s2s / (2.0 * v2 + w2))
+        log_gain = np.logaddexp(2.0 * log_v2,
+                                log_v2 + np.log(w2 * p * s2s) - log_d2)
+        log_h = -(p + 2) * (log_d2 - np.log(w2)) - 2.0 * p * s2s / d2
         return np.exp(log_gain + log_h)
 
     def f_den(nu2):

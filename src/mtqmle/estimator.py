@@ -135,8 +135,10 @@ def _grid_objective(moments: EmpiricalMTMoments, model: ParametricMomentModel,
         div = (np.trace(s_inv_s_hat, axis1=-2, axis2=-1).real
                - (logdet_hat - _logdet_cholesky(chols)) - s_hat.shape[0])
         resid = moments.mt_mean - np.array([model.mt_mean(theta) for theta in chunk])
-        y = np.linalg.solve(chols, resid[..., None])[..., 0]
-        quad = (y.conj()[..., None, :] @ y[..., None])[..., 0, 0].real
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a huge or infinite model mean gives -inf/NaN, which never wins
+            y = np.linalg.solve(chols, resid[..., None])[..., 0]
+            quad = (y.conj()[..., None, :] @ y[..., None])[..., 0, 0].real
         vals[start:start + len(chunk)] = -(div + quad)
     return vals
 

@@ -18,6 +18,7 @@ _NOISE_KINDS = ("gaussian", "t", "k")
 # Fixed seed for the deterministic texture-expectation quadrature draws.
 _TEXTURE_SEED = 20_170_814
 _TEXTURE_DRAWS = 10 ** 6
+_TEXTURE_CHUNK = 2 ** 15  # draws per integrand call: 256 KiB per float array
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -142,13 +143,18 @@ def texture_expectation(noise: NoiseSpec, fn) -> float:
 
     Deterministic: Gaussian textures evaluate exactly at nu^2 = 1; heavy
     textures use a fixed-seed 10^6-draw Monte Carlo average shared across
-    calls (common random numbers across e.g. an omega sweep). Integrands
+    calls (common random numbers across e.g. an omega sweep). ``fn`` must be
+    element-wise: it is called on consecutive chunks of the draws, and the
+    one mean over all values is that of a single whole-array call. Integrands
     are nonnegative: a zero (underflowed) or infinite average raises.
     """
     nu2 = (np.asarray([1.0]) if noise.kind == "gaussian"
            else _texture_nu2_draws(noise.kind, noise.lam))
-    vals = np.asarray(fn(nu2), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, 0.0)  # 0 * huge tail guard
+    vals = np.empty(nu2.shape)
+    for start in range(0, nu2.size, _TEXTURE_CHUNK):
+        chunk = np.asarray(fn(nu2[start:start + _TEXTURE_CHUNK]), dtype=float)
+        # 0 * huge tail guard
+        vals[start:start + _TEXTURE_CHUNK] = np.where(np.isfinite(chunk), chunk, 0.0)
     out = float(vals.mean())
     if not (np.isfinite(out) and out != 0.0):
         raise ValueError(f"texture expectation is {out!r}: underflowed or "

@@ -3,7 +3,7 @@ import pytest
 
 from mtqmle.doa import ULAModel
 from mtqmle.regression import build_steering_regressors, unrealify
-from mtqmle.samplers import NoiseSpec
+from mtqmle.samplers import NoiseSpec, _texture_nu2_draws
 
 THETA0_REG = np.array([0.3, 0.5, 0.6, 0.8])
 THETA0_DOA = np.deg2rad(30.0)
@@ -19,6 +19,14 @@ def random_pd(rng, p, scale=1.0):
 
 def random_dataset(rng, n, p, scale=1.0):
     return scale * (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
+
+
+def whole_array_texture_mean(noise, fn):
+    """E[fn(nu^2)] from one call of fn on all the cached texture draws, with
+    non-finite values read as 0: the oracle for the chunked
+    samplers.texture_expectation."""
+    vals = np.asarray(fn(_texture_nu2_draws(noise.kind, noise.lam)), dtype=float)
+    return float(np.where(np.isfinite(vals), vals, 0.0).mean())
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa)
 from mtqmle.transform import empirical_mt_moments, gaussian_mt_function
 
-from conftest import THETA0_DOA, random_pd
+from conftest import THETA0_DOA, random_pd, whole_array_texture_mean
 
 
 def make_doa_data(model, n, seed, theta0=THETA0_DOA):
@@ -207,6 +207,54 @@ class TestAsymptoticMSE:
                                        * (p ** 2 - 1) * n)
         got = asymptotic_mse_doa(ula_k, THETA0_DOA, omega, n)
         assert got == pytest.approx(oracle, rel=0.01)
+
+
+class TestChunkedTextureExpectation:
+    """The closed forms equal, with ==, one whole-array evaluation of the
+    integrands as first written (log v2 and log(2 v2 + w2) taken twice)."""
+
+    @pytest.mark.parametrize("snr_db", [-25.0, -10.0, 0.0])
+    def test_asymptotic_mse_matches_whole_array_formula(self, snr_db):
+        p, s2s, n = 4, 1.0, 5000
+        noise = NoiseSpec("k", doa_sigma2_for_snr_db(s2s, snr_db), p, lam=0.75)
+        model = ULAModel(p, s2s, noise)
+        s2z = noise.sigma2
+        for omega in np.linspace(1.0, 30.0, 30):
+            w2 = float(omega) ** 2
+
+            def f_num(nu2):
+                v2 = nu2 * s2z
+                log_gain = np.logaddexp(2.0 * np.log(v2),
+                                        np.log(v2) + np.log(w2 * p * s2s)
+                                        - np.log(2.0 * v2 + w2))
+                log_h = (-(p + 2) * (np.log(2.0 * v2 + w2) - np.log(w2))
+                         - 2.0 * p * s2s / (2.0 * v2 + w2))
+                return np.exp(log_gain + log_h)
+
+            def f_den(nu2):
+                return p * s2s * doa._h_factor(p, p * s2s, nu2 * s2z, w2)
+
+            num = whole_array_texture_mean(noise, f_num)
+            den = whole_array_texture_mean(noise, f_den)
+            scale = 6.0 / (np.pi ** 2 * np.cos(THETA0_DOA) ** 2 * (p ** 2 - 1) * n)
+            assert asymptotic_mse_doa(model, THETA0_DOA, omega, n) == (
+                num / den ** 2 * scale)
+
+    @pytest.mark.parametrize("omega", [1.0, 5.0, 30.0])
+    def test_influence_prefactor_matches_whole_array(self, ula_k, omega):
+        noise, p, s2s = ula_k.noise, ula_k.p, ula_k.sigma2_s
+        w2 = float(omega) ** 2
+
+        def f_num(nu2):
+            v2 = nu2 * noise.sigma2
+            return (1.0 + v2 / w2) ** 2 * doa._h_factor(p, p * s2s, v2, w2)
+
+        def f_den(nu2):
+            return s2s * doa._h_factor(p, p * s2s, nu2 * noise.sigma2, w2)
+
+        want = (whole_array_texture_mean(noise, f_num)
+                / whole_array_texture_mean(noise, f_den))
+        assert doa._influence_prefactor.__wrapped__(noise, s2s, p, omega) == want
 
 
 class TestEmpiricalAsymptoticMSE:

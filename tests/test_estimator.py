@@ -310,7 +310,7 @@ def table_model(means, covs=None):
     covs = [HALF_EYE] * len(means) if covs is None else covs
     return ParametricMomentModel(
         theta_dim=1,
-        mt_mean=lambda th: means[int(round(th[0]))] * np.ones(2, dtype=complex),
+        mt_mean=lambda th: np.full(2, means[int(round(th[0]))], dtype=complex),
         mt_cov=lambda th: covs[int(round(th[0]))],
         d_mean=lambda th: np.zeros((1, 2), dtype=complex),
         d_cov=lambda th: np.zeros((1, 2, 2), dtype=complex),
@@ -392,6 +392,21 @@ class TestStackedGrid:
             objective_j_u(TOY_MOMENTS, mm, [1.0])
         with pytest.raises(NotPositiveDefinite):
             estimate_gqmle(TOY_X, mm)
+
+    def test_huge_finite_mean_never_wins(self):
+        """|m(theta)|^2 overflows the quadratic term to inf: the point's
+        objective is -inf, with no RuntimeWarning, and the finite point wins."""
+        mm = table_model([1e200, 0.0, 1.0])
+        est = estimate_gqmle(TOY_X, mm)
+        assert est.theta[0] == 1.0 and np.isfinite(est.objective)
+        assert objective_j_u(TOY_MOMENTS, mm, [0.0]) == -np.inf
+
+    def test_infinite_mean_never_wins(self):
+        mm = table_model([0.5, np.inf, 0.0, -np.inf])
+        est = estimate_gqmle(TOY_X, mm)
+        assert est.theta[0] == 2.0 and np.isfinite(est.objective)
+        vals = estimator._grid_objective(TOY_MOMENTS, mm, mm.space.grid_points())
+        assert not (vals[[1, 3]] > -np.inf).any()
 
     def test_no_finite_objective_raises(self):
         mm = table_model([np.nan] * 5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from mtqmle import regression
 from mtqmle.estimator import ParameterSpace, estimate_mt_gqmle
 from mtqmle.regression import (
     asymptotic_mse_regression,
@@ -24,7 +25,7 @@ from mtqmle.samplers import (NoiseSpec, regression_sigma2_for_snr_db,
                              sample_noise, stream_rng, synthesize_regression)
 from mtqmle.transform import empirical_mt_moments
 
-from conftest import THETA0_REG
+from conftest import THETA0_REG, whole_array_texture_mean
 
 
 class TestBuildRegressors:
@@ -180,6 +181,22 @@ class TestAsymptoticMSE:
             0.0, np.inf, limit=400)
         assert mean_weight_regression(reg_t, 4.0) == pytest.approx(oracle,
                                                                    rel=0.01)
+
+
+class TestChunkedTextureExpectation:
+    @pytest.mark.parametrize("omega", [1.0, 4.0, 12.0, 30.0])
+    def test_texture_ratio_and_mean_weight_match_whole_array(self, reg_t, omega):
+        """Both texture averages equal, with ==, one whole-array evaluation."""
+        expo = reg_t.p - reg_t.q
+        s2 = reg_t.sigma2_z
+        w2 = float(omega) ** 2
+        mean_w = whole_array_texture_mean(
+            reg_t.noise, lambda nu2: np.exp(expo * (np.log(w2) - np.log(s2 * nu2 + w2))))
+        num = whole_array_texture_mean(
+            reg_t.noise,
+            lambda nu2: np.exp(np.log(nu2) + expo * (np.log(w2) - np.log(2.0 * s2 * nu2 + w2))))
+        assert regression._mean_weight.__wrapped__(reg_t.noise, expo, omega) == mean_w
+        assert regression._texture_ratio(reg_t, omega) == num / mean_w ** 2
 
 
 class TestEmpiricalAsymptoticMSE:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtqmle import samplers
 from mtqmle.samplers import (
     NoiseSpec,
     doa_sigma2_for_snr_db,
@@ -17,6 +18,8 @@ from mtqmle.samplers import (
     synthesize_regression,
     texture_expectation,
 )
+
+from conftest import whole_array_texture_mean
 
 
 class TestComplexGaussian:
@@ -157,6 +160,42 @@ class TestTextureExpectation:
         spec = NoiseSpec("t", 1.0, 4, lam=0.2)
         f = lambda nu2: np.exp(-nu2)
         assert texture_expectation(spec, f) == texture_expectation(spec, f)
+
+    @pytest.mark.parametrize("kind, lam", [("t", 0.2), ("k", 0.75)])
+    def test_chunks_equal_whole_array_mean(self, kind, lam):
+        spec = NoiseSpec(kind, 1.0, 4, lam=lam)
+
+        def fn(nu2):
+            # on the t tail nu2^6 overflows and 0 * inf is NaN, read as 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                return nu2 ** 6 * np.exp(-nu2) + 1.0 / (1.0 + nu2)
+
+        draws = samplers._texture_nu2_draws(kind, lam)
+        assert (~np.isfinite(fn(draws))).any() == (kind == "t")
+        for f in (fn, lambda nu2: np.exp(np.log(nu2) - 3.0 * np.log1p(nu2))):
+            assert texture_expectation(spec, f) == whole_array_texture_mean(spec, f)
+
+    @pytest.mark.parametrize("kind, lam", [("t", 0.2), ("k", 0.75)])
+    def test_non_finite_values_in_the_partial_last_chunk(self, kind, lam):
+        """10^6 = 30 * 2^15 + 16960: inf and NaN only in the last, partial
+        chunk are read as 0 there and nowhere else."""
+        chunk = samplers._TEXTURE_CHUNK
+        assert chunk == 2 ** 15
+        assert samplers._TEXTURE_DRAWS == 30 * chunk + 16960
+        spec = NoiseSpec(kind, 1.0, 4, lam=lam)
+        draws = samplers._texture_nu2_draws(kind, lam)
+        tail = draws[30 * chunk:]
+
+        def fn(nu2):
+            return np.where(np.isin(nu2, tail[::3]), np.inf,
+                            np.where(np.isin(nu2, tail[1::3]), np.nan,
+                                     1.0 / (1.0 + nu2)))
+
+        bad = np.flatnonzero(~np.isfinite(fn(draws)))
+        assert bad.min() >= 30 * chunk and bad.size >= len(tail) // 2
+        got = texture_expectation(spec, fn)
+        assert got == whole_array_texture_mean(spec, fn)
+        assert got < texture_expectation(spec, lambda nu2: 1.0 / (1.0 + nu2))
 
 
 def test_dataset_roundtrip(tmp_path, rng):
