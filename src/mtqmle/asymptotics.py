@@ -51,7 +51,8 @@ def _score(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
     """Score of log phi for every sample, shape (n, m), from one Cholesky
     factor of S(theta), with the pieces it is built from: the solve with that
     factor, dm_k (m, p), w = S^-1 (x - m) (p, n), b_k = S^-1 dm_k (p, m),
-    A_k = S^-1 dS_k (m, p, p) and the rows w^H dS_k (m, n, p)."""
+    A_k = S^-1 dS_k (m, p, p) and the rows w^H dS_k (m, n, p), or None for
+    both (and their score terms, exact zeros, skipped) when dS = 0."""
     d_mean = np.asarray(model.d_mean(theta))
     d_cov = np.asarray(model.d_cov(theta))
     chol = cholesky_pd(model.mt_cov(theta))
@@ -62,6 +63,8 @@ def _score(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
     e = x - model.mt_mean(theta)                      # (n, p)
     w = solve(e.T)
     b = solve(d_mean.T)
+    if not np.any(d_cov):
+        return 2.0 * np.real(e.conj() @ b), (solve, d_mean, w, b, None, None)
     a = solve(d_cov)
     w_ds = w.T.conj() @ d_cov
     psi = (-np.trace(a, axis1=1, axis2=2).real + 2.0 * np.real(e.conj() @ b)
@@ -81,6 +84,7 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
                    + 2 Re{w^H dm_kj} - 2 Re{w^H dS_j b_k} - 2 Re{w^H dS_k b_j}
                    + w^H dS_kj w - w^H dS_j A_k w - w^H dS_k A_j w.
 
+    Terms of zero dS, dS_kj or dm_kj blocks are skipped; the rest add in order.
     Otherwise it is central differences of the score with a scaled step.
     """
     psi, (solve, d_mean, w, b, a, w_ds) = _score(x, theta, model)
@@ -89,26 +93,29 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
         d2_mean = np.asarray(model.d2_mean(theta))    # (m, m, p)
         d2_cov = np.asarray(model.d2_cov(theta))      # (m, m, p, p)
         wc = w.T.conj()
-        out = (np.einsum("jab,kba->kj", a, a).real
-               - np.trace(solve(d2_cov), axis1=2, axis2=3).real
-               - 2.0 * (d_mean.conj() @ b).real.T
-               + 2.0 * np.einsum("na,kja->nkj", wc, d2_mean).real
-               + np.stack([np.einsum("jna,an->nj", wc @ d2_cov[k], w)
-                           for k in range(m)], axis=1).real)
-        # X_kj = 2 Re{w^H dS_j b_k} + w^H dS_j A_k w enters as -(X_kj + X_jk)
-        cross = (2.0 * (w_ds @ b).real.transpose(1, 2, 0)
-                 + np.einsum("jna,kan->nkj", w_ds, a @ w).real)
-        out = out - cross - np.swapaxes(cross, 1, 2)
+        out = np.zeros((x.shape[0], m, m))
+        if a is not None:
+            out = out + np.einsum("jab,kba->kj", a, a).real
+        if np.any(d2_cov):
+            out = out - np.trace(solve(d2_cov), axis1=2, axis2=3).real
+        out = out - 2.0 * (d_mean.conj() @ b).real.T
+        if np.any(d2_mean):
+            out = out + 2.0 * np.einsum("na,kja->nkj", wc, d2_mean).real
+        if np.any(d2_cov):
+            out = out + np.stack([np.einsum("jna,an->nj", wc @ d2_cov[k], w)
+                                  for k in range(m)], axis=1).real
+        if a is not None:
+            # X_kj = 2 Re{w^H dS_j b_k} + w^H dS_j A_k w enters as -(X_kj + X_jk)
+            cross = (2.0 * (w_ds @ b).real.transpose(1, 2, 0)
+                     + np.einsum("jna,kan->nkj", w_ds, a @ w).real)
+            out = out - cross - np.swapaxes(cross, 1, 2)
     else:
         out = np.empty((x.shape[0], m, m))
         for j in range(m):
             step = _FD_STEP * (1.0 + abs(theta[j]))
-            hi = theta.copy()
-            lo = theta.copy()
-            hi[j] += step
-            lo[j] -= step
-            out[:, :, j] = (_score(x, hi, model)[0]
-                            - _score(x, lo, model)[0]) / (2.0 * step)
+            h = step * np.eye(m)[j]
+            out[:, :, j] = (_score(x, theta + h, model)[0]
+                            - _score(x, theta - h, model)[0]) / (2.0 * step)
     return psi, 0.5 * (out + np.swapaxes(out, 1, 2))
 
 

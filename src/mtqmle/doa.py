@@ -11,7 +11,7 @@ CRLB.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,8 @@ class ULAModel:
     sigma2_s: float
     noise: NoiseSpec
     delta: float = _DEFAULT_DELTA
+    _scanners: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.p < 2:
@@ -59,6 +61,15 @@ class ULAModel:
             raise ValueError("need at least 2 grid points")
         lo, hi = self.theta_bounds
         return np.linspace(lo, hi, k_theta)
+
+    def _scan(self, k_theta: int = _DEFAULT_GRID):
+        """_scanner of the k_theta-point grid, built once per geometry."""
+        key = (self.p, self.delta, k_theta)
+        if key not in self._scanners:
+            thetas = self.grid(k_theta)
+            thetas.flags.writeable = False      # shared by every curve
+            self._scanners[key] = _scanner(thetas, self.p)
+        return self._scanners[key]
 
 
 def steering(theta: float, p: int, order: int = 0) -> np.ndarray:
@@ -97,39 +108,40 @@ def _scanner(thetas: np.ndarray, p: int):
     """(mean, cov) -> SpectrumCurve of a^H C a over thetas, C = cov + mean
     mean^H, in lag form: r_0 + 2 sum_d Re(r_d e^{i pi d sin theta}) with r_d
     the sum of the d-th subdiagonal of C. The (G, 2p-1) real basis
-    [1, 2 Re a_d, 2 Im a_d] of the steering vectors is built once per call."""
+    [1, 2 Re a_d, 2 Im a_d] of the steering vectors is built once per call;
+    the scanner is a partial, so a ULAModel caching it still pickles."""
     steer = steering_grid(thetas, p)[:, 1:]
     basis = np.hstack([np.ones((thetas.size, 1)), 2.0 * steer.real,
                        2.0 * steer.imag])
-
-    def scan(mean, cov) -> SpectrumCurve:
-        c_hat = hermitize(cov + np.outer(mean, mean.conj()))
-        lags = np.array([np.trace(c_hat, offset=-d) for d in range(p)])
-        values = basis @ np.concatenate([lags.real, lags[1:].imag])
-        return SpectrumCurve(thetas=thetas, values=values)
-
-    return scan
+    return functools.partial(_lag_scan, thetas, basis, p)
 
 
-def mt_spectrum(data, model: ULAModel, omega: float,
-                grid: np.ndarray = None) -> SpectrumCurve:
-    """Reweighted spatial spectrum over the angle grid."""
-    thetas = model.grid() if grid is None else np.asarray(grid, dtype=float)
+def _lag_scan(thetas, basis, p, mean, cov) -> SpectrumCurve:
+    c_hat = hermitize(cov + np.outer(mean, mean.conj()))
+    lags = np.array([np.trace(c_hat, offset=-d) for d in range(p)])
+    values = basis @ np.concatenate([lags.real, lags[1:].imag])
+    return SpectrumCurve(thetas=thetas, values=values)
+
+
+def mt_spectrum(data, model: ULAModel, omega: float, grid: np.ndarray = None,
+                k_theta: int = _DEFAULT_GRID) -> SpectrumCurve:
+    """Reweighted spatial spectrum over grid, else the k_theta-point grid."""
+    scan = (model._scan(k_theta) if grid is None
+            else _scanner(np.asarray(grid, dtype=float), model.p))
     m = empirical_mt_moments(data, gaussian_mt_function(omega))
-    return _scanner(thetas, model.p)(m.mt_mean, m.mt_cov)
+    return scan(m.mt_mean, m.mt_cov)
 
 
 def estimate_doa(data, model: ULAModel, omega: float,
                  k_theta: int = _DEFAULT_GRID) -> float:
     """Angle maximizing the reweighted spectrum on a k_theta-point grid."""
-    return mt_spectrum(data, model, omega, grid=model.grid(k_theta)).argmax_theta
+    return mt_spectrum(data, model, omega, k_theta=k_theta).argmax_theta
 
 
 def bartlett_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID) -> float:
     """Constant-weight (classical Bartlett) scan over the same grid."""
     m = empirical_mt_moments(data, constant_mt_function())
-    scan = _scanner(model.grid(k_theta), model.p)
-    return scan(m.mt_mean, m.mt_cov).argmax_theta
+    return model._scan(k_theta)(m.mt_mean, m.mt_cov).argmax_theta
 
 
 def _h_factor(p: int, s_abs2, nu2, omega2):
@@ -211,7 +223,7 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
     at it). Validation, the norms and the spectrum basis are computed once."""
     x = as_dataset(data)
     norms = squared_norms(x)
-    scan = _scanner(model.grid(k_theta), model.p)
+    scan = model._scan(k_theta)
 
     def fit(omega: float) -> tuple:
         scaled, phi = _weights(gaussian_log_weights(norms, omega))
@@ -277,7 +289,7 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     """
     p = model.p
     moments = empirical_mt_moments(data, gaussian_mt_function(omega))
-    scan = _scanner(model.grid(k_theta), p)
+    scan = model._scan(k_theta)
     theta_ref = scan(moments.mt_mean, moments.mt_cov).argmax_theta
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)
     eye = np.eye(p)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mtqmle.asymptotics import _FD_STEP
+from mtqmle.core import cholesky_pd
 from mtqmle.doa import ULAModel
 from mtqmle.regression import build_steering_regressors, unrealify
 from mtqmle.samplers import NoiseSpec, _texture_nu2_draws
@@ -27,6 +29,58 @@ def whole_array_texture_mean(noise, fn):
     samplers.texture_expectation."""
     vals = np.asarray(fn(_texture_nu2_draws(noise.kind, noise.lam)), dtype=float)
     return float(np.where(np.isfinite(vals), vals, 0.0).mean())
+
+
+def dense_score(x, theta, model):
+    """The score with every derivative block contracted, zero or not: the
+    oracle for asymptotics._score, which skips exactly-zero blocks."""
+    d_mean = np.asarray(model.d_mean(theta))
+    d_cov = np.asarray(model.d_cov(theta))
+    chol = cholesky_pd(model.mt_cov(theta))
+
+    def solve(rhs):
+        return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
+
+    e = x - model.mt_mean(theta)                      # (n, p)
+    w = solve(e.T)
+    b = solve(d_mean.T)
+    a = solve(d_cov)
+    w_ds = w.T.conj() @ d_cov
+    psi = (-np.trace(a, axis1=1, axis2=2).real + 2.0 * np.real(e.conj() @ b)
+           + np.einsum("kna,an->nk", w_ds, w).real)
+    return psi, (solve, d_mean, w, b, a, w_ds)
+
+
+def dense_psi_gamma(x, theta, model):
+    """Score and Hessian with every term computed, zero or not: the oracle
+    for asymptotics._psi_gamma."""
+    psi, (solve, d_mean, w, b, a, w_ds) = dense_score(x, theta, model)
+    m = theta.size
+    if model.has_second_derivatives:
+        d2_mean = np.asarray(model.d2_mean(theta))    # (m, m, p)
+        d2_cov = np.asarray(model.d2_cov(theta))      # (m, m, p, p)
+        wc = w.T.conj()
+        out = (np.einsum("jab,kba->kj", a, a).real
+               - np.trace(solve(d2_cov), axis1=2, axis2=3).real
+               - 2.0 * (d_mean.conj() @ b).real.T
+               + 2.0 * np.einsum("na,kja->nkj", wc, d2_mean).real
+               + np.stack([np.einsum("jna,an->nj", wc @ d2_cov[k], w)
+                           for k in range(m)], axis=1).real)
+        # X_kj = 2 Re{w^H dS_j b_k} + w^H dS_j A_k w enters as -(X_kj + X_jk)
+        cross = (2.0 * (w_ds @ b).real.transpose(1, 2, 0)
+                 + np.einsum("jna,kan->nkj", w_ds, a @ w).real)
+        out = out - cross - np.swapaxes(cross, 1, 2)
+    else:
+        out = np.empty((x.shape[0], m, m))
+        for j in range(m):
+            step = _FD_STEP * (1.0 + abs(theta[j]))
+            hi = theta.copy()
+            lo = theta.copy()
+            hi[j] += step
+            lo[j] -= step
+            out[:, :, j] = (dense_score(x, hi, model)[0]
+                            - dense_score(x, lo, model)[0]) / (2.0 * step)
+    return psi, 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 @pytest.fixture

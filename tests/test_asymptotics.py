@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mtqmle import asymptotics
 from mtqmle.asymptotics import (
     fisher_information,
     gamma_u,
@@ -32,9 +35,10 @@ from mtqmle.regression import (
     unrealify,
 )
 from mtqmle.samplers import stream_rng, synthesize_doa, synthesize_regression
-from mtqmle.transform import MTFunction, constant_mt_function
+from mtqmle.transform import (MTFunction, constant_mt_function,
+                              gaussian_mt_function)
 
-from conftest import THETA0_REG, random_dataset, random_pd
+from conftest import THETA0_REG, dense_psi_gamma, random_dataset, random_pd
 
 
 def make_regression_data(model, n, seed, theta0=THETA0_REG):
@@ -209,6 +213,91 @@ class TestHessian:
         g_an = gamma_u_batch(x[:6], theta, full)
         g_fd = gamma_u_batch(x[:6], theta, stripped)
         assert np.max(np.abs(g_an - g_fd)) / np.max(np.abs(g_an)) < 1e-6
+
+
+def zero_slope_cov_model(rng):
+    """p = 3, m = 2 model with S(theta) = (1 + |theta|^2) S0: at theta = 0 the
+    first covariance derivative is zero but the second is not."""
+    p = 3
+    c = rng.standard_normal((3, p)) + 1j * rng.standard_normal((3, p))
+    s0 = random_pd(rng, p) + np.eye(p)
+    zero = np.zeros((p, p))
+    return ParametricMomentModel(
+        theta_dim=2,
+        mt_mean=lambda th: c[0] * th[0] + c[1] * th[1] + c[2] * th[0] ** 2,
+        mt_cov=lambda th: (1.0 + th @ th) * s0,
+        d_mean=lambda th: np.stack([c[0] + 2 * c[2] * th[0], c[1]]),
+        d_cov=lambda th: np.stack([2 * th[0] * s0, 2 * th[1] * s0]),
+        d2_mean=lambda th: np.array([[2 * c[2], 0 * c[2]], [0 * c[2], 0 * c[2]]]),
+        d2_cov=lambda th: np.array([[2 * s0, zero], [zero, 2 * s0]]),
+        space=ParameterSpace([-0.5, -0.5], [0.5, 0.5], 5))
+
+
+def zero_block_case(kind, reg_gaussian, ula_gaussian):
+    """(data, theta, model, u) for one of four derivative patterns."""
+    rng = np.random.default_rng(7)
+    if kind == "regression":       # dS, d2S and d2m are zero
+        x = make_regression_data(reg_gaussian, 200, 11)
+        u = projected_mt_function(reg_gaussian, 3.0)
+        mm = regression_moment_model(reg_gaussian, x, u)
+        return x, np.array([0.25, 0.55, 0.6, 0.75]), mm, u
+    if kind == "doa":              # dm and d2m are zero
+        x = synthesize_doa(4, 0.3, 1.0, ula_gaussian.noise, 300,
+                           stream_rng(12, 0))
+        u = gaussian_mt_function(3.0)
+        return x, np.array([0.28]), doa_moment_model(ula_gaussian, x, 3.0,
+                                                     k_theta=721), u
+    u = gaussian_mt_function(4.0)
+    x = random_dataset(rng, 60, 3)
+    if kind == "quadratic":        # every block is nonzero
+        return x, np.array([0.1, -0.2]), quadratic_moment_model(rng), u
+    return x, np.zeros(2), zero_slope_cov_model(rng), u   # dS = 0, d2S != 0
+
+
+def assert_sandwich_matches_dense(x, theta, mm, u, monkeypatch):
+    got = sandwich(x, theta, mm, u)
+    monkeypatch.setattr(asymptotics, "_psi_gamma", dense_psi_gamma)
+    want = sandwich(x, theta, mm, u)
+    for name in ("g_hat", "f_hat", "c_hat"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestZeroBlocksSkipped:
+    """Skipping exactly-zero derivative blocks leaves psi, Gamma and the
+    sandwich bit-identical to contracting every block."""
+
+    KINDS = ["regression", "doa", "quadratic", "zero_slope_cov"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_dense_oracle(self, kind, reg_gaussian, ula_gaussian,
+                                  monkeypatch):
+        x, theta, mm, u = zero_block_case(kind, reg_gaussian, ula_gaussian)
+        psi, gam = asymptotics._psi_gamma(x, theta, mm)
+        psi_d, gam_d = dense_psi_gamma(x, theta, mm)
+        assert np.array_equal(psi, psi_d)
+        assert np.array_equal(gam, gam_d)
+        assert gam.shape == (x.shape[0], theta.size, theta.size)
+        assert gam.flags.writeable
+        assert_sandwich_matches_dense(x, theta, mm, u, monkeypatch)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cov_pieces_are_none_only_for_zero_ds(self, kind, reg_gaussian,
+                                                  ula_gaussian):
+        x, theta, mm, _ = zero_block_case(kind, reg_gaussian, ula_gaussian)
+        a, w_ds = asymptotics._score(x, theta, mm)[1][4:]
+        zero_ds = kind in ("regression", "zero_slope_cov")
+        assert (a is None) == zero_ds and (w_ds is None) == zero_ds
+
+    @pytest.mark.parametrize("kind", ["regression", "zero_slope_cov"])
+    def test_finite_difference_branch_matches_dense_oracle(
+            self, kind, reg_gaussian, ula_gaussian, monkeypatch):
+        x, theta, mm, u = zero_block_case(kind, reg_gaussian, ula_gaussian)
+        mm = dataclasses.replace(mm, d2_mean=None, d2_cov=None)
+        psi, gam = asymptotics._psi_gamma(x, theta, mm)
+        psi_d, gam_d = dense_psi_gamma(x, theta, mm)
+        assert np.array_equal(psi, psi_d)
+        assert np.array_equal(gam, gam_d)
+        assert_sandwich_matches_dense(x, theta, mm, u, monkeypatch)
 
 
 class TestSandwich:

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -24,7 +27,8 @@ from mtqmle.exceptions import (DegenerateWeights, NotPositiveDefinite,
                                SingularMatrix)
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa)
-from mtqmle.transform import empirical_mt_moments, gaussian_mt_function
+from mtqmle.transform import (constant_mt_function, empirical_mt_moments,
+                              gaussian_mt_function)
 
 from conftest import THETA0_DOA, random_pd, whole_array_texture_mean
 
@@ -124,6 +128,99 @@ class TestLagFormSpectrum:
                 assert estimate_doa(x, ula_k, omega, 10 ** 4) == oracle
 
 
+@pytest.fixture
+def scanner_builds(monkeypatch):
+    """Counts the spectrum bases built through doa._scanner."""
+    built = []
+    real = doa._scanner
+
+    def counting(thetas, p):
+        built.append((thetas.size, p))
+        return real(thetas, p)
+
+    monkeypatch.setattr(doa, "_scanner", counting)
+    return built
+
+
+class TestScannerCache:
+    def test_one_basis_per_model_and_grid(self, ula_k, scanner_builds):
+        x = make_doa_data(ula_k, 200, 3)
+        for k_theta in (101, 101, 401):
+            estimate_doa(x, ula_k, 3.0, k_theta)
+            bartlett_doa(x, ula_k, k_theta)
+            fit = mt_fitter_doa(x, ula_k, k_theta)
+            fit(2.0), fit(5.0)
+            doa_moment_model(ula_k, x, 3.0, k_theta=k_theta)
+            mt_spectrum(x, ula_k, 3.0, k_theta=k_theta)
+        assert scanner_builds == [(101, 4), (401, 4)]
+        estimate_doa(x, ULAModel(4, 1.0, ula_k.noise, ula_k.delta), 3.0, 101)
+        assert scanner_builds == [(101, 4), (401, 4), (101, 4)]
+
+    def test_geometry_change_rebuilds(self, ula_k, scanner_builds):
+        x = make_doa_data(ula_k, 200, 4)
+        estimate_doa(x, ula_k, 3.0, 101)
+        ula_k.delta = 0.3
+        theta = estimate_doa(x, ula_k, 3.0, 101)
+        assert len(scanner_builds) == 2
+        assert theta == doa._scanner(ula_k.grid(101), 4)(
+            *_gaussian_moments(x, 3.0)).argmax_theta
+
+    def test_not_in_eq_repr_or_replace(self, ula_k):
+        fresh = ULAModel(4, 1.0, ula_k.noise, ula_k.delta)
+        before = repr(ula_k)
+        estimate_doa(make_doa_data(ula_k, 50, 5), ula_k, 3.0, 101)
+        assert ula_k._scanners and not fresh._scanners
+        assert ula_k == fresh and repr(ula_k) == repr(fresh) == before
+        copy = dataclasses.replace(ula_k)
+        assert copy == ula_k and copy._scanners == {}
+        assert copy._scanners is not ula_k._scanners
+
+    def test_model_with_a_cache_pickles(self, ula_k):
+        x = make_doa_data(ula_k, 100, 8)
+        theta = estimate_doa(x, ula_k, 3.0, 101)
+        copy = pickle.loads(pickle.dumps(ula_k))
+        assert copy == ula_k and estimate_doa(x, copy, 3.0, 101) == theta
+
+    @pytest.mark.parametrize("k_theta", [101, 10 ** 4])
+    def test_results_equal_fresh_scanner(self, ula_k, k_theta):
+        grid = ula_k.grid(k_theta)
+        for stream in range(3):
+            x = make_doa_data(ula_k, 300, 20 + stream)
+            for omega in (2.0, 8.0):
+                fresh = doa._scanner(grid, 4)(*_gaussian_moments(x, omega))
+                assert estimate_doa(x, ula_k, omega, k_theta) == \
+                    fresh.argmax_theta
+                assert mt_fitter_doa(x, ula_k, k_theta)(omega)[0] == \
+                    fresh.argmax_theta
+                curve = mt_spectrum(x, ula_k, omega, k_theta=k_theta)
+                assert np.array_equal(curve.values, fresh.values)
+                assert np.array_equal(curve.thetas, grid)
+                mm = doa_moment_model(ula_k, x, omega, k_theta=k_theta)
+                assert mm.info["theta_ref"] == fresh.argmax_theta
+            mom = empirical_mt_moments(x, constant_mt_function())
+            assert bartlett_doa(x, ula_k, k_theta) == \
+                doa._scanner(grid, 4)(mom.mt_mean, mom.mt_cov).argmax_theta
+
+    def test_cached_grid_is_read_only(self, ula_k):
+        curve = mt_spectrum(make_doa_data(ula_k, 50, 6), ula_k, 3.0, k_theta=101)
+        with pytest.raises(ValueError):
+            curve.thetas[0] = 0.0
+
+    def test_explicit_grid_bypasses_cache(self, ula_k, scanner_builds):
+        x = make_doa_data(ula_k, 100, 7)
+        grid = ula_k.grid(101)
+        first = mt_spectrum(x, ula_k, 3.0, grid)
+        second = mt_spectrum(x, ula_k, 3.0, grid)
+        assert len(scanner_builds) == 2 and ula_k._scanners == {}
+        assert first.thetas is grid and np.array_equal(first.values,
+                                                       second.values)
+
+
+def _gaussian_moments(x, omega):
+    mom = empirical_mt_moments(x, gaussian_mt_function(omega))
+    return mom.mt_mean, mom.mt_cov
+
+
 class TestEstimate:
     def test_noiseless_snapshot(self, ula_gaussian):
         theta_star = np.deg2rad(30.0)
@@ -219,7 +316,10 @@ class TestChunkedTextureExpectation:
         noise = NoiseSpec("k", doa_sigma2_for_snr_db(s2s, snr_db), p, lam=0.75)
         model = ULAModel(p, s2s, noise)
         s2z = noise.sigma2
-        for omega in np.linspace(1.0, 30.0, 30):
+        widths = np.linspace(1.0, 30.0, 30)
+        # 11 of the widths 1, 2, ..., 30 (every third and both endpoints):
+        # each whole-array evaluation of the oracle takes about 0.2 s
+        for omega in np.append(widths[:-1:3], widths[-1]):
             w2 = float(omega) ** 2
 
             def f_num(nu2):
