@@ -51,8 +51,9 @@ def _score(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
     """Score of log phi for every sample, shape (n, m), from one Cholesky
     factor of S(theta), with the pieces it is built from: the solve with that
     factor, dm_k (m, p), w = S^-1 (x - m) (p, n), b_k = S^-1 dm_k (p, m),
-    A_k = S^-1 dS_k (m, p, p) and the rows w^H dS_k (m, n, p), or None for
-    both (and their score terms, exact zeros, skipped) when dS = 0."""
+    A_k = S^-1 dS_k (m, p, p) and the rows w^H dS_k (m, n, p). When dS = 0,
+    w, A_k and w^H dS_k are None and their score terms, exact zeros, are
+    skipped."""
     d_mean = np.asarray(model.d_mean(theta))
     d_cov = np.asarray(model.d_cov(theta))
     chol = cholesky_pd(model.mt_cov(theta))
@@ -61,10 +62,10 @@ def _score(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
         return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
 
     e = x - model.mt_mean(theta)                      # (n, p)
-    w = solve(e.T)
     b = solve(d_mean.T)
     if not np.any(d_cov):
-        return 2.0 * np.real(e.conj() @ b), (solve, d_mean, w, b, None, None)
+        return 2.0 * np.real(e.conj() @ b), (solve, d_mean, None, b, None, None)
+    w = solve(e.T)
     a = solve(d_cov)
     w_ds = w.T.conj() @ d_cov
     psi = (-np.trace(a, axis1=1, axis2=2).real + 2.0 * np.real(e.conj() @ b)
@@ -84,7 +85,8 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
                    + 2 Re{w^H dm_kj} - 2 Re{w^H dS_j b_k} - 2 Re{w^H dS_k b_j}
                    + w^H dS_kj w - w^H dS_j A_k w - w^H dS_k A_j w.
 
-    Terms of zero dS, dS_kj or dm_kj blocks are skipped; the rest add in order.
+    Terms of zero dS, dS_kj or dm_kj blocks are skipped, and w is solved only
+    when a remaining term reads it; the rest add in order.
     Otherwise it is central differences of the score with a scaled step.
     """
     psi, (solve, d_mean, w, b, a, w_ds) = _score(x, theta, model)
@@ -92,16 +94,19 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
     if model.has_second_derivatives:
         d2_mean = np.asarray(model.d2_mean(theta))    # (m, m, p)
         d2_cov = np.asarray(model.d2_cov(theta))      # (m, m, p, p)
-        wc = w.T.conj()
+        has_d2m, has_d2s = np.any(d2_mean), np.any(d2_cov)
+        if w is None and (has_d2m or has_d2s):        # dS = 0 left it unsolved
+            w = solve((x - model.mt_mean(theta)).T)
+        wc = None if w is None else w.T.conj()
         out = np.zeros((x.shape[0], m, m))
         if a is not None:
             out = out + np.einsum("jab,kba->kj", a, a).real
-        if np.any(d2_cov):
+        if has_d2s:
             out = out - np.trace(solve(d2_cov), axis1=2, axis2=3).real
         out = out - 2.0 * (d_mean.conj() @ b).real.T
-        if np.any(d2_mean):
+        if has_d2m:
             out = out + 2.0 * np.einsum("na,kja->nkj", wc, d2_mean).real
-        if np.any(d2_cov):
+        if has_d2s:
             out = out + np.stack([np.einsum("jna,an->nj", wc @ d2_cov[k], w)
                                   for k in range(m)], axis=1).real
         if a is not None:

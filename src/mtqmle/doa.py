@@ -74,7 +74,8 @@ class ULAModel:
 
 def steering(theta: float, p: int, order: int = 0) -> np.ndarray:
     """Steering vector a(theta) with phases exp(-i pi k sin theta), or its
-    first/second derivative in theta (order 1 or 2)."""
+    first/second derivative in theta (order 1 or 2); theta of shape (..., 1)
+    gives (..., p)."""
     k = np.arange(p)
     base = np.exp(-1j * np.pi * k * np.sin(theta))
     if order == 0:
@@ -295,8 +296,8 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     eye = np.eye(p)
 
     def mt_cov(theta):
-        a = steering(float(theta[0]), p)
-        return r_s * np.outer(a, a.conj()) + r_w * eye
+        a = steering(np.asarray(theta)[..., :1], p)
+        return r_s * (a[..., :, None] * a.conj()[..., None, :]) + r_w * eye
 
     def d_cov(theta):
         a = steering(float(theta[0]), p)
@@ -318,7 +319,8 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     space = ParameterSpace(lower=[lo], upper=[hi], grid_sizes=k_theta)
     return ParametricMomentModel(
         theta_dim=1,
-        mt_mean=lambda theta: np.zeros(p, dtype=complex),
+        mt_mean=lambda theta: np.zeros(np.shape(theta)[:-1] + (p,),
+                                       dtype=complex),
         mt_cov=mt_cov,
         d_mean=lambda theta: np.zeros((1, p), dtype=complex),
         d_cov=d_cov,

@@ -77,8 +77,10 @@ class ParametricMomentModel:
     """Maps a real parameter vector to model mean/covariance and derivatives.
 
     mt_mean(theta) -> (p,), mt_cov(theta) -> (p, p) positive definite on the
-    whole space; d_mean(theta) -> (m, p) and d_cov(theta) -> (m, p, p) stack
-    the first derivatives along the parameter axis. Second derivatives
+    whole space; both broadcast over leading axes of theta, (..., m) ->
+    (..., p) and (..., p, p), so a grid is one call. d_mean(theta) -> (m, p)
+    and d_cov(theta) -> (m, p, p) take one point and stack the first
+    derivatives along the parameter axis. Second derivatives
     (d2_mean -> (m, m, p), d2_cov -> (m, m, p, p)) are optional; when absent
     the curvature machinery falls back to finite differences of the score.
     ``solver``, when set, maps empirical moments straight to the maximizer.
@@ -123,7 +125,7 @@ def _grid_objective(moments: EmpiricalMTMoments, model: ParametricMomentModel,
     vals = np.empty(len(points))
     for start in range(0, len(points), _GRID_CHUNK):
         chunk = points[start:start + _GRID_CHUNK]
-        sigmas = np.array([model.mt_cov(theta) for theta in chunk], dtype=complex)
+        sigmas = np.asarray(model.mt_cov(chunk), dtype=complex)
         if not np.all(np.isfinite(sigmas)):
             raise NotPositiveDefinite("model covariance is not finite")
         try:
@@ -134,7 +136,7 @@ def _grid_objective(moments: EmpiricalMTMoments, model: ParametricMomentModel,
                                       np.linalg.solve(chols, s_hat))
         div = (np.trace(s_inv_s_hat, axis1=-2, axis2=-1).real
                - (logdet_hat - _logdet_cholesky(chols)) - s_hat.shape[0])
-        resid = moments.mt_mean - np.array([model.mt_mean(theta) for theta in chunk])
+        resid = moments.mt_mean - model.mt_mean(chunk)
         with np.errstate(over="ignore", invalid="ignore"):
             # a huge or infinite model mean gives -inf/NaN, which never wins
             y = np.linalg.solve(chols, resid[..., None])[..., 0]
@@ -223,14 +225,12 @@ def check_identifiability(model: ParametricMomentModel, theta0,
     """
     theta0 = np.asarray(theta0, dtype=float).ravel()
     points = model.space.grid_points() if grid is None else np.atleast_2d(grid)
-    mean0 = model.mt_mean(theta0)
-    cov0 = model.mt_cov(theta0)
-    flagged = []
-    for theta in points:
-        if np.linalg.norm(theta - theta0) < 1e-12:
-            continue
-        mean_dist = float(np.linalg.norm(model.mt_mean(theta) - mean0))
-        cov_dist = float(np.linalg.norm(model.mt_cov(theta) - cov0))
-        if mean_dist < tol and cov_dist < tol:
-            flagged.append((theta.copy(), mean_dist, cov_dist))
+    mean_dist = np.linalg.norm(model.mt_mean(points) - model.mt_mean(theta0),
+                               axis=-1)
+    cov_dist = np.linalg.norm(model.mt_cov(points) - model.mt_cov(theta0),
+                              axis=(-2, -1))
+    hit = ((np.linalg.norm(points - theta0, axis=-1) >= 1e-12)
+           & (mean_dist < tol) & (cov_dist < tol))
+    flagged = list(zip(points[hit], mean_dist[hit].tolist(),
+                       cov_dist[hit].tolist()))
     return IdentifiabilityReport(flagged=flagged, n_checked=len(points))

@@ -32,9 +32,10 @@ def realify(alpha: np.ndarray) -> np.ndarray:
 
 
 def unrealify(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).ravel()
-    q = theta.size // 2
-    return theta[:q] + 1j * theta[q:]
+    """Inverse of realify along the last axis: [Re; Im] -> Re + i Im."""
+    theta = np.asarray(theta, dtype=float)
+    q = theta.shape[-1] // 2
+    return theta[..., :q] + 1j * theta[..., q:]
 
 
 def realify_matrix(c: np.ndarray) -> np.ndarray:
@@ -233,8 +234,9 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction,
                            grid_sizes=grid_size)
     return ParametricMomentModel(
         theta_dim=m,
-        mt_mean=lambda theta: a @ unrealify(theta),
-        mt_cov=lambda theta: cov_const,
+        mt_mean=lambda theta: (a @ unrealify(theta)[..., None])[..., 0],
+        mt_cov=lambda theta: np.broadcast_to(cov_const,
+                                             np.shape(theta)[:-1] + (p, p)),
         d_mean=lambda theta: d_mean,
         d_cov=lambda theta: zeros_cov,
         d2_mean=lambda theta: np.zeros((m, m, p), dtype=complex),

@@ -144,8 +144,8 @@ class TestHessian:
         eye = np.eye(2, dtype=complex)
         mm = ParametricMomentModel(
             theta_dim=1,
-            mt_mean=lambda th: np.zeros(2, dtype=complex),
-            mt_cov=lambda th: eye,
+            mt_mean=lambda th: np.zeros(np.shape(th)[:-1] + (2,), dtype=complex),
+            mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (2, 2)),
             d_mean=lambda th: np.zeros((1, 2), dtype=complex),
             d_cov=lambda th: np.zeros((1, 2, 2), dtype=complex),
             d2_mean=lambda th: np.zeros((1, 1, 2), dtype=complex),
@@ -299,6 +299,29 @@ class TestZeroBlocksSkipped:
         assert np.array_equal(gam, gam_d)
         assert_sandwich_matches_dense(x, theta, mm, u, monkeypatch)
 
+    @pytest.mark.parametrize("kind, in_score, in_psi_gamma", [
+        ("regression", False, False),       # nothing reads w
+        ("zero_slope_cov", False, True),    # only the d2S and d2m terms do
+        ("doa", True, True)])
+    def test_residual_solved_only_when_read(self, kind, in_score, in_psi_gamma,
+                                            reg_gaussian, ula_gaussian,
+                                            monkeypatch):
+        """w = S^-1 (x - m) is the only solve with n right-hand sides."""
+        x, theta, mm, _ = zero_block_case(kind, reg_gaussian, ula_gaussian)
+        widths = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            widths.append(np.shape(b)[-1])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        asymptotics._score(x, theta, mm)
+        assert (x.shape[0] in widths) == in_score
+        widths.clear()
+        asymptotics._psi_gamma(x, theta, mm)
+        assert (x.shape[0] in widths) == in_psi_gamma
+
 
 class TestSandwich:
     def test_gaussian_constant_u_near_crlb(self, reg_gaussian):
@@ -355,8 +378,8 @@ class TestSandwich:
         eye = np.eye(1, dtype=complex)
         mm = ParametricMomentModel(
             theta_dim=2,
-            mt_mean=lambda th: np.array([th[0] + th[1]], dtype=complex),
-            mt_cov=lambda th: eye,
+            mt_mean=lambda th: (th[..., :1] + th[..., 1:]).astype(complex),
+            mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (1, 1)),
             d_mean=lambda th: np.array([[1.0], [1.0]], dtype=complex),
             d_cov=lambda th: np.zeros((2, 1, 1), dtype=complex),
             d2_mean=lambda th: np.zeros((2, 2, 1), dtype=complex),

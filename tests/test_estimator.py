@@ -12,7 +12,7 @@ from mtqmle.estimator import (
     finite_diff_moment_derivatives,
     objective_j_u,
 )
-from mtqmle.doa import doa_moment_model
+from mtqmle.doa import doa_moment_model, steering
 from mtqmle.exceptions import NotPositiveDefinite
 from mtqmle.regression import (
     mt_gqmle_regression,
@@ -90,8 +90,8 @@ class TestObjective:
         eye = np.eye(2, dtype=complex)
         mm = ParametricMomentModel(
             theta_dim=1,
-            mt_mean=lambda th: np.zeros(2, dtype=complex),
-            mt_cov=lambda th: eye,
+            mt_mean=lambda th: np.zeros(np.shape(th)[:-1] + (2,), dtype=complex),
+            mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (2, 2)),
             d_mean=lambda th: np.zeros((1, 2), dtype=complex),
             d_cov=lambda th: np.zeros((1, 2, 2), dtype=complex),
             space=space)
@@ -127,8 +127,9 @@ class TestObjective:
         space = ParameterSpace([0.0], [1.0], 3)
         bad = ParametricMomentModel(
             theta_dim=1,
-            mt_mean=lambda th: np.zeros(2, dtype=complex),
-            mt_cov=lambda th: np.diag([1.0, -1.0]).astype(complex),
+            mt_mean=lambda th: np.zeros(np.shape(th)[:-1] + (2,), dtype=complex),
+            mt_cov=lambda th: np.broadcast_to(np.diag([1.0, -1.0]).astype(complex),
+                                              np.shape(th)[:-1] + (2, 2)),
             d_mean=lambda th: np.zeros((1, 2), dtype=complex),
             d_cov=lambda th: np.zeros((1, 2, 2), dtype=complex),
             space=space)
@@ -264,6 +265,19 @@ class TestFiniteDiffDerivatives:
             finite_diff_moment_derivatives(mm, np.zeros(4), 0, 0.0)
 
 
+def first_coordinate_model(grid_size):
+    """2-D model whose mean map ignores the second coordinate entirely."""
+    eye = np.eye(2, dtype=complex)
+    return ParametricMomentModel(
+        theta_dim=2,
+        mt_mean=lambda th: np.stack([th[..., 0], np.zeros_like(th[..., 0])],
+                                    axis=-1).astype(complex),
+        mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (2, 2)),
+        d_mean=lambda th: np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
+        d_cov=lambda th: np.zeros((2, 2, 2), dtype=complex),
+        space=ParameterSpace([0.0, 0.0], [1.0, 1.0], grid_size))
+
+
 class TestIdentifiability:
     def test_regression_full_rank_clean(self, reg_gaussian, rng):
         x = random_dataset(rng, 50, 10)
@@ -274,20 +288,37 @@ class TestIdentifiability:
         assert report.ok and report.n_checked == 4 ** 4
 
     def test_duplicated_coordinate_flags(self):
-        # mean map ignores the second coordinate entirely
-        space = ParameterSpace([0.0, 0.0], [1.0, 1.0], 3)
-        eye = np.eye(2, dtype=complex)
-        mm = ParametricMomentModel(
-            theta_dim=2,
-            mt_mean=lambda th: np.array([th[0], 0.0], dtype=complex),
-            mt_cov=lambda th: eye,
-            d_mean=lambda th: np.array([[1.0, 0.0], [0.0, 0.0]],
-                                       dtype=complex),
-            d_cov=lambda th: np.zeros((2, 2, 2), dtype=complex),
-            space=space)
+        mm = first_coordinate_model(3)
         report = check_identifiability(mm, np.array([0.5, 0.5]))
         assert not report.ok
         assert all(abs(th[0] - 0.5) < 1e-12 for th, _, _ in report.flagged)
+
+    def test_stacked_check_matches_per_point_loop(self, reg_gaussian, rng):
+        """One call per map over the grid (plus one at theta0) flags the same
+        points, with the same distances, as the per-point loop it replaced."""
+        dup = first_coordinate_model(5)
+        reg = regression_moment_model(
+            reg_gaussian, random_dataset(rng, 50, 10),
+            projected_mt_function(reg_gaussian, 2.0), bounds=1.0, grid_size=4)
+        for mm, theta0 in ((dup, np.array([0.5, 0.5])), (reg, np.zeros(4))):
+            loop = []
+            for theta in mm.space.grid_points():
+                if np.linalg.norm(theta - theta0) < 1e-12:
+                    continue
+                mean_dist = np.linalg.norm(mm.mt_mean(theta) - mm.mt_mean(theta0))
+                cov_dist = np.linalg.norm(mm.mt_cov(theta) - mm.mt_cov(theta0))
+                if mean_dist < 1e-8 and cov_dist < 1e-8:
+                    loop.append((theta, mean_dist, cov_dist))
+            calls = count_map_calls(mm)
+            report = check_identifiability(mm, theta0)
+            assert calls == {"mt_mean": 2, "mt_cov": 2}
+            assert report.n_checked == len(mm.space.grid_points())
+            assert len(report.flagged) == len(loop)
+            for (th, md, cd), (th_l, md_l, cd_l) in zip(report.flagged, loop):
+                np.testing.assert_array_equal(th, th_l)
+                assert md == pytest.approx(md_l, abs=1e-15)
+                assert cd == pytest.approx(cd_l, abs=1e-15)
+        assert len(check_identifiability(dup, np.array([0.5, 0.5])).flagged) == 4
 
     def test_doa_grid_clean(self, ula_gaussian):
         x = synthesize_doa(4, 0.3, 1.0, ula_gaussian.noise, 500,
@@ -306,15 +337,36 @@ HALF_EYE = 0.5 * np.eye(2, dtype=complex)
 def table_model(means, covs=None):
     """1-D model on the grid 0, 1, ..., k - 1: at grid point j the mean is
     means[j] * (1, 1) and the covariance covs[j] (I/2 when omitted), so
-    against TOY_MOMENTS J_u = -4 means[j]^2 wherever the covariance is I/2."""
-    covs = [HALF_EYE] * len(means) if covs is None else covs
+    against TOY_MOMENTS J_u = -4 means[j]^2 wherever the covariance is I/2.
+    Both maps take a stack of points (..., 1)."""
+    covs = np.asarray([HALF_EYE] * len(means) if covs is None else covs)
+    means = np.asarray(means, dtype=complex)
+
+    def index(th):
+        return np.rint(np.asarray(th)[..., 0]).astype(int)
+
     return ParametricMomentModel(
         theta_dim=1,
-        mt_mean=lambda th: np.full(2, means[int(round(th[0]))], dtype=complex),
-        mt_cov=lambda th: covs[int(round(th[0]))],
+        mt_mean=lambda th: means[index(th)][..., None].repeat(2, axis=-1),
+        mt_cov=lambda th: covs[index(th)],
         d_mean=lambda th: np.zeros((1, 2), dtype=complex),
         d_cov=lambda th: np.zeros((1, 2, 2), dtype=complex),
         space=ParameterSpace([0.0], [len(means) - 1.0], len(means)))
+
+
+def count_map_calls(mm):
+    """Wrap mm.mt_mean and mm.mt_cov in place; returns their live call counts."""
+    calls = {"mt_mean": 0, "mt_cov": 0}
+
+    def counted(name, fn):
+        def wrapper(theta):
+            calls[name] += 1
+            return fn(theta)
+        return wrapper
+
+    mm.mt_mean = counted("mt_mean", mm.mt_mean)
+    mm.mt_cov = counted("mt_cov", mm.mt_cov)
+    return calls
 
 
 def assert_grid_matches_per_point(moments, mm):
@@ -451,3 +503,64 @@ class TestStackedGrid:
         counts.update(cholesky_pd=0, factor=0)
         assert estimate_mt_gqmle(x, u, mm).method == "grid"
         assert counts == {"cholesky_pd": 1, "factor": 1 + 2}   # 721 = 512 + 209
+
+    def test_grid_calls_each_map_once_per_chunk(self, ula_k):
+        x = synthesize_doa(4, 0.4, 1.0, ula_k.noise, 300, stream_rng(44, 0))
+        u = gaussian_mt_function(3.0)
+        mm = doa_moment_model(ula_k, x, 3.0, k_theta=721, use_solver=False)
+        calls = count_map_calls(mm)
+        assert estimate_mt_gqmle(x, u, mm).method == "grid"
+        assert calls == {"mt_mean": 2, "mt_cov": 2}   # 721 = 512 + 209
+
+
+class TestMomentMapContract:
+    """mt_mean and mt_cov of the application models broadcast over leading
+    axes of theta, bit for bit equal to their per-point formulas."""
+
+    @staticmethod
+    def assert_maps_match(mm, oracle_mean, oracle_cov, points):
+        stacked_mean = mm.mt_mean(points)
+        stacked_cov = mm.mt_cov(points)
+        assert stacked_mean.shape == points.shape[:-1] + oracle_mean(points[0]).shape
+        assert stacked_cov.shape == points.shape[:-1] + oracle_cov(points[0]).shape
+        assert np.array_equal(stacked_mean, [oracle_mean(th) for th in points])
+        assert np.array_equal(stacked_cov, [oracle_cov(th) for th in points])
+        for th in points[::97]:
+            assert np.array_equal(mm.mt_mean(th), oracle_mean(th))
+            assert np.array_equal(mm.mt_cov(th), oracle_cov(th))
+        block = points[:6].reshape(2, 3, -1)       # any leading shape
+        assert np.array_equal(mm.mt_mean(block), stacked_mean[:6].reshape(
+            2, 3, -1))
+        assert np.array_equal(mm.mt_cov(block), stacked_cov[:6].reshape(
+            (2, 3) + stacked_cov.shape[1:]))
+
+    @pytest.mark.parametrize("omega", [2.0, 5.0, 16.0])
+    def test_regression_model(self, reg_t, alpha0, omega):
+        x = synthesize_regression(reg_t.a_matrix, alpha0, reg_t.noise, 300,
+                                  stream_rng(45, 0))
+        u = projected_mt_function(reg_t, omega)
+        mm = regression_moment_model(reg_t, x, u, use_solver=False)
+        a = reg_t.a_matrix
+        cov = mm.info["r0"] * reg_t.proj_a + mm.info["r1"] * np.eye(10)
+        rng = np.random.default_rng(46)
+        points = np.concatenate([mm.space.grid_points(),
+                                 rng.uniform(-3.0, 3.0, (20, 4))])
+        self.assert_maps_match(mm, lambda th: a @ unrealify(th),
+                               lambda th: cov, points)
+
+    @pytest.mark.parametrize("omega", [1.0, 3.0, 10.0])
+    def test_doa_model(self, ula_k, omega):
+        x = synthesize_doa(4, 0.4, 1.0, ula_k.noise, 300, stream_rng(47, 0))
+        mm = doa_moment_model(ula_k, x, omega, k_theta=721, use_solver=False)
+        r_s, r_w = mm.info["r_s"], mm.info["r_w"]
+
+        def cov(th):
+            a = steering(float(th[0]), 4)
+            return r_s * np.outer(a, a.conj()) + r_w * np.eye(4)
+
+        rng = np.random.default_rng(48)
+        lo, hi = ula_k.theta_bounds
+        points = np.concatenate([mm.space.grid_points(),
+                                 rng.uniform(lo, hi, (20, 1))])
+        self.assert_maps_match(mm, lambda th: np.zeros(4, dtype=complex), cov,
+                               points)
