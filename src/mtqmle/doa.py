@@ -17,9 +17,9 @@ import numpy as np
 
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
-from .exceptions import SingularMatrix
+from .exceptions import NotPositiveDefinite, SingularMatrix
 from .samplers import NoiseSpec, texture_expectation
-from .transform import (_moments, _weights, constant_mt_function,
+from .transform import (_weights, constant_mt_function,
                         empirical_mt_moments, gaussian_log_weights,
                         gaussian_mt_function, squared_norms, width_squared)
 
@@ -192,19 +192,21 @@ def gaussian_crlb_doa(model: ULAModel, theta0: float, n: int) -> float:
         s2s ** 2 * np.pi ** 2 * np.cos(theta0) ** 2 * p ** 2 * (p ** 2 - 1) * n)
 
 
-def _empirical_mse(x: np.ndarray, theta: float, p: int, scaled) -> float:
-    """sum u^2 alpha^2 / (sum u beta)^2 with the spectrum slope alpha and
-    curvature beta statistics at theta; scaled is u up to a common factor."""
-    a = steering(theta, p)
-    da = steering(theta, p, 1)
-    dda = steering(theta, p, 2)
-    ax = x @ a.conj()
-    dax = x @ da.conj()
-    ddax = x @ dda.conj()
-    alpha = 2.0 * np.real(dax * ax.conj())
-    beta = 2.0 * np.real(ddax * ax.conj() + np.abs(dax) ** 2)
-    denom = float(np.sum(beta * scaled))
-    num = float(np.sum(alpha ** 2 * scaled ** 2))
+def _slope_curvature(x: np.ndarray, theta: float, p: int) -> tuple:
+    """Per-sample spectrum slope alpha and curvature beta statistics at theta."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ax, dax, ddax = (x @ steering(theta, p, k).conj() for k in range(3))
+        alpha = 2.0 * np.real(dax * ax.conj())
+        beta = 2.0 * np.real(ddax * ax.conj() + np.abs(dax) ** 2)
+    return alpha, beta
+
+
+def _empirical_mse(alpha: np.ndarray, beta: np.ndarray, scaled) -> float:
+    """sum u^2 alpha^2 / (sum u beta)^2 over the samples of nonzero weight,
+    whose statistics stay finite; scaled is u up to a common factor."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.sum(np.where(scaled > 0, beta * scaled, 0.0)))
+        num = float(np.sum(np.where(scaled > 0, alpha ** 2 * scaled ** 2, 0.0)))
     if denom == 0.0 or not np.isfinite(denom):
         raise SingularMatrix("degenerate curvature")
     return num / denom ** 2
@@ -216,20 +218,40 @@ def empirical_asymptotic_mse_doa(data, model: ULAModel, theta_hat: float,
     spectrum slope alpha and curvature beta statistics at theta_hat."""
     x = as_dataset(data)
     scaled = _weights(gaussian_log_weights(squared_norms(x), omega))[0]
-    return _empirical_mse(x, theta_hat, model.p, scaled)
+    return _empirical_mse(*_slope_curvature(x, theta_hat, model.p), scaled)
+
+
+def _lag_table(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(n, 2p-1) per-sample lags [r_0, Re r_d, Im r_d], r_{d,n} = sum_k
+    x_{n,k+d} conj(x_{n,k}), so phi @ table is the lag vector of sum phi_n
+    x_n x_n^H. Rows whose norm overflows (weight 0 at every width) are 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.stack([np.einsum("nk,nk->n", x[:, d:], x[:, :-d].conj())
+                      for d in range(1, x.shape[1])], axis=1)
+        table = np.hstack([norms[:, None], r.real, r.imag])
+    return np.where(np.isfinite(norms)[:, None], table, 0.0)
 
 
 def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
     """Per-dataset fitter: omega -> (estimate_doa, empirical_asymptotic_mse_doa
-    at it). Validation, the norms and the spectrum basis are computed once."""
+    at it). As sum phi = 1, the scanned C = cov + mean mean^H is sum phi_n x_n
+    x_n^H: a width needs only phi @ lag table. The norms, the table and the
+    basis are computed once per dataset, slope and curvature once per angle."""
     x = as_dataset(data)
     norms = squared_norms(x)
-    scan = model._scan(k_theta)
+    lags = _lag_table(x, norms)
+    thetas, basis, _ = model._scan(k_theta).args
+    stats = {}
 
     def fit(omega: float) -> tuple:
         scaled, phi = _weights(gaussian_log_weights(norms, omega))
-        theta = scan(*_moments(x, phi)).argmax_theta
-        return theta, _empirical_mse(x, theta, model.p, scaled)
+        lag_vector = phi @ lags
+        if not np.all(np.isfinite(lag_vector)):
+            raise NotPositiveDefinite("reweighted lags are not finite")
+        theta = SpectrumCurve(thetas, basis @ lag_vector).argmax_theta
+        if theta not in stats:
+            stats[theta] = _slope_curvature(x, theta, model.p)
+        return theta, _empirical_mse(*stats[theta], scaled)
 
     return fit
 

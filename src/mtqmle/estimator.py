@@ -225,10 +225,12 @@ def check_identifiability(model: ParametricMomentModel, theta0,
     """
     theta0 = np.asarray(theta0, dtype=float).ravel()
     points = model.space.grid_points() if grid is None else np.atleast_2d(grid)
-    mean_dist = np.linalg.norm(model.mt_mean(points) - model.mt_mean(theta0),
-                               axis=-1)
-    cov_dist = np.linalg.norm(model.mt_cov(points) - model.mt_cov(theta0),
-                              axis=(-2, -1))
+    chunks = np.split(points, range(_GRID_CHUNK, len(points), _GRID_CHUNK))
+    mean0, cov0 = model.mt_mean(theta0), model.mt_cov(theta0)
+    mean_dist = np.concatenate([np.linalg.norm(model.mt_mean(c) - mean0,
+                                               axis=-1) for c in chunks])
+    cov_dist = np.concatenate([np.linalg.norm(model.mt_cov(c) - cov0,
+                                              axis=(-2, -1)) for c in chunks])
     hit = ((np.linalg.norm(points - theta0, axis=-1) >= 1e-12)
            & (mean_dist < tol) & (cov_dist < tol))
     flagged = list(zip(points[hit], mean_dist[hit].tolist(),

@@ -155,16 +155,10 @@ def mt_weights(data, u: MTFunction) -> np.ndarray:
 
 
 def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
-    """Reweighted mean and covariance with their normalized weights."""
+    """Reweighted mean and covariance with their normalized weights;
+    NotPositiveDefinite when the covariance overflows."""
     x = as_dataset(data)
     phi = _weights(u.log_weights(x))[1]
-    mean, cov = _moments(x, phi)
-    return EmpiricalMTMoments(weights=phi, mt_mean=mean, mt_cov=cov)
-
-
-def _moments(x: np.ndarray, phi: np.ndarray) -> tuple:
-    """Weighted mean and covariance of a validated dataset;
-    NotPositiveDefinite when the covariance overflows."""
     mean = phi @ x
     with np.errstate(over="ignore", invalid="ignore"):
         # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
@@ -172,7 +166,7 @@ def _moments(x: np.ndarray, phi: np.ndarray) -> tuple:
         cov = hermitize(y.T @ y.conj())
     if not np.all(np.isfinite(cov)):
         raise NotPositiveDefinite("reweighted covariance is not finite")
-    return mean, cov
+    return EmpiricalMTMoments(weights=phi, mt_mean=mean, mt_cov=cov)
 
 
 def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:

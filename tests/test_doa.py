@@ -28,7 +28,7 @@ from mtqmle.exceptions import (DegenerateWeights, NotPositiveDefinite,
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa)
 from mtqmle.transform import (constant_mt_function, empirical_mt_moments,
-                              gaussian_mt_function)
+                              gaussian_mt_function, squared_norms)
 
 from conftest import THETA0_DOA, random_pd, whole_array_texture_mean
 
@@ -420,6 +420,95 @@ class TestFitter:
                 fit(omega)
         with pytest.raises(DegenerateWeights):
             select_by_trace(omegas, fit)
+
+
+class TestLagRoute:
+    """The fitter reads each width's spectrum from phi @ (per-sample lag
+    table) and keeps the slope and curvature statistics per angle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 7])
+    def test_weighted_lag_table_matches_moment_route(self, p):
+        noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, -10.0), p, lam=0.75)
+        x = synthesize_doa(p, THETA0_DOA, 1.0, noise, 500, stream_rng(61, p))
+        x = x + (0.5 - 0.3j)    # a mean the moment route removes and restores
+        table = doa._lag_table(x, squared_norms(x))
+        eye = np.eye(2 * p - 1)     # a basis that returns the lag vector itself
+        for omega in (1.0, 3.0, 10.0, 1e6):
+            mom = empirical_mt_moments(x, gaussian_mt_function(omega))
+            lags = doa._lag_scan(None, eye, p, mom.mt_mean, mom.mt_cov).values
+            np.testing.assert_allclose(mom.weights @ table, lags, rtol=1e-12)
+
+    def test_fit_equals_public_functions_on_shipped_shape(self):
+        """configs/doa_snr_sweep.json's shape: p = 4, n = 5000, K noise, its
+        30 widths and 6 SNRs, 5 streams each."""
+        omegas = np.linspace(1.0, 30.0, 30)
+        for snr_db in (-25.0, -20.0, -15.0, -10.0, -5.0, 0.0):
+            noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, snr_db), 4,
+                              lam=0.75)
+            model = ULAModel(4, 1.0, noise)
+            for stream in range(5):
+                x = synthesize_doa(4, THETA0_DOA, 1.0, noise, 5000,
+                                   stream_rng(65, stream))
+                fit = mt_fitter_doa(x, model)
+                for omega in omegas:
+                    theta = estimate_doa(x, model, float(omega))
+                    assert fit(float(omega)) == (
+                        theta, empirical_asymptotic_mse_doa(x, model, theta,
+                                                            float(omega)))
+
+    def test_slope_and_curvature_once_per_angle(self, monkeypatch, ula_k):
+        angles = []
+        real = doa._slope_curvature
+
+        def counting(x, theta, p):
+            angles.append(theta)
+            return real(x, theta, p)
+
+        monkeypatch.setattr(doa, "_slope_curvature", counting)
+        x = make_doa_data(ula_k, 2000, 62)
+        omegas = np.linspace(1.0, 30.0, 30)
+        fit = mt_fitter_doa(x, ula_k)
+        thetas = {fit(float(omega))[0] for omega in omegas}
+        assert sorted(angles) == sorted(thetas) and 1 < len(thetas) < 30
+        for omega in omegas:
+            fit(float(omega))
+        assert len(angles) == len(thetas)
+        mt_fitter_doa(x, ula_k)(1.0)    # a new fitter starts with no angles
+        assert len(angles) == len(thetas) + 1
+
+    def test_non_finite_lags_fail_the_width(self, monkeypatch, ula_k):
+        real = doa._lag_table
+
+        def overflowed(x, norms):
+            table = real(x, norms)
+            table[3, 1] = np.inf
+            return table
+
+        monkeypatch.setattr(doa, "_lag_table", overflowed)
+        fit = mt_fitter_doa(make_doa_data(ula_k, 100, 64), ula_k, 101)
+        with pytest.raises(NotPositiveDefinite):
+            fit(4.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e160, 1e300])
+    def test_gross_outlier_leaves_the_selection(self, scale):
+        """One snapshot far out gets weight 0 at every width, so the selected
+        width, the estimates and the traces are those of the clean data."""
+        noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, -10.0), 4, lam=0.75)
+        model = ULAModel(4, 1.0, noise)
+        x = synthesize_doa(4, THETA0_DOA, 1.0, noise, 2000, stream_rng(63, 0))
+        y = np.insert(x, 700, scale * steering(0.2, 4), axis=0)
+        omegas = np.linspace(1.0, 30.0, 30)
+        clean = select_by_trace(omegas, mt_fitter_doa(x, model))
+        dirty = select_by_trace(omegas, mt_fitter_doa(y, model))
+        assert dirty.omega_opt == clean.omega_opt
+        assert dirty.estimates == clean.estimates
+        np.testing.assert_allclose(dirty.traces, clean.traces, rtol=1e-12)
+        theta = estimate_doa(y, model, 4.0)
+        assert theta == estimate_doa(x, model, 4.0)
+        assert empirical_asymptotic_mse_doa(y, model, theta, 4.0) == \
+            pytest.approx(empirical_asymptotic_mse_doa(x, model, theta, 4.0),
+                          rel=1e-12)
 
 
 class TestInfluence:

@@ -320,6 +320,42 @@ class TestIdentifiability:
                 assert cd == pytest.approx(cd_l, abs=1e-15)
         assert len(check_identifiability(dup, np.array([0.5, 0.5])).flagged) == 4
 
+    @pytest.mark.parametrize("chunk", [None, 7, 100])
+    def test_chunked_check_matches_one_stacked_call(self, monkeypatch,
+                                                    reg_gaussian, rng, chunk):
+        """No map call sees more than _GRID_CHUNK points, and the report is
+        the one a single call over the whole grid gives."""
+        reg = regression_moment_model(
+            reg_gaussian, random_dataset(rng, 50, 10),
+            projected_mt_function(reg_gaussian, 2.0), bounds=1.0, grid_size=6)
+        cases = ((first_coordinate_model(25), np.array([0.5, 0.5])),
+                 (reg, np.zeros(4)))
+        if chunk is None:   # the default chunk: several, the last partial
+            assert 6 ** 4 // estimator._GRID_CHUNK == 2
+        for mm, theta0 in cases:
+            monkeypatch.setattr(estimator, "_GRID_CHUNK", 10 ** 9)
+            whole = check_identifiability(mm, theta0)
+            monkeypatch.undo()
+            if chunk is not None:
+                monkeypatch.setattr(estimator, "_GRID_CHUNK", chunk)
+            sizes = []
+            for name in ("mt_mean", "mt_cov"):
+                def recorded(theta, fn=getattr(mm, name)):
+                    sizes.append(int(np.prod(np.shape(theta)[:-1])))
+                    return fn(theta)
+                setattr(mm, name, recorded)
+            report = check_identifiability(mm, theta0)
+            n_points = len(mm.space.grid_points())
+            assert max(sizes) <= estimator._GRID_CHUNK < n_points
+            assert report.n_checked == whole.n_checked == n_points
+            assert len(report.flagged) == len(whole.flagged)
+            for (th, md, cd), (th_w, md_w, cd_w) in zip(report.flagged,
+                                                        whole.flagged):
+                np.testing.assert_array_equal(th, th_w)
+                assert (md, cd) == (md_w, cd_w)
+        assert len(whole.flagged) == 0
+        assert len(check_identifiability(*cases[0]).flagged) == 24
+
     def test_doa_grid_clean(self, ula_gaussian):
         x = synthesize_doa(4, 0.3, 1.0, ula_gaussian.noise, 500,
                            stream_rng(23, 0))
