@@ -222,6 +222,7 @@ def check_identifiability(model: ParametricMomentModel, theta0,
 
     A collision (both the mean and covariance distances below ``tol``) at
     theta != theta0 means the fit objective cannot separate the two points.
+    The maps see _GRID_CHUNK points per call, as in the grid search.
     """
     theta0 = np.asarray(theta0, dtype=float).ravel()
     points = model.space.grid_points() if grid is None else np.atleast_2d(grid)
