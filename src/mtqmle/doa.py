@@ -39,8 +39,8 @@ class ULAModel:
     sigma2_s: float
     noise: NoiseSpec
     delta: float = _DEFAULT_DELTA
-    _scanners: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.p < 2:
@@ -62,14 +62,17 @@ class ULAModel:
         lo, hi = self.theta_bounds
         return np.linspace(lo, hi, k_theta)
 
-    def _scan(self, k_theta: int = _DEFAULT_GRID):
-        """_scanner of the k_theta-point grid, built once per geometry."""
+    def _basis(self, k_theta: int = _DEFAULT_GRID) -> tuple:
+        """(k_theta-point grid, (G, 2p-1) real basis [1, 2 Re a_d, 2 Im a_d]
+        of its steering vectors), built once per geometry."""
         key = (self.p, self.delta, k_theta)
-        if key not in self._scanners:
+        if key not in self._bases:
             thetas = self.grid(k_theta)
             thetas.flags.writeable = False      # shared by every curve
-            self._scanners[key] = _scanner(thetas, self.p)
-        return self._scanners[key]
+            steer = steering_grid(thetas, self.p)[:, 1:]
+            self._bases[key] = thetas, np.hstack(
+                [np.ones((k_theta, 1)), 2.0 * steer.real, 2.0 * steer.imag])
+        return self._bases[key]
 
 
 def steering(theta: float, p: int, order: int = 0) -> np.ndarray:
@@ -105,32 +108,21 @@ class SpectrumCurve:
         return float(self.thetas[int(np.argmax(self.values))])
 
 
-def _scanner(thetas: np.ndarray, p: int):
-    """(mean, cov) -> SpectrumCurve of a^H C a over thetas, C = cov + mean
-    mean^H, in lag form: r_0 + 2 sum_d Re(r_d e^{i pi d sin theta}) with r_d
-    the sum of the d-th subdiagonal of C. The (G, 2p-1) real basis
-    [1, 2 Re a_d, 2 Im a_d] of the steering vectors is built once per call;
-    the scanner is a partial, so a ULAModel caching it still pickles."""
-    steer = steering_grid(thetas, p)[:, 1:]
-    basis = np.hstack([np.ones((thetas.size, 1)), 2.0 * steer.real,
-                       2.0 * steer.imag])
-    return functools.partial(_lag_scan, thetas, basis, p)
-
-
-def _lag_scan(thetas, basis, p, mean, cov) -> SpectrumCurve:
+def _lag_scan(thetas, basis, mean, cov) -> SpectrumCurve:
+    """a^H C a over thetas, C = cov + mean mean^H, in lag form: r_0 + 2 sum_d
+    Re(r_d e^{i pi d sin theta}) with r_d the sum of the d-th subdiagonal of
+    C; basis is ULAModel._basis's."""
     c_hat = hermitize(cov + np.outer(mean, mean.conj()))
-    lags = np.array([np.trace(c_hat, offset=-d) for d in range(p)])
+    lags = np.array([np.trace(c_hat, offset=-d) for d in range(len(mean))])
     values = basis @ np.concatenate([lags.real, lags[1:].imag])
     return SpectrumCurve(thetas=thetas, values=values)
 
 
-def mt_spectrum(data, model: ULAModel, omega: float, grid: np.ndarray = None,
+def mt_spectrum(data, model: ULAModel, omega: float,
                 k_theta: int = _DEFAULT_GRID) -> SpectrumCurve:
-    """Reweighted spatial spectrum over grid, else the k_theta-point grid."""
-    scan = (model._scan(k_theta) if grid is None
-            else _scanner(np.asarray(grid, dtype=float), model.p))
+    """Reweighted spatial spectrum over the k_theta-point grid."""
     m = empirical_mt_moments(data, gaussian_mt_function(omega))
-    return scan(m.mt_mean, m.mt_cov)
+    return _lag_scan(*model._basis(k_theta), m.mt_mean, m.mt_cov)
 
 
 def estimate_doa(data, model: ULAModel, omega: float,
@@ -142,7 +134,7 @@ def estimate_doa(data, model: ULAModel, omega: float,
 def bartlett_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID) -> float:
     """Constant-weight (classical Bartlett) scan over the same grid."""
     m = empirical_mt_moments(data, constant_mt_function())
-    return model._scan(k_theta)(m.mt_mean, m.mt_cov).argmax_theta
+    return _lag_scan(*model._basis(k_theta), m.mt_mean, m.mt_cov).argmax_theta
 
 
 def _h_factor(p: int, s_abs2, nu2, omega2):
@@ -203,13 +195,17 @@ def _slope_curvature(x: np.ndarray, theta: float, p: int) -> tuple:
 
 def _empirical_mse(alpha: np.ndarray, beta: np.ndarray, scaled) -> float:
     """sum u^2 alpha^2 / (sum u beta)^2 over the samples of nonzero weight,
-    whose statistics stay finite; scaled is u up to a common factor."""
+    whose statistics stay finite; scaled is u up to a common factor. alpha
+    and the curvature sum are divided by the sum's power of two before they
+    are squared: exact, so the squares stay finite on scaled-up data."""
     with np.errstate(over="ignore", invalid="ignore"):
         denom = float(np.sum(np.where(scaled > 0, beta * scaled, 0.0)))
+        if denom == 0.0 or not np.isfinite(denom):
+            raise SingularMatrix("degenerate curvature")
+        mant, exp = np.frexp(denom)
+        alpha = np.ldexp(alpha, -exp)
         num = float(np.sum(np.where(scaled > 0, alpha ** 2 * scaled ** 2, 0.0)))
-    if denom == 0.0 or not np.isfinite(denom):
-        raise SingularMatrix("degenerate curvature")
-    return num / denom ** 2
+    return num / float(mant) ** 2
 
 
 def empirical_asymptotic_mse_doa(data, model: ULAModel, theta_hat: float,
@@ -240,7 +236,7 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
     x = as_dataset(data)
     norms = squared_norms(x)
     lags = _lag_table(x, norms)
-    thetas, basis, _ = model._scan(k_theta).args
+    thetas, basis = model._basis(k_theta)
     stats = {}
 
     def fit(omega: float) -> tuple:
@@ -312,8 +308,8 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     """
     p = model.p
     moments = empirical_mt_moments(data, gaussian_mt_function(omega))
-    scan = model._scan(k_theta)
-    theta_ref = scan(moments.mt_mean, moments.mt_cov).argmax_theta
+    basis = model._basis(k_theta)
+    theta_ref = _lag_scan(*basis, moments.mt_mean, moments.mt_cov).argmax_theta
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)
     eye = np.eye(p)
 
@@ -335,7 +331,7 @@ def doa_moment_model(model: ULAModel, data, omega: float,
         return block[None, None]
 
     def solver(mom):
-        return np.array([scan(mom.mt_mean, mom.mt_cov).argmax_theta])
+        return np.array([_lag_scan(*basis, mom.mt_mean, mom.mt_cov).argmax_theta])
 
     lo, hi = model.theta_bounds
     space = ParameterSpace(lower=[lo], upper=[hi], grid_sizes=k_theta)

@@ -114,13 +114,6 @@ def _least_squares(model: RegressionModel, mean: np.ndarray) -> np.ndarray:
     return realify(np.linalg.solve(model.aha, model.a_matrix.conj().T @ mean))
 
 
-def mt_gqmle_regression(data, model: RegressionModel, omega: float
-                        ) -> np.ndarray:
-    """Closed-form estimate: realified (A^H A)^-1 A^H mu_hat^(u)."""
-    mean = empirical_mt_moments(data, projected_mt_function(model, omega)).mt_mean
-    return _least_squares(model, mean)
-
-
 def gqmle_regression(data, model: RegressionModel) -> np.ndarray:
     """Unweighted limit: least squares on the plain sample mean."""
     return _least_squares(model, as_dataset(data).mean(axis=0))
@@ -176,6 +169,13 @@ def mt_fitter_regression(data, model: RegressionModel):
         return _least_squares(model, mean), num / np.sum(scaled) ** 2
 
     return fit
+
+
+def mt_gqmle_regression(data, model: RegressionModel, omega: float
+                        ) -> np.ndarray:
+    """Closed-form estimate realified (A^H A)^-1 A^H mu_hat^(u), the first
+    output of the fitter."""
+    return mt_fitter_regression(data, model)(omega)[0]
 
 
 def empirical_asymptotic_mse_regression(data, model: RegressionModel,

@@ -71,14 +71,14 @@ class TestSpectrum:
         theta_star = 0.42
         x = np.tile(2.0 * steering(theta_star, 4), (50, 1))
         grid = ula_gaussian.grid(2001)
-        curve = mt_spectrum(x, ula_gaussian, 3.0, grid)
+        curve = mt_spectrum(x, ula_gaussian, 3.0, k_theta=2001)
         step = grid[1] - grid[0]
         assert abs(curve.argmax_theta - theta_star) <= step / 2
 
     def test_constant_weight_limit_is_bartlett(self, ula_gaussian):
         x = make_doa_data(ula_gaussian, 400, 50)
         grid = ula_gaussian.grid(501)
-        wide = mt_spectrum(x, ula_gaussian, 1e6, grid)
+        wide = mt_spectrum(x, ula_gaussian, 1e6, k_theta=501)
         c_hat = sample_covariance(x) + np.outer(sample_mean(x),
                                                 sample_mean(x).conj())
         steer = steering_grid(grid, 4)
@@ -95,7 +95,7 @@ class TestSpectrum:
         steer = steering_grid(grid, 4)
         complex_vals = np.einsum("ki,ij,kj->k", steer.conj(), c_hat, steer)
         assert np.max(np.abs(complex_vals.imag) / np.abs(complex_vals)) < 1e-10
-        curve = mt_spectrum(x, ula_k, 4.0, grid)
+        curve = mt_spectrum(x, ula_k, 4.0, k_theta=301)
         np.testing.assert_allclose(curve.values, complex_vals.real, rtol=1e-12)
 
 
@@ -107,11 +107,12 @@ def _einsum_spectrum(c_hat, grid, p):
 class TestLagFormSpectrum:
     @pytest.mark.parametrize("p", [2, 3, 4, 7])
     def test_matches_steering_einsum(self, rng, p):
-        grid = np.linspace(-np.pi / 2, np.pi / 2, 997)
+        model = ULAModel(p, 1.0, NoiseSpec("gaussian", 1.0, p))
+        grid, basis = model._basis(997)
         for _ in range(5):
             mean = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             cov = random_pd(rng, p)
-            lag = doa._scanner(grid, p)(mean, cov)
+            lag = doa._lag_scan(grid, basis, mean, cov)
             oracle = _einsum_spectrum(cov + np.outer(mean, mean.conj()),
                                       grid, p)
             np.testing.assert_allclose(lag.values, oracle, rtol=1e-10)
@@ -129,21 +130,27 @@ class TestLagFormSpectrum:
 
 
 @pytest.fixture
-def scanner_builds(monkeypatch):
-    """Counts the spectrum bases built through doa._scanner."""
+def basis_builds(monkeypatch):
+    """Counts the spectrum bases built, one doa.steering_grid call each."""
     built = []
-    real = doa._scanner
+    real = doa.steering_grid
 
     def counting(thetas, p):
         built.append((thetas.size, p))
         return real(thetas, p)
 
-    monkeypatch.setattr(doa, "_scanner", counting)
+    monkeypatch.setattr(doa, "steering_grid", counting)
     return built
 
 
+def _fresh_scan(model, k_theta, mean, cov):
+    """The spectrum through a basis built anew, outside model's cache."""
+    return doa._lag_scan(*dataclasses.replace(model)._basis(k_theta), mean,
+                         cov)
+
+
 class TestScannerCache:
-    def test_one_basis_per_model_and_grid(self, ula_k, scanner_builds):
+    def test_one_basis_per_model_and_grid(self, ula_k, basis_builds):
         x = make_doa_data(ula_k, 200, 3)
         for k_theta in (101, 101, 401):
             estimate_doa(x, ula_k, 3.0, k_theta)
@@ -152,28 +159,29 @@ class TestScannerCache:
             fit(2.0), fit(5.0)
             doa_moment_model(ula_k, x, 3.0, k_theta=k_theta)
             mt_spectrum(x, ula_k, 3.0, k_theta=k_theta)
-        assert scanner_builds == [(101, 4), (401, 4)]
+        assert basis_builds == [(101, 4), (401, 4)]
         estimate_doa(x, ULAModel(4, 1.0, ula_k.noise, ula_k.delta), 3.0, 101)
-        assert scanner_builds == [(101, 4), (401, 4), (101, 4)]
+        assert basis_builds == [(101, 4), (401, 4), (101, 4)]
 
-    def test_geometry_change_rebuilds(self, ula_k, scanner_builds):
+    def test_geometry_change_rebuilds(self, ula_k, basis_builds):
         x = make_doa_data(ula_k, 200, 4)
         estimate_doa(x, ula_k, 3.0, 101)
         ula_k.delta = 0.3
         theta = estimate_doa(x, ula_k, 3.0, 101)
-        assert len(scanner_builds) == 2
-        assert theta == doa._scanner(ula_k.grid(101), 4)(
-            *_gaussian_moments(x, 3.0)).argmax_theta
+        assert len(basis_builds) == 2
+        curve = _fresh_scan(ula_k, 101, *_gaussian_moments(x, 3.0))
+        assert theta == curve.argmax_theta
+        assert np.array_equal(curve.thetas, ula_k.grid(101))
 
     def test_not_in_eq_repr_or_replace(self, ula_k):
         fresh = ULAModel(4, 1.0, ula_k.noise, ula_k.delta)
         before = repr(ula_k)
         estimate_doa(make_doa_data(ula_k, 50, 5), ula_k, 3.0, 101)
-        assert ula_k._scanners and not fresh._scanners
+        assert ula_k._bases and not fresh._bases
         assert ula_k == fresh and repr(ula_k) == repr(fresh) == before
         copy = dataclasses.replace(ula_k)
-        assert copy == ula_k and copy._scanners == {}
-        assert copy._scanners is not ula_k._scanners
+        assert copy == ula_k and copy._bases == {}
+        assert copy._bases is not ula_k._bases
 
     def test_model_with_a_cache_pickles(self, ula_k):
         x = make_doa_data(ula_k, 100, 8)
@@ -187,7 +195,8 @@ class TestScannerCache:
         for stream in range(3):
             x = make_doa_data(ula_k, 300, 20 + stream)
             for omega in (2.0, 8.0):
-                fresh = doa._scanner(grid, 4)(*_gaussian_moments(x, omega))
+                fresh = _fresh_scan(ula_k, k_theta,
+                                    *_gaussian_moments(x, omega))
                 assert estimate_doa(x, ula_k, omega, k_theta) == \
                     fresh.argmax_theta
                 assert mt_fitter_doa(x, ula_k, k_theta)(omega)[0] == \
@@ -198,22 +207,13 @@ class TestScannerCache:
                 mm = doa_moment_model(ula_k, x, omega, k_theta=k_theta)
                 assert mm.info["theta_ref"] == fresh.argmax_theta
             mom = empirical_mt_moments(x, constant_mt_function())
-            assert bartlett_doa(x, ula_k, k_theta) == \
-                doa._scanner(grid, 4)(mom.mt_mean, mom.mt_cov).argmax_theta
+            assert bartlett_doa(x, ula_k, k_theta) == _fresh_scan(
+                ula_k, k_theta, mom.mt_mean, mom.mt_cov).argmax_theta
 
     def test_cached_grid_is_read_only(self, ula_k):
         curve = mt_spectrum(make_doa_data(ula_k, 50, 6), ula_k, 3.0, k_theta=101)
         with pytest.raises(ValueError):
             curve.thetas[0] = 0.0
-
-    def test_explicit_grid_bypasses_cache(self, ula_k, scanner_builds):
-        x = make_doa_data(ula_k, 100, 7)
-        grid = ula_k.grid(101)
-        first = mt_spectrum(x, ula_k, 3.0, grid)
-        second = mt_spectrum(x, ula_k, 3.0, grid)
-        assert len(scanner_builds) == 2 and ula_k._scanners == {}
-        assert first.thetas is grid and np.array_equal(first.values,
-                                                       second.values)
 
 
 def _gaussian_moments(x, omega):
@@ -232,10 +232,10 @@ class TestEstimate:
         assert abs(got - theta_star) <= step
 
     def test_two_point_grid_picks_higher(self, ula_gaussian):
-        x = np.tile(steering(0.5, 4), (20, 1))
-        grid = np.array([0.45, 0.55])
-        curve = mt_spectrum(x, ula_gaussian, 5.0, grid)
-        assert curve.argmax_theta == grid[int(np.argmax(curve.values))]
+        x = np.tile(steering(1.5, 4), (20, 1))
+        curve = mt_spectrum(x, ula_gaussian, 5.0, k_theta=2)
+        assert curve.values[1] > curve.values[0]
+        assert curve.argmax_theta == curve.thetas[1]
 
     def test_k_noise_low_snr_recovery(self, ula_k):
         n, k_theta = 5000, 2001
@@ -435,7 +435,7 @@ class TestLagRoute:
         eye = np.eye(2 * p - 1)     # a basis that returns the lag vector itself
         for omega in (1.0, 3.0, 10.0, 1e6):
             mom = empirical_mt_moments(x, gaussian_mt_function(omega))
-            lags = doa._lag_scan(None, eye, p, mom.mt_mean, mom.mt_cov).values
+            lags = doa._lag_scan(None, eye, mom.mt_mean, mom.mt_cov).values
             np.testing.assert_allclose(mom.weights @ table, lags, rtol=1e-12)
 
     def test_fit_equals_public_functions_on_shipped_shape(self):

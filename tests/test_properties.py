@@ -39,7 +39,8 @@ def doa_data(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("c", [2.0 ** -20, 0.25, 8.0, 2.0 ** 30])
+@pytest.mark.parametrize("c", [2.0 ** -20, 0.25, 8.0, 2.0 ** 30, 2.0 ** 255,
+                               2.0 ** 300])
 def test_power_of_two_rescaling(seed, c):
     """(x, omega) -> (c x, c omega): alpha_hat -> c alpha_hat and its MSE
     -> c^2 MSE; the DOA theta_hat and its MSE do not move."""
