@@ -11,7 +11,6 @@ from .asymptotics import (
     SandwichMatrices,
     SelectionResult,
     fisher_information,
-    gamma_u,
     influence,
     log_phi_u,
     psi_u,
@@ -66,7 +65,6 @@ __all__ = [
     "estimate_mt_gqmle",
     "finite_diff_moment_derivatives",
     "fisher_information",
-    "gamma_u",
     "gaussian_mt_function",
     "influence",
     "log_det_divergence",

@@ -30,7 +30,7 @@ import numpy as np
 from .core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from .estimator import EstimationResult, ParametricMomentModel, estimate_mt_gqmle
 from .exceptions import DegenerateWeights, NotPositiveDefinite, SingularMatrix
-from .transform import MTFunction, _weights
+from .transform import MTFunction, _fit_weights, _weights
 
 _COND_LIMIT = 1e14
 _FD_STEP = 1e-5
@@ -141,11 +141,6 @@ def gamma_u_batch(data, theta, model: ParametricMomentModel) -> np.ndarray:
     model carries second derivatives, else central differences of the score."""
     theta = np.asarray(theta, dtype=float).ravel()
     return _psi_gamma(as_dataset(data), theta, model)[1]
-
-
-def gamma_u(x, theta, model: ParametricMomentModel) -> np.ndarray:
-    return gamma_u_batch(np.atleast_2d(np.asarray(x, dtype=complex)), theta,
-                         model)[0]
 
 
 @dataclass
@@ -272,11 +267,13 @@ def select_mt_parameter(data, family: Callable[[float], MTFunction],
                         ) -> SelectionResult:
     """``select_by_trace`` with the sandwich MSE of a full re-estimate of
     theta on the same dataset for every candidate omega; ``model(x, u)``
-    builds the moment model for each candidate weight."""
+    builds the moment model for each candidate weight. A candidate whose
+    effective sample size is below _ESS_FLOOR raises DegenerateWeights."""
     x = as_dataset(data)
 
     def fit(omega):
         u = family(omega)
+        _fit_weights(u.log_weights(x))
         model_i = model(x, u)
         est = estimate_mt_gqmle(x, u, model_i)
         return est, sandwich(x, est.theta, model_i, u).c_hat

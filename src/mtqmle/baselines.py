@@ -19,17 +19,9 @@ from .regression import RegressionModel, gqmle_regression, realify
 GAMMA_ERFINV = 1.0 / special.erfinv(0.75)
 GAMMA_NORMAL_QUARTILE = 1.0 / (np.sqrt(2.0) * special.erfinv(0.5))
 
-
-@dataclass
-class FixedPointConfig:
-    max_iter: int = 100
-    rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+# Fixed-point budget and relative step that counts as converged.
+_MAX_ITER = 100
+_REL_TOL = 1e-6
 
 
 @dataclass
@@ -70,7 +62,6 @@ def mad_scale(data, gamma: float = GAMMA_ERFINV) -> float:
 
 def _fixed_point(x: np.ndarray, model: RegressionModel,
                  weight_fn: Callable[[np.ndarray], np.ndarray],
-                 config: FixedPointConfig,
                  objective_fn: Optional[Callable[[np.ndarray], float]] = None
                  ) -> BaselineResult:
     """alpha <- (A^H A)^-1 A^H (sum_n w_n x_n / sum_n w_n) until relative
@@ -82,7 +73,7 @@ def _fixed_point(x: np.ndarray, model: RegressionModel,
     converged = False
     it = 0
     path = []
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         resid = np.linalg.norm(x - (a @ alpha)[None, :], axis=1)
         if objective_fn is not None:
             path.append(objective_fn(resid))
@@ -94,7 +85,7 @@ def _fixed_point(x: np.ndarray, model: RegressionModel,
         denom = np.linalg.norm(alpha)
         step = np.linalg.norm(alpha_new - alpha)
         alpha = alpha_new
-        if denom > 0 and step / denom < config.rel_tol:
+        if denom > 0 and step / denom < _REL_TOL:
             converged = True
             break
         if denom == 0.0 and step == 0.0:
@@ -123,31 +114,25 @@ def tukey_loss(r: np.ndarray, c: float) -> np.ndarray:
 
 
 def tukey_m_estimator(data, model: RegressionModel, c: float,
-                      config: Optional[FixedPointConfig] = None,
                       gamma: float = GAMMA_ERFINV) -> BaselineResult:
     """Tukey bi-square fixed point with residuals normalized by the MAD scale."""
     x = as_dataset(data)
-    config = config or FixedPointConfig()
     sigma = mad_scale(x, gamma=gamma)
     return _fixed_point(
-        x, model, lambda r: tukey_weights(r / sigma, c), config,
+        x, model, lambda r: tukey_weights(r / sigma, c),
         objective_fn=lambda r: float(np.sum(tukey_loss(r / sigma, c))))
 
 
-def mle_t_noise(data, model: RegressionModel, lam: float,
-                sigma2_z: Optional[float] = None,
-                config: Optional[FixedPointConfig] = None) -> BaselineResult:
+def mle_t_noise(data, model: RegressionModel, lam: float) -> BaselineResult:
     """Maximum likelihood under t-distributed noise via the same fixed point
-    with weights (1 + 2 r^2 / (lam sigma2))^-1."""
+    with weights (1 + 2 r^2 / (lam sigma2))^-1, sigma2 the model's noise
+    power."""
     if not lam > 0:
         raise ValueError("lam must be positive")
     x = as_dataset(data)
-    config = config or FixedPointConfig()
-    s2 = model.sigma2_z if sigma2_z is None else float(sigma2_z)
-    if not s2 > 0:
-        raise ValueError("sigma2_z must be positive")
+    s2 = model.sigma2_z
     return _fixed_point(
-        x, model, lambda r: 1.0 / (1.0 + 2.0 * r ** 2 / (lam * s2)), config,
+        x, model, lambda r: 1.0 / (1.0 + 2.0 * r ** 2 / (lam * s2)),
         objective_fn=lambda r: float(
             np.sum(np.log1p(2.0 * r ** 2 / (lam * s2)))))
 
@@ -181,22 +166,22 @@ def are_tukey(c: float, p: int) -> float:
     return (2.0 * t_lin / (c ** 2 * p) - t_sq) ** 2 / denom
 
 
-def tune_c_for_are(target: float, p: int, tol: float = 1e-4,
-                   c_min: float = 0.5, c_max: float = 1e3) -> float:
-    """Bisection on the monotone ARE curve to |ARE - target| < tol."""
+def tune_c_for_are(target: float, p: int) -> float:
+    """Bisection on the monotone ARE curve over c in [0.5, 1e3] to
+    |ARE - target| < 1e-4."""
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie in (0, 1)")
-    lo, hi = c_min, c_min * 2.0
+    lo, hi = 0.5, 1.0
     if are_tukey(lo, p) > target:
-        raise ValueError(f"target {target} unreachable above c_min={c_min}")
+        raise ValueError(f"target {target} unreachable above c = 0.5")
     while are_tukey(hi, p) < target:
         hi *= 2.0
-        if hi > c_max:
-            raise ValueError(f"target {target} unreachable below c_max={c_max}")
+        if hi > 1e3:
+            raise ValueError(f"target {target} unreachable below c = 1e3")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = are_tukey(mid, p)
-        if abs(val - target) < tol:
+        if abs(val - target) < 1e-4:
             return mid
         if val < target:
             lo = mid

@@ -44,22 +44,14 @@ def sample_mean(data) -> np.ndarray:
     return x.mean(axis=0)
 
 
-def sample_covariance(data, unbiased: bool = False) -> np.ndarray:
-    """Sample covariance matrix about the sample mean.
-
-    The biased form divides by n; ``unbiased=True`` multiplies by n/(n-1).
-    """
+def sample_covariance(data) -> np.ndarray:
+    """Biased sample covariance (1/n) sum_i (x_i - mean)(x_i - mean)^H."""
     x = as_dataset(data)
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty dataset")
-    if unbiased and n < 2:
-        raise ValueError("unbiased covariance needs at least 2 samples")
     xc = x - x.mean(axis=0)
-    cov = xc.T @ xc.conj() / n
-    if unbiased:
-        cov = cov * (n / (n - 1))
-    return hermitize(cov)
+    return hermitize(xc.T @ xc.conj() / n)
 
 
 def cholesky_pd(a: np.ndarray) -> np.ndarray:

@@ -60,16 +60,16 @@ class ParameterSpace:
         """All grid points, shape (prod(grid_sizes), dim), lowest index first."""
         return np.array(list(itertools.product(*self.axes())))
 
-    def contains(self, theta, atol: float = 1e-12) -> bool:
+    def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float).ravel()
-        return bool(np.all(theta >= self.lower - atol)
-                    and np.all(theta <= self.upper + atol))
+        return bool(np.all(theta >= self.lower - 1e-12)
+                    and np.all(theta <= self.upper + 1e-12))
 
-    def on_boundary(self, theta, rtol: float = 1e-9) -> bool:
+    def on_boundary(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float).ravel()
-        span = np.maximum(self.upper - self.lower, 1e-300)
-        return bool(np.any((theta - self.lower) <= rtol * span)
-                    or np.any((self.upper - theta) <= rtol * span))
+        tol = 1e-9 * np.maximum(self.upper - self.lower, 1e-300)
+        return bool(np.any((theta - self.lower) <= tol)
+                    or np.any((self.upper - theta) <= tol))
 
 
 @dataclass
@@ -215,17 +215,17 @@ class IdentifiabilityReport:
         return not self.flagged
 
 
-def check_identifiability(model: ParametricMomentModel, theta0,
-                          grid: Optional[np.ndarray] = None,
-                          tol: float = 1e-8) -> IdentifiabilityReport:
-    """Flag grid points whose model moments collide with those at theta0.
+def check_identifiability(model: ParametricMomentModel, theta0
+                          ) -> IdentifiabilityReport:
+    """Flag points of the model's grid whose moments collide with those at
+    theta0.
 
-    A collision (both the mean and covariance distances below ``tol``) at
+    A collision (both the mean and covariance distances below 1e-8) at
     theta != theta0 means the fit objective cannot separate the two points.
     The maps see _GRID_CHUNK points per call, as in the grid search.
     """
     theta0 = np.asarray(theta0, dtype=float).ravel()
-    points = model.space.grid_points() if grid is None else np.atleast_2d(grid)
+    points = model.space.grid_points()
     chunks = np.split(points, range(_GRID_CHUNK, len(points), _GRID_CHUNK))
     mean0, cov0 = model.mt_mean(theta0), model.mt_cov(theta0)
     mean_dist = np.concatenate([np.linalg.norm(model.mt_mean(c) - mean0,
@@ -233,7 +233,7 @@ def check_identifiability(model: ParametricMomentModel, theta0,
     cov_dist = np.concatenate([np.linalg.norm(model.mt_cov(c) - cov0,
                                               axis=(-2, -1)) for c in chunks])
     hit = ((np.linalg.norm(points - theta0, axis=-1) >= 1e-12)
-           & (mean_dist < tol) & (cov_dist < tol))
+           & (mean_dist < 1e-8) & (cov_dist < 1e-8))
     flagged = list(zip(points[hit], mean_dist[hit].tolist(),
                        cov_dist[hit].tolist()))
     return IdentifiabilityReport(flagged=flagged, n_checked=len(points))

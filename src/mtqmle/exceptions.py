@@ -6,7 +6,7 @@ class NotPositiveDefinite(ValueError):
 
 
 class DegenerateWeights(ValueError):
-    """Every sample weight vanished; the weight function annihilates the sample."""
+    """Every sample weight vanished, or too few samples carry the weight to fit."""
 
 
 class SingularMatrix(ValueError):

@@ -20,6 +20,9 @@ from .exceptions import DegenerateWeights, NotPositiveDefinite
 # Weights below this are counted as numerically annihilated in diagnostics.
 _TINY_WEIGHT = 1e-300
 _ESS_WARN = 10.0
+# Least Kish ESS 1 / sum phi^2 of a selectable width: below 2, x_n - mu_hat
+# vanishes with the dominant sample, and so does the empirical MSE.
+_ESS_FLOOR = 2.0
 
 
 class MTFunction:
@@ -34,21 +37,18 @@ class MTFunction:
     log_fn : callable
         Maps an (n, p) complex array to the (n,) array of log-weights
         (-inf encodes a zero weight).
-    family : str
-        Family label, e.g. "constant", "gaussian".
     params : dict
         Parameter values describing the member of the family.
     """
 
     def __init__(self, log_fn: Callable[[np.ndarray], np.ndarray],
-                 family: str = "custom", params: Optional[dict] = None):
+                 params: Optional[dict] = None):
         self._log_fn = log_fn
-        self.family = family
         self.params = dict(params or {})
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
-        return f"MTFunction({self.family}{', ' + inner if inner else ''})"
+        return f"MTFunction({inner})"
 
     def log_weights(self, data) -> np.ndarray:
         x = as_dataset(data)
@@ -64,8 +64,7 @@ class MTFunction:
         return np.exp(self.log_weights(data))
 
     @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray],
-                      family: str = "custom", params: Optional[dict] = None
+    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray]
                       ) -> "MTFunction":
         """Wrap a plain (vectorized, nonnegative) weight evaluator."""
 
@@ -76,12 +75,12 @@ class MTFunction:
             with np.errstate(divide="ignore"):
                 return np.log(u)
 
-        return cls(log_fn, family=family, params=params)
+        return cls(log_fn)
 
 
 def constant_mt_function() -> MTFunction:
     """u(x) = 1, reproducing the unweighted sample moments."""
-    return MTFunction(lambda x: np.zeros(x.shape[0]), family="constant")
+    return MTFunction(lambda x: np.zeros(x.shape[0]))
 
 
 def width_squared(omega) -> float:
@@ -100,7 +99,7 @@ def gaussian_mt_function(width: float) -> MTFunction:
     """Zero-centered Gaussian weight u(x) = exp(-||x||^2 / width^2)."""
     width_squared(width)
     return MTFunction(lambda x: gaussian_log_weights(squared_norms(x), width),
-                      family="gaussian", params={"width": float(width)})
+                      params={"width": float(width)})
 
 
 def squared_norms(x: np.ndarray, projector=None) -> np.ndarray:
@@ -145,6 +144,14 @@ def _weights(lw: np.ndarray) -> tuple:
     return w, w / w.sum()
 
 
+def _fit_weights(lw: np.ndarray, ess_floor: float = _ESS_FLOOR) -> tuple:
+    """_weights; DegenerateWeights also when 1 / sum phi^2 < ess_floor."""
+    w, phi = _weights(lw)
+    if 1.0 / (phi @ phi) < ess_floor:
+        raise DegenerateWeights(f"effective sample size below {ess_floor:g}")
+    return w, phi
+
+
 def mt_weights(data, u: MTFunction) -> np.ndarray:
     """Normalized weights u(x_n) / sum_m u(x_m).
 
@@ -174,7 +181,8 @@ def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:
 
     Reports the empirical mean of u, the fraction of numerically annihilated
     samples, and the effective sample size 1 / sum phi^2 (n for constant u,
-    about 1 when a single sample dominates).
+    about 1 when a single sample dominates). A width selection refuses
+    widths below _ESS_FLOOR = 2 with DegenerateWeights.
     """
     lw = u.log_weights(data)
     notes = []

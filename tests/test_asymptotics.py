@@ -6,7 +6,6 @@ import pytest
 from mtqmle import asymptotics
 from mtqmle.asymptotics import (
     fisher_information,
-    gamma_u,
     gamma_u_batch,
     influence,
     log_phi_u,
@@ -35,8 +34,8 @@ from mtqmle.regression import (
     unrealify,
 )
 from mtqmle.samplers import stream_rng, synthesize_doa, synthesize_regression
-from mtqmle.transform import (MTFunction, constant_mt_function,
-                              gaussian_mt_function)
+from mtqmle.transform import (MTFunction, check_mt_condition,
+                              constant_mt_function, gaussian_mt_function)
 
 from conftest import THETA0_REG, dense_psi_gamma, random_dataset, random_pd
 
@@ -151,7 +150,7 @@ class TestHessian:
             d2_mean=lambda th: np.zeros((1, 1, 2), dtype=complex),
             d2_cov=lambda th: np.zeros((1, 1, 2, 2), dtype=complex),
             space=space)
-        g = gamma_u(np.array([1.0 + 1j, 2.0]), [0.0], mm)
+        g = gamma_u_batch(np.array([1.0 + 1j, 2.0])[None], [0.0], mm)[0]
         assert np.abs(g).max() == 0.0
 
     def test_regression_hessian_constant_in_x(self, reg_gaussian):
@@ -174,7 +173,7 @@ class TestHessian:
         mm = doa_moment_model(ula_gaussian, x, 3.0, k_theta=721)
         theta = np.array([rng.uniform(-1.0, 1.0)])
         point = x[rng.integers(0, x.shape[0])]
-        g = gamma_u(point, theta, mm)
+        g = gamma_u_batch(point[None], theta, mm)[0]
         h = 1e-5 * (1.0 + abs(theta[0]))
         fd = (psi_u(point, theta + h, mm) - psi_u(point, theta - h, mm)) / (2 * h)
         assert abs(g[0, 0] - fd[0]) / max(abs(fd[0]), 1e-12) < 1e-4
@@ -493,10 +492,23 @@ class TestSelection:
         limit = np.trace(gaussian_crlb_regression(reg_gaussian, 1000))
         assert traces[-1] == pytest.approx(limit, rel=0.01)
 
+    def test_refuses_collapsed_widths(self, reg_gaussian):
+        """At 0 dB (seed 77, n = 300) the widths 0.02 and 0.05 leave fewer
+        than 2 effective samples: the rule must not pick them for their
+        vanishing sandwich trace (below 1e-30)."""
+        x = make_regression_data(reg_gaussian, 300, 77)
+        family = lambda om: projected_mt_function(reg_gaussian, om)
+        sel = select_mt_parameter(
+            x, family, [0.02, 0.05, 1.0, 5.0],
+            lambda data, u: regression_moment_model(reg_gaussian, data, u))
+        assert np.isnan(sel.traces[:2]).all()
+        assert check_mt_condition(x, family(sel.omega_opt)).ess >= 2.0
+        assert np.nanmin(sel.traces) > 1e-6
+
     def test_all_degenerate_raises(self, reg_t):
         x = make_regression_data(reg_t, 100, 18)
         zero_family = lambda om: MTFunction.from_callable(
-            lambda d: np.zeros(d.shape[0]), family="zero")
+            lambda d: np.zeros(d.shape[0]))
         with pytest.raises(DegenerateWeights, match="all grid points"):
             select_mt_parameter(
                 x, zero_family, [1.0, 2.0],

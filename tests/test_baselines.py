@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy import special
 
+from mtqmle import baselines
 from mtqmle.baselines import (
     GAMMA_ERFINV,
     GAMMA_NORMAL_QUARTILE,
-    FixedPointConfig,
     are_tukey,
     least_squares,
     mad_scale,
@@ -139,10 +139,10 @@ class TestTukeyEstimator:
         with pytest.raises(ValueError, match="all samples rejected"):
             tukey_m_estimator(x, reg_gaussian, c=1e-9)
 
-    def test_nonconvergence_flagged(self, reg_t):
+    def test_nonconvergence_flagged(self, reg_t, monkeypatch):
         x = make_data(reg_t, 400, 86)
-        res = tukey_m_estimator(x, reg_t, c=6.2,
-                                config=FixedPointConfig(max_iter=1))
+        monkeypatch.setattr(baselines, "_MAX_ITER", 1)
+        res = tukey_m_estimator(x, reg_t, c=6.2)
         assert not res.converged and res.n_iter == 1
 
     def test_objective_path_mostly_monotone(self, reg_t):
@@ -161,7 +161,7 @@ class TestTukeyEstimator:
 class TestTMLE:
     def test_noiseless(self, reg_gaussian, alpha0):
         x = np.tile(reg_gaussian.a_matrix @ alpha0, (30, 1))
-        res = mle_t_noise(x, reg_gaussian, lam=0.2, sigma2_z=1.0)
+        res = mle_t_noise(x, reg_gaussian, lam=0.2)
         np.testing.assert_allclose(res.theta, THETA0_REG, atol=1e-10)
 
     def test_large_dof_limit_is_least_squares(self, reg_gaussian):
@@ -200,8 +200,6 @@ class TestTMLE:
         x = make_data(reg_t, 50, 89)
         with pytest.raises(ValueError):
             mle_t_noise(x, reg_t, lam=-1.0)
-        with pytest.raises(ValueError):
-            mle_t_noise(x, reg_t, lam=0.2, sigma2_z=0.0)
 
 
 class TestARE:
@@ -225,10 +223,3 @@ class TestARE:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             tune_c_for_are(1.5, 10)
-
-
-def test_fixed_point_config_validation():
-    with pytest.raises(ValueError):
-        FixedPointConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        FixedPointConfig(rel_tol=0.0)

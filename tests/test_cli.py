@@ -58,6 +58,14 @@ def test_timing_command(tmp_path, capsys):
     assert "s/call" in printed
 
 
+def test_empty_sweep_values_return_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    code = main(["sweep", "--config", str(cfg), "--axis", "omega",
+                 "--values", ","])
+    assert code == 2
+    assert "--values is empty" in capsys.readouterr().err
+
+
 def test_bad_config_returns_nonzero(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"application": "teleportation"}))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ class TestParameterSpace:
             ParameterSpace([0.0], [np.inf], 3)
         with pytest.raises(ValueError):
             ParameterSpace([0.0], [1.0], 0)
+
+    @pytest.mark.parametrize("lower, upper, sizes", [
+        ([0.0, 0.0], [1.0, 1.0], [3, 3, 3]),
+        ([0.0], [1.0, 2.0], 3),
+    ])
+    def test_mismatched_lengths_rejected(self, lower, upper, sizes):
+        with pytest.raises(ValueError, match="sizes differ"):
+            ParameterSpace(lower, upper, sizes)
 
     def test_boundary_detection(self):
         space = ParameterSpace([0.0], [1.0], 11)
@@ -147,6 +157,13 @@ class TestEstimate:
         a = estimate_mt_gqmle(x, constant_mt_function(), mm)
         b = estimate_gqmle(x, mm)
         np.testing.assert_array_equal(a.theta, b.theta)
+
+    def test_solver_of_wrong_dimension_rejected(self):
+        model, x, u = small_regression_setup(seed=3)
+        mm = dataclasses.replace(regression_moment_model(model, x, u),
+                                 solver=lambda moments: np.zeros(3))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            estimate_mt_gqmle(x, u, mm)
 
     def test_noiseless_recovers_truth(self, reg_gaussian, alpha0):
         x = np.tile(reg_gaussian.a_matrix @ alpha0, (20, 1))
