@@ -30,9 +30,12 @@ import numpy as np
 from .core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from .estimator import EstimationResult, ParametricMomentModel, estimate_mt_gqmle
 from .exceptions import DegenerateWeights, NotPositiveDefinite, SingularMatrix
-from .transform import MTFunction, _fit_weights, _weights
+from .transform import MTFunction, _weights
 
 _COND_LIMIT = 1e14
+# Least Kish ESS 1 / sum phi^2 of a selectable width: below 2, x_n - mu_hat
+# vanishes with the dominant sample, and so does the sandwich MSE.
+_ESS_FLOOR = 2.0
 _FD_STEP = 1e-5
 
 
@@ -268,14 +271,17 @@ def select_mt_parameter(data, family: Callable[[float], MTFunction],
     """``select_by_trace`` with the sandwich MSE of a full re-estimate of
     theta on the same dataset for every candidate omega; ``model(x, u)``
     builds the moment model for each candidate weight. A candidate whose
-    effective sample size is below _ESS_FLOOR raises DegenerateWeights."""
+    fit's weights have an effective sample size below _ESS_FLOOR raises
+    DegenerateWeights."""
     x = as_dataset(data)
 
     def fit(omega):
         u = family(omega)
-        _fit_weights(u.log_weights(x))
         model_i = model(x, u)
         est = estimate_mt_gqmle(x, u, model_i)
+        phi = est.moments.weights
+        if 1.0 / (phi @ phi) < _ESS_FLOOR:
+            raise DegenerateWeights(f"ESS below {_ESS_FLOOR:g}")
         return est, sandwich(x, est.theta, model_i, u).c_hat
 
     return select_by_trace(omegas, fit)

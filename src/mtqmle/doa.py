@@ -19,7 +19,7 @@ from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
 from .exceptions import NotPositiveDefinite, SingularMatrix
 from .samplers import NoiseSpec, texture_expectation
-from .transform import (_ESS_FLOOR, _fit_weights, constant_mt_function,
+from .transform import (_weights, constant_mt_function,
                         empirical_mt_moments, gaussian_log_weights,
                         gaussian_mt_function, squared_norms, width_squared)
 
@@ -213,7 +213,7 @@ def empirical_asymptotic_mse_doa(data, model: ULAModel, theta_hat: float,
     """Empirical asymptotic MSE: sum u^2 alpha^2 / (sum u beta)^2 with the
     spectrum slope alpha and curvature beta statistics at theta_hat."""
     x = as_dataset(data)
-    scaled = _fit_weights(gaussian_log_weights(squared_norms(x), omega))[0]
+    scaled = _weights(gaussian_log_weights(squared_norms(x), omega))[0]
     return _empirical_mse(*_slope_curvature(x, theta_hat, model.p), scaled)
 
 
@@ -228,12 +228,11 @@ def _lag_table(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(norms)[:, None], table, 0.0)
 
 
-def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID,
-                  ess_floor: float = _ESS_FLOOR):
+def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
     """Per-dataset fitter: omega -> (estimate_doa, empirical_asymptotic_mse_doa
-    at it), refusing ESS < ess_floor. As sum phi = 1, C = cov + mean mean^H is
-    sum phi_n x_n x_n^H: a width needs only phi @ lag table. The norms, table
-    and basis are computed once per dataset, slope and curvature per angle."""
+    at it). As sum phi = 1, the scanned C = cov + mean mean^H is sum phi_n x_n
+    x_n^H: a width needs only phi @ lag table. The norms, the table and the
+    basis are computed once per dataset, slope and curvature once per angle."""
     x = as_dataset(data)
     norms = squared_norms(x)
     lags = _lag_table(x, norms)
@@ -241,7 +240,7 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID,
     stats = {}
 
     def fit(omega: float) -> tuple:
-        scaled, phi = _fit_weights(gaussian_log_weights(norms, omega), ess_floor)
+        scaled, phi = _weights(gaussian_log_weights(norms, omega))
         lag_vector = phi @ lags
         if not np.all(np.isfinite(lag_vector)):
             raise NotPositiveDefinite("reweighted lags are not finite")

@@ -107,6 +107,7 @@ class EstimationResult:
     theta: np.ndarray
     objective: float
     method: str
+    moments: EmpiricalMTMoments    # the reweighted moments J_u was built from
 
 
 def objective_j_u(moments: EmpiricalMTMoments, model: ParametricMomentModel,
@@ -160,7 +161,7 @@ def estimate_mt_gqmle(data, u: MTFunction, model: ParametricMomentModel
             raise ValueError("solver returned a parameter of wrong dimension")
         return EstimationResult(
             theta=theta, objective=objective_j_u(moments, model, theta),
-            method="closed-form")
+            method="closed-form", moments=moments)
     points = model.space.grid_points()
     if points.size == 0:
         raise ValueError("empty parameter grid")
@@ -169,7 +170,7 @@ def estimate_mt_gqmle(data, u: MTFunction, model: ParametricMomentModel
     if not vals[best] > -np.inf:
         raise ValueError(f"no finite objective on the {len(points)}-point grid")
     return EstimationResult(theta=points[best], objective=float(vals[best]),
-                            method="grid")
+                            method="grid", moments=moments)
 
 
 def estimate_gqmle(data, model: ParametricMomentModel) -> EstimationResult:

@@ -6,7 +6,7 @@ class NotPositiveDefinite(ValueError):
 
 
 class DegenerateWeights(ValueError):
-    """Every sample weight vanished, or too few samples carry the weight to fit."""
+    """Every sample weight vanished, or too few carry it to select a width."""
 
 
 class SingularMatrix(ValueError):

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import asymptotics, baselines, doa, regression, samplers
-from .transform import _ESS_FLOOR, width_squared
+from .transform import width_squared
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,8 +159,8 @@ class _Regression:
                              f"{self.noise.kind!r} regression noise")
         raise ValueError(name)
 
-    def fitter(self, x: np.ndarray, ess_floor: float) -> Callable:
-        return regression.mt_fitter_regression(x, self.model, ess_floor)
+    def fitter(self, x: np.ndarray) -> Callable:
+        return regression.mt_fitter_regression(x, self.model)
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
         return float(np.trace(regression.asymptotic_mse_regression(
@@ -186,9 +186,8 @@ class _DOA:
                                               self._config.k_theta)
         raise ValueError(name)
 
-    def fitter(self, x: np.ndarray, ess_floor: float) -> Callable:
-        return doa.mt_fitter_doa(x, self.model, self._config.k_theta,
-                                 ess_floor)
+    def fitter(self, x: np.ndarray) -> Callable:
+        return doa.mt_fitter_doa(x, self.model, self._config.k_theta)
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
         return doa.asymptotic_mse_doa(self.model, self.theta0, omega, n)
@@ -201,17 +200,15 @@ def _runner(app, name: str, config: ExperimentConfig, omega_policy
             ) -> Callable:
     """x -> (theta_hat, selection), where selection is (omega_opt, its
     empirical asymptotic MSE trace) for mt-gqmle and None otherwise. A fixed
-    omega is a one-candidate selection fitted as asked: only ``select``
-    refuses widths below the effective-sample floor."""
+    omega is a one-candidate selection."""
     if name != "mt-gqmle":
         estimate = app.baseline(name)
         return lambda x: (estimate(x), None)
-    select = omega_policy == "select"
-    omegas = config.omega_candidates() if select else [float(omega_policy)]
-    ess_floor = _ESS_FLOOR if select else 0.0
+    omegas = (config.omega_candidates() if omega_policy == "select"
+              else [float(omega_policy)])
 
     def run(x):
-        sel = asymptotics.select_by_trace(omegas, app.fitter(x, ess_floor))
+        sel = asymptotics.select_by_trace(omegas, app.fitter(x))
         return sel.best_estimate, (sel.omega_opt, float(np.nanmin(sel.traces)))
 
     return run

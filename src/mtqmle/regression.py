@@ -19,9 +19,8 @@ import numpy as np
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
 from .samplers import NoiseSpec, texture_expectation
-from .transform import (_ESS_FLOOR, MTFunction, _fit_weights,
-                        empirical_mt_moments, gaussian_log_weights,
-                        squared_norms, width_squared)
+from .transform import (MTFunction, _weights, empirical_mt_moments,
+                        gaussian_log_weights, squared_norms, width_squared)
 
 _COLLINEARITY_TOL = 1e-8
 
@@ -149,18 +148,16 @@ def asymptotic_mse_regression(model: RegressionModel, omega: float, n: int
     return _texture_ratio(model, omega) * (model.sigma2_z / (2.0 * n)) * model.b_matrix
 
 
-def mt_fitter_regression(data, model: RegressionModel,
-                         ess_floor: float = _ESS_FLOOR):
+def mt_fitter_regression(data, model: RegressionModel):
     """Per-dataset fitter: omega -> (theta_hat, empirical asymptotic MSE
     sum u^2 zeta zeta^T / (sum u)^2), zeta = B [Re h; Im h] with
-    h = A^H (x - mu_hat^(u)), refusing ESS < ess_floor. Validation and
-    ||P_perp x||^2 are computed once."""
+    h = A^H (x - mu_hat^(u)). Validation and ||P_perp x||^2 are computed once."""
     x = as_dataset(data)
     norms = squared_norms(x, model.proj_perp)
     a_conj = model.a_matrix.conj()
 
     def fit(omega: float) -> tuple:
-        scaled, phi = _fit_weights(gaussian_log_weights(norms, omega), ess_floor)
+        scaled, phi = _weights(gaussian_log_weights(norms, omega))
         mean = phi @ x
         h = (x - mean) @ a_conj
         zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T

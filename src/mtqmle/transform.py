@@ -20,9 +20,6 @@ from .exceptions import DegenerateWeights, NotPositiveDefinite
 # Weights below this are counted as numerically annihilated in diagnostics.
 _TINY_WEIGHT = 1e-300
 _ESS_WARN = 10.0
-# Least Kish ESS 1 / sum phi^2 of a selectable width: below 2, x_n - mu_hat
-# vanishes with the dominant sample, and so does the empirical MSE.
-_ESS_FLOOR = 2.0
 
 
 class MTFunction:
@@ -144,14 +141,6 @@ def _weights(lw: np.ndarray) -> tuple:
     return w, w / w.sum()
 
 
-def _fit_weights(lw: np.ndarray, ess_floor: float = _ESS_FLOOR) -> tuple:
-    """_weights; DegenerateWeights also when 1 / sum phi^2 < ess_floor."""
-    w, phi = _weights(lw)
-    if 1.0 / (phi @ phi) < ess_floor:
-        raise DegenerateWeights(f"effective sample size below {ess_floor:g}")
-    return w, phi
-
-
 def mt_weights(data, u: MTFunction) -> np.ndarray:
     """Normalized weights u(x_n) / sum_m u(x_m).
 
@@ -181,8 +170,8 @@ def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:
 
     Reports the empirical mean of u, the fraction of numerically annihilated
     samples, and the effective sample size 1 / sum phi^2 (n for constant u,
-    about 1 when a single sample dominates). A width selection refuses
-    widths below _ESS_FLOOR = 2 with DegenerateWeights.
+    about 1 when a single sample dominates). ``select_mt_parameter`` refuses
+    widths whose ESS is below 2.
     """
     lw = u.log_weights(data)
     notes = []

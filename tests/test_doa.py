@@ -23,14 +23,13 @@ from mtqmle.doa import (
     steering,
     steering_grid,
 )
+from mtqmle.estimator import estimate_mt_gqmle
 from mtqmle.exceptions import (DegenerateWeights, NotPositiveDefinite,
                                SingularMatrix)
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa)
-from mtqmle.estimator import estimate_mt_gqmle
-from mtqmle.transform import (check_mt_condition, constant_mt_function,
-                              empirical_mt_moments, gaussian_mt_function,
-                              squared_norms)
+from mtqmle.transform import (constant_mt_function, empirical_mt_moments,
+                              gaussian_mt_function, squared_norms)
 
 from conftest import THETA0_DOA, random_pd, whole_array_texture_mean
 
@@ -422,23 +421,6 @@ class TestFitter:
                 fit(omega)
         with pytest.raises(DegenerateWeights):
             select_by_trace(omegas, fit)
-
-
-    def test_collapsed_width_raises(self):
-        """At omega = 0.01 (K noise, 0 dB, seed 77, n = 5000) one snapshot
-        carries the weight: the fitter and the empirical MSE refuse the
-        width, while the scan itself still runs."""
-        noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, 0.0), 4, lam=0.75)
-        model = ULAModel(4, 1.0, noise)
-        x = synthesize_doa(4, THETA0_DOA, 1.0, noise, 5000, stream_rng(77, 0))
-        assert check_mt_condition(x, gaussian_mt_function(0.01)).ess < 2.0
-        with pytest.raises(DegenerateWeights, match="effective sample size"):
-            mt_fitter_doa(x, model, 101)(0.01)
-        theta = estimate_doa(x, model, 0.01, 101)
-        with pytest.raises(DegenerateWeights):
-            empirical_asymptotic_mse_doa(x, model, theta, 0.01)
-        lifted = mt_fitter_doa(x, model, 101, ess_floor=0.0)(0.01)
-        assert lifted[0] == theta and np.isfinite(lifted[1])
 
 
 class TestMomentModelSolver:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mtqmle import doa, regression, samplers
-from mtqmle.asymptotics import select_by_trace
 from mtqmle.exceptions import SingularMatrix
 from mtqmle.harness import (
     ExperimentConfig,
@@ -15,7 +14,6 @@ from mtqmle.harness import (
     run_experiment,
     timing_report,
 )
-from mtqmle.transform import check_mt_condition, gaussian_mt_function
 
 
 def small_regression_config(**overrides):
@@ -238,35 +236,6 @@ def _mean_sq_err(thetas, theta0):
     return float(np.mean([
         float(np.sum((np.asarray(th, dtype=float).ravel() - theta0) ** 2))
         for th in thetas]))
-
-
-# omega_grid [0.01, 30, 30] at 0 dB, seed 77: at omega = 0.01 one sample
-# carries the weight (Kish ESS 1.0), and the empirical MSE trace there is 0.0
-# for regression (n = 300) and 1.7e-8 for DOA (n = 5000, k_theta = 10^4).
-_COLLAPSING_GRID = dict(sweep_axis="snr", sweep_values=[0.0], trials=1,
-                        seed=77, omega="select", omega_grid=[0.01, 30.0, 30],
-                        estimators=["mt-gqmle"])
-
-
-@pytest.mark.parametrize("application", ["regression", "doa"])
-def test_selection_refuses_widths_below_ess_floor(application):
-    if application == "regression":
-        cfg = small_regression_config(n_samples=300, **_COLLAPSING_GRID)
-        model, (x,) = _regression_trials(cfg, 0, 0.0)
-        fit = regression.mt_fitter_regression(x, model)
-        weight = lambda om: regression.projected_mt_function(model, om)
-    else:
-        cfg = small_doa_config(n_samples=5000, k_theta=10_000,
-                               **_COLLAPSING_GRID)
-        model, (x,) = _doa_trials(cfg, 0, 0.0)
-        fit = doa.mt_fitter_doa(x, model, cfg.k_theta)
-        weight = gaussian_mt_function
-    sel = select_by_trace(cfg.omega_candidates(), fit)
-    assert np.isnan(sel.traces[0])
-    assert check_mt_condition(x, weight(sel.omega_opt)).ess >= 2.0
-    row = run_experiment(cfg).by("mt-gqmle")[0]
-    assert row.failures == 0
-    assert row.empirical_asymptotic_mse_trace == np.nanmin(sel.traces) > 0.0
 
 
 class TestTrialZeroSelection:

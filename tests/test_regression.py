@@ -23,8 +23,7 @@ from mtqmle.regression import (
 )
 from mtqmle.samplers import (NoiseSpec, regression_sigma2_for_snr_db,
                              sample_noise, stream_rng, synthesize_regression)
-from mtqmle.exceptions import DegenerateWeights
-from mtqmle.transform import check_mt_condition, empirical_mt_moments
+from mtqmle.transform import empirical_mt_moments
 
 from conftest import THETA0_REG, whole_array_texture_mean
 
@@ -243,22 +242,6 @@ class TestFitter:
                 assert np.array_equal(mse, oracle / np.sum(scaled) ** 2)
                 assert np.array_equal(
                     theta, mt_gqmle_regression(x, model, float(omega)))
-
-
-    def test_collapsed_width_raises(self, reg_gaussian, alpha0):
-        """At omega = 0.01 one sample carries the weight (ESS 1.0) and the
-        MSE trace is 0: the fitter and its per-width functions refuse the
-        width unless the floor is lifted, as for a fixed width."""
-        x = synthesize_regression(reg_gaussian.a_matrix, alpha0,
-                                  reg_gaussian.noise, 300, stream_rng(77, 0))
-        u = projected_mt_function(reg_gaussian, 0.01)
-        assert check_mt_condition(x, u).ess < 2.0
-        with pytest.raises(DegenerateWeights, match="effective sample size"):
-            mt_fitter_regression(x, reg_gaussian)(0.01)
-        with pytest.raises(DegenerateWeights):
-            mt_gqmle_regression(x, reg_gaussian, 0.01)
-        theta, mse = mt_fitter_regression(x, reg_gaussian, ess_floor=0.0)(0.01)
-        assert np.all(np.isfinite(theta)) and np.trace(mse) == 0.0
 
 
 class TestInfluenceClosedForm:
