@@ -34,7 +34,7 @@ from .transform import MTFunction, _weights
 
 _COND_LIMIT = 1e14
 # Least Kish ESS 1 / sum phi^2 of a selectable width: below 2, x_n - mu_hat
-# vanishes with the dominant sample, and so does the sandwich MSE.
+# vanishes with the dominant sample, and so does the empirical MSE.
 _ESS_FLOOR = 2.0
 _FD_STEP = 1e-5
 
@@ -239,12 +239,14 @@ class SelectionResult:
 def select_by_trace(omegas: Sequence[float],
                     fit: Callable[[float], tuple]) -> SelectionResult:
     """The width-selection rule: the omega whose ``fit(omega) -> (estimate,
-    mse)`` has the smallest trace of its empirical asymptotic MSE (a scalar
-    or a square matrix).
+    mse, normalized weights phi)`` has the smallest trace of its empirical
+    asymptotic MSE (a scalar or a square matrix).
 
     Candidates are visited in sorted order. One whose fit raises
     DegenerateWeights, SingularMatrix or NotPositiveDefinite gets a NaN trace
-    and is skipped; any other error propagates. Raises DegenerateWeights when
+    and is skipped; any other error propagates. So is one whose Kish ESS
+    1 / sum phi^2 is below _ESS_FLOOR, unless it is the only candidate: a
+    fixed width is an estimate, not a choice. Raises DegenerateWeights when
     every candidate fails. Ties resolve to the smallest omega.
     """
     omegas = np.sort(np.asarray(list(omegas), dtype=float))
@@ -252,10 +254,12 @@ def select_by_trace(omegas: Sequence[float],
     estimates: list = [None] * omegas.size
     for i, omega in enumerate(omegas):
         try:
-            estimates[i], mse = fit(float(omega))
+            estimate, mse, phi = fit(float(omega))
         except (DegenerateWeights, SingularMatrix, NotPositiveDefinite):
             continue
-        traces[i] = np.trace(np.atleast_2d(mse))
+        if omegas.size > 1 and 1.0 / (phi @ phi) < _ESS_FLOOR:
+            continue
+        estimates[i], traces[i] = estimate, np.trace(np.atleast_2d(mse))
     if np.all(np.isnan(traces)):
         raise DegenerateWeights("all grid points degenerate")
     idx = int(np.nanargmin(traces))  # first minimum == smallest omega on ties
@@ -270,19 +274,15 @@ def select_mt_parameter(data, family: Callable[[float], MTFunction],
                         ) -> SelectionResult:
     """``select_by_trace`` with the sandwich MSE of a full re-estimate of
     theta on the same dataset for every candidate omega; ``model(x, u)``
-    builds the moment model for each candidate weight. A candidate whose
-    fit's weights have an effective sample size below _ESS_FLOOR raises
-    DegenerateWeights."""
+    builds the moment model for each candidate weight."""
     x = as_dataset(data)
 
     def fit(omega):
         u = family(omega)
         model_i = model(x, u)
         est = estimate_mt_gqmle(x, u, model_i)
-        phi = est.moments.weights
-        if 1.0 / (phi @ phi) < _ESS_FLOOR:
-            raise DegenerateWeights(f"ESS below {_ESS_FLOOR:g}")
-        return est, sandwich(x, est.theta, model_i, u).c_hat
+        return (est, sandwich(x, est.theta, model_i, u).c_hat,
+                est.moments.weights)
 
     return select_by_trace(omegas, fit)
 

@@ -6,7 +6,7 @@ the least-squares / Gaussian MLE path, and the median-location initializer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -29,7 +29,6 @@ class BaselineResult:
     theta: np.ndarray
     converged: bool
     n_iter: int
-    objective_path: Optional[np.ndarray] = None  # diagnostic, one value per iterate
 
 
 def median_location(data) -> np.ndarray:
@@ -61,22 +60,17 @@ def mad_scale(data, gamma: float = GAMMA_ERFINV) -> float:
 
 
 def _fixed_point(x: np.ndarray, model: RegressionModel,
-                 weight_fn: Callable[[np.ndarray], np.ndarray],
-                 objective_fn: Optional[Callable[[np.ndarray], float]] = None
+                 weight_fn: Callable[[np.ndarray], np.ndarray]
                  ) -> BaselineResult:
     """alpha <- (A^H A)^-1 A^H (sum_n w_n x_n / sum_n w_n) until relative
     change drops below tolerance; returns the last iterate flagged when the
-    budget runs out. ``objective_fn(residual norms)`` is evaluated at every
-    iterate as a monotonicity diagnostic (recorded, never enforced)."""
+    budget runs out."""
     a = model.a_matrix
     alpha = np.linalg.solve(model.aha, a.conj().T @ median_location(x))
     converged = False
     it = 0
-    path = []
     for it in range(1, _MAX_ITER + 1):
         resid = np.linalg.norm(x - (a @ alpha)[None, :], axis=1)
-        if objective_fn is not None:
-            path.append(objective_fn(resid))
         w = weight_fn(resid)
         total = w.sum()
         if total == 0.0:
@@ -91,8 +85,7 @@ def _fixed_point(x: np.ndarray, model: RegressionModel,
         if denom == 0.0 and step == 0.0:
             converged = True
             break
-    return BaselineResult(theta=realify(alpha), converged=converged, n_iter=it,
-                          objective_path=np.asarray(path) if path else None)
+    return BaselineResult(theta=realify(alpha), converged=converged, n_iter=it)
 
 
 def tukey_weights(r: np.ndarray, c: float) -> np.ndarray:
@@ -104,23 +97,12 @@ def tukey_weights(r: np.ndarray, c: float) -> np.ndarray:
     return w
 
 
-def tukey_loss(r: np.ndarray, c: float) -> np.ndarray:
-    """Bi-square loss: 1 - (1 - (r/c)^2)^3 inside the cutoff, 1 beyond."""
-    r = np.asarray(r, dtype=float)
-    out = np.ones_like(r)
-    inside = r <= c
-    out[inside] = 1.0 - (1.0 - (r[inside] / c) ** 2) ** 3
-    return out
-
-
 def tukey_m_estimator(data, model: RegressionModel, c: float,
                       gamma: float = GAMMA_ERFINV) -> BaselineResult:
     """Tukey bi-square fixed point with residuals normalized by the MAD scale."""
     x = as_dataset(data)
     sigma = mad_scale(x, gamma=gamma)
-    return _fixed_point(
-        x, model, lambda r: tukey_weights(r / sigma, c),
-        objective_fn=lambda r: float(np.sum(tukey_loss(r / sigma, c))))
+    return _fixed_point(x, model, lambda r: tukey_weights(r / sigma, c))
 
 
 def mle_t_noise(data, model: RegressionModel, lam: float) -> BaselineResult:
@@ -132,9 +114,7 @@ def mle_t_noise(data, model: RegressionModel, lam: float) -> BaselineResult:
     x = as_dataset(data)
     s2 = model.sigma2_z
     return _fixed_point(
-        x, model, lambda r: 1.0 / (1.0 + 2.0 * r ** 2 / (lam * s2)),
-        objective_fn=lambda r: float(
-            np.sum(np.log1p(2.0 * r ** 2 / (lam * s2)))))
+        x, model, lambda r: 1.0 / (1.0 + 2.0 * r ** 2 / (lam * s2)))
 
 
 def least_squares(data, model: RegressionModel) -> BaselineResult:

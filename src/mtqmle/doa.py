@@ -18,7 +18,7 @@ import numpy as np
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
 from .exceptions import NotPositiveDefinite, SingularMatrix
-from .samplers import NoiseSpec, texture_expectation
+from .samplers import NoiseSpec, _over_square, texture_expectation
 from .transform import (_weights, constant_mt_function,
                         empirical_mt_moments, gaussian_log_weights,
                         gaussian_mt_function, squared_norms, width_squared)
@@ -172,7 +172,7 @@ def asymptotic_mse_doa(model: ULAModel, theta0: float, omega: float, n: int
     num = texture_expectation(model.noise, f_num)
     den = texture_expectation(model.noise, f_den)
     scale = 6.0 / (np.pi ** 2 * np.cos(theta0) ** 2 * (p ** 2 - 1) * n)
-    return num / den ** 2 * scale
+    return _over_square(num, den) * scale
 
 
 def gaussian_crlb_doa(model: ULAModel, theta0: float, n: int) -> float:
@@ -230,9 +230,10 @@ def _lag_table(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
     """Per-dataset fitter: omega -> (estimate_doa, empirical_asymptotic_mse_doa
-    at it). As sum phi = 1, the scanned C = cov + mean mean^H is sum phi_n x_n
-    x_n^H: a width needs only phi @ lag table. The norms, the table and the
-    basis are computed once per dataset, slope and curvature once per angle."""
+    at it, normalized weights phi). As sum phi = 1, the scanned C = cov +
+    mean mean^H is sum phi_n x_n x_n^H: a width needs only phi @ lag table.
+    The norms, the table and the basis are computed once per dataset, slope
+    and curvature once per angle."""
     x = as_dataset(data)
     norms = squared_norms(x)
     lags = _lag_table(x, norms)
@@ -247,7 +248,7 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
         theta = SpectrumCurve(thetas, basis @ lag_vector).argmax_theta
         if theta not in stats:
             stats[theta] = _slope_curvature(x, theta, model.p)
-        return theta, _empirical_mse(*stats[theta], scaled)
+        return theta, _empirical_mse(*stats[theta], scaled), phi
 
     return fit
 

@@ -23,9 +23,12 @@ from . import asymptotics, baselines, doa, regression, samplers
 from .transform import width_squared
 
 
+_TUKEY_ARE = 0.95                 # efficiency the bi-square cutoff is tuned to
+
+
 @functools.lru_cache(maxsize=8)
-def _tuned_tukey_c(target: float, p: int) -> float:
-    return baselines.tune_c_for_are(target, p)
+def _tuned_tukey_c(p: int) -> float:
+    return baselines.tune_c_for_are(_TUKEY_ARE, p)
 
 _REG_ESTIMATORS = ("mt-gqmle", "gqmle", "tukey", "mle")
 _DOA_ESTIMATORS = ("mt-gqmle", "gqmle")
@@ -52,7 +55,6 @@ class ExperimentConfig:
     sigma2_s: float = 1.0
     k_theta: int = 10_000
     output: Optional[str] = None
-    tukey_are: float = 0.95
 
     def __post_init__(self):
         if self.application not in ("regression", "doa"):
@@ -147,7 +149,7 @@ class _Regression:
         if name == "gqmle":
             return lambda x: regression.gqmle_regression(x, self.model)
         if name == "tukey":
-            c = _tuned_tukey_c(self._config.tukey_are, self._config.p)
+            c = _tuned_tukey_c(self._config.p)
             return lambda x: baselines.tukey_m_estimator(x, self.model, c).theta
         if name == "mle":
             if self.noise.kind == "gaussian":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
-from .samplers import NoiseSpec, texture_expectation
+from .samplers import NoiseSpec, _over_square, texture_expectation
 from .transform import (MTFunction, _weights, empirical_mt_moments,
                         gaussian_log_weights, squared_norms, width_squared)
 
@@ -139,7 +139,7 @@ def _texture_ratio(model: RegressionModel, omega: float) -> float:
         return np.exp(np.log(nu2) + expo * (np.log(w2) - np.log(2.0 * s2 * nu2 + w2)))
 
     num = texture_expectation(model.noise, numerator)
-    return num / mean_weight_regression(model, omega) ** 2
+    return _over_square(num, mean_weight_regression(model, omega))
 
 
 def asymptotic_mse_regression(model: RegressionModel, omega: float, n: int
@@ -150,8 +150,8 @@ def asymptotic_mse_regression(model: RegressionModel, omega: float, n: int
 
 def mt_fitter_regression(data, model: RegressionModel):
     """Per-dataset fitter: omega -> (theta_hat, empirical asymptotic MSE
-    sum u^2 zeta zeta^T / (sum u)^2), zeta = B [Re h; Im h] with
-    h = A^H (x - mu_hat^(u)). Validation and ||P_perp x||^2 are computed once."""
+    sum u^2 zeta zeta^T / (sum u)^2, weights phi), zeta = B [Re h; Im h] with
+    h = A^H (x - mu_hat^(u)). Validation and ||P_perp x||^2 are done once."""
     x = as_dataset(data)
     norms = squared_norms(x, model.proj_perp)
     a_conj = model.a_matrix.conj()
@@ -162,7 +162,7 @@ def mt_fitter_regression(data, model: RegressionModel):
         h = (x - mean) @ a_conj
         zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T
         num = np.einsum("n,nk,nj->kj", scaled ** 2, zeta, zeta)
-        return _least_squares(model, mean), num / np.sum(scaled) ** 2
+        return _least_squares(model, mean), num / np.sum(scaled) ** 2, phi
 
     return fit
 

@@ -162,6 +162,14 @@ def texture_expectation(noise: NoiseSpec, fn) -> float:
     return out
 
 
+def _over_square(num: float, den: float) -> float:
+    """num / den ** 2; ValueError where the square underflows to 0."""
+    den2 = den ** 2
+    if den2 == 0.0:
+        raise ValueError("squared texture expectation underflows")
+    return num / den2
+
+
 # --- dataset serialization ---------------------------------------------------
 #
 # CSV layout: one observation per row, real and imaginary parts interleaved,

@@ -170,8 +170,8 @@ def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:
 
     Reports the empirical mean of u, the fraction of numerically annihilated
     samples, and the effective sample size 1 / sum phi^2 (n for constant u,
-    about 1 when a single sample dominates). ``select_mt_parameter`` refuses
-    widths whose ESS is below 2.
+    about 1 when a single sample dominates). ``asymptotics.select_by_trace``
+    refuses widths whose ESS is below 2 when it chooses among several.
     """
     lw = u.log_weights(data)
     notes = []

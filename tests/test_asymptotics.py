@@ -40,6 +40,11 @@ from mtqmle.transform import (MTFunction, check_mt_condition,
 from conftest import THETA0_REG, dense_psi_gamma, random_dataset, random_pd
 
 
+# Normalized weights of a stub fit: Kish ESS 4 and 1.
+SPREAD = np.full(4, 0.25)
+COLLAPSED = np.array([1.0, 0.0, 0.0, 0.0])
+
+
 def make_regression_data(model, n, seed, theta0=THETA0_REG):
     return synthesize_regression(model.a_matrix, unrealify(theta0),
                                  model.noise, n, stream_rng(seed, 0))
@@ -516,7 +521,8 @@ class TestSelection:
 
     def test_rule_sorts_and_ties_to_smallest_omega(self):
         sel = select_by_trace([3.0, 1.0, 2.0],
-                              lambda om: (10 * om, 7.0 if om == 1.0 else 5.0))
+                              lambda om: (10 * om, 7.0 if om == 1.0 else 5.0,
+                                          SPREAD))
         np.testing.assert_array_equal(sel.omegas, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(sel.traces, [7.0, 5.0, 5.0])
         assert sel.omega_opt == 2.0 and sel.best_estimate == 20.0
@@ -526,7 +532,7 @@ class TestSelection:
         def fit(om):
             if om == 1.0:
                 raise error("stub")
-            return om, om
+            return om, om, SPREAD
 
         sel = select_by_trace([2.0, 1.0, 3.0], fit)
         assert np.isnan(sel.traces[0]) and sel.estimates[0] is None
@@ -536,7 +542,7 @@ class TestSelection:
         def fit(om):
             if om == 2.0:
                 raise ValueError("boom")
-            return om, om
+            return om, om, SPREAD
 
         with pytest.raises(ValueError, match="boom") as info:
             select_by_trace([1.0, 2.0], fit)
@@ -554,15 +560,36 @@ class TestSelection:
         mses = {1.0: np.diag([3.0, 3.0]),
                 2.0: np.array([[1.0, 9.0], [9.0, 4.0]]),
                 3.0: np.diag([2.0, 4.0])}
-        sel = select_by_trace([3.0, 1.0, 2.0], lambda om: (om, mses[om]))
+        sel = select_by_trace([3.0, 1.0, 2.0],
+                              lambda om: (om, mses[om], SPREAD))
         np.testing.assert_array_equal(sel.traces, [6.0, 5.0, 6.0])
         assert sel.omega_opt == 2.0 and sel.best_estimate == 2.0
 
     def test_rule_one_candidate(self):
-        sel = select_by_trace([4.0], lambda om: ("est", np.eye(3) * om))
+        sel = select_by_trace([4.0],
+                              lambda om: ("est", np.eye(3) * om, SPREAD))
         np.testing.assert_array_equal(sel.omegas, [4.0])
         np.testing.assert_array_equal(sel.traces, [12.0])
         assert sel.omega_opt == 4.0 and sel.best_estimate == "est"
+
+    def test_rule_skips_collapsed_candidate(self):
+        """Among several widths, one below 2 effective samples is skipped
+        like a failed fit; exactly 2 is kept."""
+        phis = {1.0: COLLAPSED, 2.0: np.array([0.5, 0.5]), 3.0: SPREAD}
+        sel = select_by_trace([3.0, 2.0, 1.0],
+                              lambda om: (om, 4.0 - om, phis[om]))
+        np.testing.assert_array_equal(sel.traces, [np.nan, 2.0, 1.0])
+        assert sel.estimates[0] is None and sel.omega_opt == 3.0
+
+    def test_rule_keeps_lone_collapsed_candidate(self):
+        """A fixed width is an estimate, not a choice: it is kept."""
+        sel = select_by_trace([1.0], lambda om: ("est", 0.0, COLLAPSED))
+        assert sel.omega_opt == 1.0 and sel.best_estimate == "est"
+        np.testing.assert_array_equal(sel.traces, [0.0])
+
+    def test_rule_all_collapsed_raises(self):
+        with pytest.raises(DegenerateWeights, match="all grid points"):
+            select_by_trace([1.0, 2.0], lambda om: (om, 0.0, COLLAPSED))
 
 
 class TestFisherInformation:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mtqmle import doa, regression, samplers
+from mtqmle import asymptotics, doa, harness, regression, samplers
 from mtqmle.exceptions import SingularMatrix
 from mtqmle.harness import (
     ExperimentConfig,
@@ -103,6 +103,16 @@ class TestConfig:
         assert again == cfg
 
 
+# A grid whose narrowest width leaves one effective sample (ESS 1): its MSE
+# trace is 0 (regression) or nearly so (DOA).
+COLLAPSING_GRID = dict(sweep_axis="snr", sweep_values=[0.0], trials=1,
+                       seed=77, omega="select", omega_grid=[0.01, 30.0, 30])
+COLLAPSING_CONFIGS = [
+    lambda: small_regression_config(n_samples=300, **COLLAPSING_GRID),
+    lambda: small_doa_config(**COLLAPSING_GRID),
+]
+
+
 class TestRunExperiment:
     def test_noiseless_trials_have_zero_mse(self):
         cfg = small_regression_config(
@@ -168,6 +178,55 @@ class TestRunExperiment:
         assert np.isfinite(mt.empirical_mse)
         assert np.isfinite(mt.empirical_asymptotic_mse_trace)
         assert np.isfinite(gq.empirical_mse)
+
+    @pytest.mark.parametrize("application,omega", [
+        ("regression", 1e-20), ("regression", 1e-16), ("regression", 1e-12),
+        ("doa", 1e-20), ("doa", 1e-16)])
+    def test_underflowing_square_is_one_nan_cell(self, application, omega):
+        """At these widths the closed form's texture average is nonzero but
+        its square underflows: a NaN cell, not a ZeroDivisionError."""
+        cfg = (small_regression_config(sweep_axis="snr", sweep_values=[0.0],
+                                       omega=omega)
+               if application == "regression" else small_doa_config(omega=omega))
+        table = run_experiment(cfg)
+        mt = table.by("mt-gqmle")[0]
+        assert np.isnan(mt.asymptotic_mse_trace) and mt.failures == 0
+
+    @pytest.mark.parametrize("make_config", COLLAPSING_CONFIGS,
+                             ids=["regression", "doa"])
+    def test_selection_refuses_collapsed_widths(self, make_config,
+                                                monkeypatch):
+        """The width 0.01 is refused; the selected one keeps at least 2
+        effective samples and a positive MSE trace."""
+        picked = []
+        real = asymptotics.select_by_trace
+
+        def spy(omegas, fit):
+            picked.append((real(omegas, fit), fit))
+            return picked[-1][0]
+
+        monkeypatch.setattr(asymptotics, "select_by_trace", spy)
+        run_experiment(make_config())
+        assert picked
+        for sel, fit in picked:
+            assert np.isnan(sel.traces[0])
+            _, mse, phi = fit(sel.omega_opt)
+            assert 1.0 / (phi @ phi) >= 2.0
+            assert np.trace(np.atleast_2d(mse)) > 0.0
+
+    @pytest.mark.parametrize("make_config", COLLAPSING_CONFIGS,
+                             ids=["regression", "doa"])
+    def test_collapsed_width_still_estimates(self, make_config):
+        """The floor guards a width choice, not a point estimate: at a width
+        with ESS 1 the fixed-width estimators still return a finite value."""
+        cfg = make_config()
+        app = harness._APPLICATIONS[cfg.application](cfg, 0.0)
+        x = app.synthesize(cfg.n_samples, samplers.stream_rng(cfg.seed, 0))
+        phi = app.fitter(x)(0.01)[2]
+        assert 1.0 / (phi @ phi) < 2.0
+        estimate = (regression.mt_gqmle_regression
+                    if cfg.application == "regression" else doa.estimate_doa)
+        assert np.all(np.isfinite(estimate(x, app.model, 0.01)))
 
     def test_doa_snr_sweep_error_decreases(self):
         cfg = small_doa_config(noise_kind="gaussian", noise_lam=None,

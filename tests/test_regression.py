@@ -231,7 +231,7 @@ class TestFitter:
                                       500, stream_rng(38, stream))
             fit = mt_fitter_regression(x, model)
             for omega in np.linspace(1.0, 30.0, 30):
-                theta, mse = fit(float(omega))
+                theta, mse = fit(float(omega))[:2]
                 u = projected_mt_function(model, float(omega))
                 lw = u.log_weights(x)
                 scaled = np.exp(lw - np.max(lw))
