@@ -63,15 +63,15 @@ class ULAModel:
         return np.linspace(lo, hi, k_theta)
 
     def _basis(self, k_theta: int = _DEFAULT_GRID) -> tuple:
-        """(k_theta-point grid, (G, 2p-1) real basis [1, 2 Re a_d, 2 Im a_d]
+        """(k_theta-point grid, (2p-1, G) real basis [1; 2 Re a_d; 2 Im a_d]
         of its steering vectors), built once per geometry."""
         key = (self.p, self.delta, k_theta)
         if key not in self._bases:
             thetas = self.grid(k_theta)
             thetas.flags.writeable = False      # shared by every curve
-            steer = steering_grid(thetas, self.p)[:, 1:]
-            self._bases[key] = thetas, np.hstack(
-                [np.ones((k_theta, 1)), 2.0 * steer.real, 2.0 * steer.imag])
+            steer = steering_grid(thetas, self.p)[:, 1:].T
+            self._bases[key] = thetas, np.vstack(
+                [np.ones(k_theta), 2.0 * steer.real, 2.0 * steer.imag])
         return self._bases[key]
 
 
@@ -114,7 +114,7 @@ def _lag_scan(thetas, basis, mean, cov) -> SpectrumCurve:
     C; basis is ULAModel._basis's."""
     c_hat = hermitize(cov + np.outer(mean, mean.conj()))
     lags = np.array([np.trace(c_hat, offset=-d) for d in range(len(mean))])
-    values = basis @ np.concatenate([lags.real, lags[1:].imag])
+    values = np.concatenate([lags.real, lags[1:].imag]) @ basis
     return SpectrumCurve(thetas=thetas, values=values)
 
 
@@ -245,7 +245,7 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
         lag_vector = phi @ lags
         if not np.all(np.isfinite(lag_vector)):
             raise NotPositiveDefinite("reweighted lags are not finite")
-        theta = SpectrumCurve(thetas, basis @ lag_vector).argmax_theta
+        theta = SpectrumCurve(thetas, lag_vector @ basis).argmax_theta
         if theta not in stats:
             stats[theta] = _slope_curvature(x, theta, model.p)
         return theta, _empirical_mse(*stats[theta], scaled), phi

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
+from .exceptions import DegenerateWeights
 from .samplers import NoiseSpec, _over_square, texture_expectation
 from .transform import (MTFunction, _weights, empirical_mt_moments,
                         gaussian_log_weights, squared_norms, width_squared)
@@ -26,9 +27,9 @@ _COLLINEARITY_TOL = 1e-8
 
 
 def realify(alpha: np.ndarray) -> np.ndarray:
-    """Stack [Re alpha; Im alpha]."""
-    alpha = np.asarray(alpha, dtype=complex).ravel()
-    return np.concatenate([alpha.real, alpha.imag])
+    """Stack [Re alpha; Im alpha] along the last axis."""
+    alpha = np.asarray(alpha, dtype=complex)
+    return np.concatenate([alpha.real, alpha.imag], axis=-1)
 
 
 def unrealify(theta: np.ndarray) -> np.ndarray:
@@ -148,21 +149,31 @@ def asymptotic_mse_regression(model: RegressionModel, omega: float, n: int
     return _texture_ratio(model, omega) * (model.sigma2_z / (2.0 * n)) * model.b_matrix
 
 
-def mt_fitter_regression(data, model: RegressionModel):
+def mt_fitter_regression(data, model: RegressionModel, omegas=()):
     """Per-dataset fitter: omega -> (theta_hat, empirical asymptotic MSE
-    sum u^2 zeta zeta^T / (sum u)^2, weights phi), zeta = B [Re h; Im h] with
-    h = A^H (x - mu_hat^(u)). Validation and ||P_perp x||^2 are done once."""
+    sum u^2 zeta zeta^T / (sum u)^2, weights phi); zeta = B [Re; Im](A^H (x -
+    mu_hat^(u))) is z0 - theta_hat, z0 = B [Re; Im](A^H x_n). ``omegas`` share
+    one batched pass, any other width gets its own, with the same outputs."""
     x = as_dataset(data)
     norms = squared_norms(x, model.proj_perp)
-    a_conj = model.a_matrix.conj()
+    z0 = realify(x @ model.a_matrix.conj()) @ model.b_matrix.T
+    lw = np.reshape([gaussian_log_weights(norms, om) for om in omegas],
+                    (len(omegas), norms.size))
+    live = lw.max(axis=1, initial=-np.inf) > -np.inf
+    scaled, phi = _weights(lw[live])
+    thetas = np.reshape([_least_squares(model, row @ x) for row in phi],
+                        (len(phi), 1, z0.shape[1]))
+    zeta = z0 - thetas
+    mse = (np.swapaxes(scaled[..., None] ** 2 * zeta, 1, 2) @ zeta
+           / scaled.sum(axis=1)[:, None, None] ** 2)
+    fits = dict(zip(np.compress(live, omegas), zip(thetas[:, 0], mse, phi)))
 
     def fit(omega: float) -> tuple:
-        scaled, phi = _weights(gaussian_log_weights(norms, omega))
-        mean = phi @ x
-        h = (x - mean) @ a_conj
-        zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T
-        num = np.einsum("n,nk,nj->kj", scaled ** 2, zeta, zeta)
-        return _least_squares(model, mean), num / np.sum(scaled) ** 2, phi
+        if float(omega) in fits:
+            return fits[float(omega)]
+        if omega in omegas:
+            raise DegenerateWeights("MT-function annihilates sample")
+        return mt_fitter_regression(x, model, [omega])(omega)
 
     return fit
 
@@ -171,13 +182,13 @@ def mt_gqmle_regression(data, model: RegressionModel, omega: float
                         ) -> np.ndarray:
     """Closed-form estimate realified (A^H A)^-1 A^H mu_hat^(u), the first
     output of the fitter."""
-    return mt_fitter_regression(data, model)(omega)[0]
+    return mt_fitter_regression(data, model, [omega])(omega)[0]
 
 
 def empirical_asymptotic_mse_regression(data, model: RegressionModel,
                                         omega: float) -> np.ndarray:
     """Empirical asymptotic MSE matrix, the second output of the fitter."""
-    return mt_fitter_regression(data, model)(omega)[1]
+    return mt_fitter_regression(data, model, [omega])(omega)[1]
 
 
 def influence_regression(y, theta0, model: RegressionModel, omega: float
@@ -262,8 +273,7 @@ def gaussian_score_regression(data, theta, model: RegressionModel) -> np.ndarray
     _require_gaussian(model)
     x = as_dataset(data)
     resid = x - model.a_matrix @ unrealify(theta)
-    h = resid @ model.a_matrix.conj()
-    return (2.0 / model.sigma2_z) * np.concatenate([h.real, h.imag], axis=1)
+    return (2.0 / model.sigma2_z) * realify(resid @ model.a_matrix.conj())
 
 
 def gaussian_fim_regression(model: RegressionModel) -> np.ndarray:

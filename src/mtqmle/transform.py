@@ -131,14 +131,14 @@ class MTDiagnostic:
 
 
 def _weights(lw: np.ndarray) -> tuple:
-    """Max-shifted weights exp(lw - max lw), which any common scale of u
-    leaves unchanged, and their normalization; DegenerateWeights when every
-    weight vanishes or the sample is empty."""
-    top = np.max(lw, initial=-np.inf)
-    if top == -np.inf:
+    """Max-shifted weights exp(lw - max lw), unchanged by any common scale of
+    u, and their normalization along the last axis (a leading axis stacks
+    widths); DegenerateWeights when a row's weights all vanish or n = 0."""
+    top = lw.max(axis=-1, keepdims=True, initial=-np.inf)
+    if (top == -np.inf).any():
         raise DegenerateWeights("MT-function annihilates sample")
     w = np.exp(lw - top)
-    return w, w / w.sum()
+    return w, w / w.sum(axis=-1, keepdims=True)
 
 
 def mt_weights(data, u: MTFunction) -> np.ndarray:

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from mtqmle import regression
+from mtqmle.asymptotics import select_by_trace
 from mtqmle.estimator import ParameterSpace, estimate_mt_gqmle
+from mtqmle.exceptions import DegenerateWeights
 from mtqmle.regression import (
     asymptotic_mse_regression,
     build_steering_regressors,
@@ -23,7 +27,7 @@ from mtqmle.regression import (
 )
 from mtqmle.samplers import (NoiseSpec, regression_sigma2_for_snr_db,
                              sample_noise, stream_rng, synthesize_regression)
-from mtqmle.transform import empirical_mt_moments
+from mtqmle.transform import empirical_mt_moments, squared_norms
 
 from conftest import THETA0_REG, whole_array_texture_mean
 
@@ -221,8 +225,9 @@ class TestFitter:
     @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
     def test_equals_per_width_fit(self, reg_gaussian, alpha0, snr_db):
         """Every width of the per-dataset fitter is bit-for-bit the fixed-omega
-        estimate and the MSE matrix sum u^2 zeta zeta^T / (sum u)^2 written
-        out from the public weights (u max-shifted)."""
+        estimate, and its MSE matrix is sum u^2 zeta zeta^T / (sum u)^2
+        written out from the public weights (u max-shifted) up to rounding:
+        the fitter forms zeta as z0 - theta_hat."""
         sigma2 = regression_sigma2_for_snr_db(reg_gaussian.a_matrix, snr_db)
         model = build_steering_regressors(10, np.pi / 3, np.pi / 6,
                                           NoiseSpec("t", sigma2, 10, lam=0.2))
@@ -238,10 +243,58 @@ class TestFitter:
                 mean = empirical_mt_moments(x, u).mt_mean
                 h = (x - mean) @ model.a_matrix.conj()
                 zeta = np.concatenate([h.real, h.imag], axis=1) @ model.b_matrix.T
-                oracle = np.einsum("n,nk,nj->kj", scaled ** 2, zeta, zeta)
-                assert np.array_equal(mse, oracle / np.sum(scaled) ** 2)
+                oracle = np.einsum("n,nk,nj->kj", scaled ** 2,
+                                   zeta, zeta) / np.sum(scaled) ** 2
+                np.testing.assert_allclose(
+                    mse, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
                 assert np.array_equal(
                     theta, mt_gqmle_regression(x, model, float(omega)))
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    def test_grid_independent(self, reg_gaussian, alpha0, snr_db):
+        """A width's (theta_hat, MSE, phi) from the 30-width pass are
+        bit-for-bit that width fitted alone, theta_hat is the fixed-omega
+        estimate, and the order of the grid changes no selection output."""
+        sigma2 = regression_sigma2_for_snr_db(reg_gaussian.a_matrix, snr_db)
+        model = build_steering_regressors(10, np.pi / 3, np.pi / 6,
+                                          NoiseSpec("t", sigma2, 10, lam=0.2))
+        omegas = np.linspace(1.0, 30.0, 30)
+        for stream in (0, 1):
+            x = synthesize_regression(model.a_matrix, alpha0, model.noise,
+                                      500, stream_rng(39, stream))
+            fit = mt_fitter_regression(x, model, omegas)
+            for omega in omegas:
+                alone = mt_fitter_regression(x, model, [omega])(omega)
+                for got, want in zip(fit(omega), alone):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(fit(omega)[0],
+                                      mt_gqmle_regression(x, model, omega))
+            sel = select_by_trace(omegas, fit)
+            shuffled = np.random.default_rng(stream).permutation(omegas)
+            for grid in (omegas[::-1], shuffled):
+                other = select_by_trace(
+                    grid, mt_fitter_regression(x, model, grid))
+                assert other.omega_opt == sel.omega_opt
+                assert np.array_equal(other.traces, sel.traces)
+                assert np.array_equal(other.best_estimate,
+                                      sel.best_estimate)
+
+    def test_all_overflowing_norms_raise(self, reg_gaussian, alpha0):
+        """Scaled by 1e160, every ||P_perp x||^2 overflows: a fixed width
+        and the 30-width selection raise DegenerateWeights, with no
+        RuntimeWarning on the way."""
+        x = 1e160 * synthesize_regression(reg_gaussian.a_matrix, alpha0,
+                                          reg_gaussian.noise, 200,
+                                          stream_rng(40, 0))
+        assert np.all(np.isinf(squared_norms(x, reg_gaussian.proj_perp)))
+        omegas = np.linspace(1.0, 30.0, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateWeights):
+                mt_gqmle_regression(x, reg_gaussian, 5.0)
+            with pytest.raises(DegenerateWeights):
+                select_by_trace(omegas,
+                                mt_fitter_regression(x, reg_gaussian, omegas))
 
 
 class TestInfluenceClosedForm:
