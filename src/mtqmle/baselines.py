@@ -31,17 +31,43 @@ class BaselineResult:
     n_iter: int
 
 
+def _medians(block: np.ndarray) -> np.ndarray:
+    """np.median(block, axis=1) bit for bit from one single-rank selection
+    that reorders each row in place. Like np.median's mean, it adds the
+    middle order statistics to +0.0, so it never returns -0.0."""
+    n = block.shape[1]
+    k = (n - 1) // 2
+    block.partition(k, axis=1)
+    lo = block[:, k] + 0.0
+    return lo if n % 2 else (lo + block[:, k + 1:].min(axis=1)) / 2.0
+
+
+def _split_medians(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re/Im medians per coordinate, interleaved, and their reordered block."""
+    block = np.ascontiguousarray(x).view(float).reshape(len(x), -1).T.copy()
+    return _medians(block), block
+
+
 def median_location(data) -> np.ndarray:
     """Marginal median of the real and imaginary parts, per coordinate."""
     x = as_dataset(data)
     if x.shape[0] == 0:
         raise ValueError("empty dataset")
-    return np.median(x.real, axis=0) + 1j * np.median(x.imag, axis=0)
+    med, _ = _split_medians(x)
+    return med[0::2] + 1j * med[1::2]
 
 
-def _mad(values: np.ndarray) -> np.ndarray:
-    med = np.median(values, axis=0)
-    return np.median(np.abs(values - med), axis=0)
+def _location_and_scale(x: np.ndarray, gamma: float) -> tuple:
+    """median_location and mad_scale from one selection per coordinate."""
+    if x.shape[0] < 2:
+        raise ValueError("scale estimation needs at least 2 samples")
+    med, block = _split_medians(x)
+    # A median ignores the order within a row: reuse the reordered block.
+    mad = _medians(np.abs(block - med[:, None]))
+    per_coord = gamma ** 2 * (mad[0::2] ** 2 + mad[1::2] ** 2)
+    if np.all(per_coord == 0.0):
+        raise ValueError("degenerate scale")
+    return med[0::2] + 1j * med[1::2], float(np.sqrt(per_coord.mean()))
 
 
 def mad_scale(data, gamma: float = GAMMA_ERFINV) -> float:
@@ -50,23 +76,17 @@ def mad_scale(data, gamma: float = GAMMA_ERFINV) -> float:
     ``gamma`` defaults to 1/erfinv(3/4); pass GAMMA_NORMAL_QUARTILE for the
     conventional 1.4826... normal-consistency constant.
     """
-    x = as_dataset(data)
-    if x.shape[0] < 2:
-        raise ValueError("scale estimation needs at least 2 samples")
-    per_coord = gamma ** 2 * (_mad(x.real) ** 2 + _mad(x.imag) ** 2)
-    if np.all(per_coord == 0.0):
-        raise ValueError("degenerate scale")
-    return float(np.sqrt(per_coord.mean()))
+    return _location_and_scale(as_dataset(data), gamma)[1]
 
 
-def _fixed_point(x: np.ndarray, model: RegressionModel,
+def _fixed_point(x: np.ndarray, model: RegressionModel, start: np.ndarray,
                  weight_fn: Callable[[np.ndarray], np.ndarray]
                  ) -> BaselineResult:
-    """alpha <- (A^H A)^-1 A^H (sum_n w_n x_n / sum_n w_n) until relative
-    change drops below tolerance; returns the last iterate flagged when the
-    budget runs out."""
+    """alpha <- (A^H A)^-1 A^H (sum_n w_n x_n / sum_n w_n) from the location
+    ``start`` until relative change drops below tolerance; returns the last
+    iterate flagged when the budget runs out."""
     a = model.a_matrix
-    alpha = np.linalg.solve(model.aha, a.conj().T @ median_location(x))
+    alpha = np.linalg.solve(model.aha, a.conj().T @ start)
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
@@ -101,8 +121,8 @@ def tukey_m_estimator(data, model: RegressionModel, c: float,
                       gamma: float = GAMMA_ERFINV) -> BaselineResult:
     """Tukey bi-square fixed point with residuals normalized by the MAD scale."""
     x = as_dataset(data)
-    sigma = mad_scale(x, gamma=gamma)
-    return _fixed_point(x, model, lambda r: tukey_weights(r / sigma, c))
+    start, sigma = _location_and_scale(x, gamma)
+    return _fixed_point(x, model, start, lambda r: tukey_weights(r / sigma, c))
 
 
 def mle_t_noise(data, model: RegressionModel, lam: float) -> BaselineResult:
@@ -113,8 +133,8 @@ def mle_t_noise(data, model: RegressionModel, lam: float) -> BaselineResult:
         raise ValueError("lam must be positive")
     x = as_dataset(data)
     s2 = model.sigma2_z
-    return _fixed_point(
-        x, model, lambda r: 1.0 / (1.0 + 2.0 * r ** 2 / (lam * s2)))
+    return _fixed_point(x, model, median_location(x),
+                        lambda r: 1.0 / (1.0 + 2.0 * r ** 2 / (lam * s2)))
 
 
 def least_squares(data, model: RegressionModel) -> BaselineResult:

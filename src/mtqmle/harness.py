@@ -311,26 +311,6 @@ def emit_csv(table: ResultTable, path, include_timing: bool = False) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> list:
-    """Parse a file written by emit_csv back into dictionaries."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rec = {}
-        for key, cell in zip(header, cells):
-            if key == "estimator":
-                rec[key] = cell
-            elif key in ("failures", "trials"):
-                rec[key] = int(cell)
-            else:
-                rec[key] = float(cell)
-        out.append(rec)
-    return out
-
-
 def timing_report(config: ExperimentConfig) -> list:
     """Mean wall seconds per estimator call at the first sweep value.
 

@@ -83,6 +83,26 @@ def dense_psi_gamma(x, theta, model):
     return psi, 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
+def read_csv(path) -> list:
+    """Parse a file written by emit_csv back into dictionaries."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = lines[0].split(",")
+    out = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        rec = {}
+        for key, cell in zip(header, cells):
+            if key == "estimator":
+                rec[key] = cell
+            elif key in ("failures", "trials"):
+                rec[key] = int(cell)
+            else:
+                rec[key] = float(cell)
+        out.append(rec)
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

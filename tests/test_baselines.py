@@ -26,6 +26,39 @@ def make_data(model, n, seed, theta0=THETA0_REG):
                                  model.noise, n, stream_rng(seed, 0))
 
 
+def oracle_location(x):
+    """median_location as np.median computes it: the exactness oracle."""
+    return np.median(x.real, axis=0) + 1j * np.median(x.imag, axis=0)
+
+
+def oracle_scale(x, gamma=GAMMA_ERFINV):
+    """mad_scale as np.median computes it: the exactness oracle."""
+    def mad(values):
+        return np.median(np.abs(values - np.median(values, axis=0)), axis=0)
+    per_coord = gamma ** 2 * (mad(x.real) ** 2 + mad(x.imag) ** 2)
+    return float(np.sqrt(per_coord.mean()))
+
+
+def exactness_cases(n, p, seed):
+    """Data with ties (rounded to 0.1) and a constant column, signed zeros
+    at the median rank, and constant data, each in C, Fortran,
+    column-sliced and row-strided layouts."""
+    rng = np.random.default_rng(seed)
+    rounded = np.round(rng.standard_normal((n, 2 * p))
+                       + 1j * rng.standard_normal((n, 2 * p)), 1)
+    rounded[:, 0] = 0.3 - 0.7j
+    zeros = np.empty((n, 2 * p), dtype=complex)
+    for part in (zeros.real, zeros.imag):
+        part[...] = rng.choice([-0.0, 0.0, -0.1, 0.1, -0.2, 0.2],
+                               size=(n, 2 * p),
+                               p=[0.2, 0.2, 0.15, 0.15, 0.15, 0.15])
+    for x in (rounded, zeros, np.full((n, 2 * p), complex(-0.0, 0.5))):
+        yield x[:, :p]
+        yield np.asfortranarray(x[:, :p])
+        yield x[:, ::2]
+        yield x[::2, :p] if n > 1 else x[:, :p]
+
+
 class TestMedianLocation:
     def test_single_sample(self):
         x = np.array([[1.0 - 2.0j, 3.0j]])
@@ -87,6 +120,57 @@ class TestMADScale:
         x = np.ones((5, 2), dtype=complex)
         with pytest.raises(ValueError, match="degenerate scale"):
             mad_scale(x)
+
+
+class TestExactMedians:
+    """The single-rank selection equals np.median bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 199, 200, 1000])
+    def test_equals_np_median(self, n, p):
+        for seed in range(5):
+            for x in exactness_cases(n, p, 90 + seed):
+                got = median_location(x)
+                want = oracle_location(x)
+                assert np.array_equal(got, want)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)),
+                                          np.signbit(part(want)))
+                if x.shape[0] < 2:
+                    continue
+                if oracle_scale(x) == 0.0:
+                    with pytest.raises(ValueError, match="degenerate scale"):
+                        mad_scale(x)
+                    continue
+                assert mad_scale(x) == oracle_scale(x)
+                assert mad_scale(x, gamma=GAMMA_NORMAL_QUARTILE) == \
+                    oracle_scale(x, gamma=GAMMA_NORMAL_QUARTILE)
+
+    def test_input_left_unchanged(self):
+        x = np.round(stream_rng(91, 0).standard_normal((41, 3)), 1) + 2.0j
+        before = x.copy()
+        median_location(x)
+        mad_scale(x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("n", [999, 1000])
+    def test_fixed_points_match_oracle_start(self, reg_t, n):
+        """Both fixed points return what they return when started from
+        the np.median location and scale."""
+        for seed in (92, 93, 94):
+            x = make_data(reg_t, n, seed)
+            sigma = oracle_scale(x)
+            for got, weight_fn in (
+                    (tukey_m_estimator(x, reg_t, c=6.2),
+                     lambda r: tukey_weights(r / sigma, 6.2)),
+                    (mle_t_noise(x, reg_t, lam=0.2),
+                     lambda r: 1.0 / (1.0 + 2.0 * r ** 2
+                                      / (0.2 * reg_t.sigma2_z)))):
+                want = baselines._fixed_point(x, reg_t, oracle_location(x),
+                                              weight_fn)
+                assert np.array_equal(got.theta, want.theta)
+                assert got.n_iter == want.n_iter
+                assert got.converged == want.converged
 
 
 class TestTukeyWeights:

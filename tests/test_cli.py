@@ -1,7 +1,8 @@
 import json
 
 from mtqmle.cli import main
-from mtqmle.harness import read_csv
+
+from conftest import read_csv
 
 
 def write_config(tmp_path, **overrides):

@@ -10,10 +10,11 @@ from mtqmle.harness import (
     ExperimentConfig,
     ResultTable,
     emit_csv,
-    read_csv,
     run_experiment,
     timing_report,
 )
+
+from conftest import read_csv
 
 
 def small_regression_config(**overrides):
