@@ -32,7 +32,6 @@ from .estimator import (
     check_identifiability,
     estimate_gqmle,
     estimate_mt_gqmle,
-    finite_diff_moment_derivatives,
     objective_j_u,
 )
 from .exceptions import DegenerateWeights, NotPositiveDefinite, SingularMatrix
@@ -43,7 +42,6 @@ from .transform import (
     constant_mt_function,
     empirical_mt_moments,
     gaussian_mt_function,
-    mt_weights,
 )
 
 __all__ = [
@@ -63,13 +61,11 @@ __all__ = [
     "empirical_mt_moments",
     "estimate_gqmle",
     "estimate_mt_gqmle",
-    "finite_diff_moment_derivatives",
     "fisher_information",
     "gaussian_mt_function",
     "influence",
     "log_det_divergence",
     "log_phi_u",
-    "mt_weights",
     "objective_j_u",
     "psi_u",
     "psi_u_batch",

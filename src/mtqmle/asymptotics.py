@@ -28,9 +28,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
-from .estimator import EstimationResult, ParametricMomentModel, estimate_mt_gqmle
+from .estimator import EstimationResult, ParametricMomentModel, _estimate
 from .exceptions import DegenerateWeights, NotPositiveDefinite, SingularMatrix
-from .transform import MTFunction, _weights
+from .transform import MTFunction, _moments, _weights
 
 _COND_LIMIT = 1e14
 # Least Kish ESS 1 / sum phi^2 of a selectable width: below 2, x_n - mu_hat
@@ -165,14 +165,22 @@ def sandwich(data, theta_hat, model: ParametricMomentModel, u: MTFunction
     boundary, where the asymptotic normality argument does not apply.
     """
     x = as_dataset(data)
-    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    n = x.shape[0]
     lw = u.log_weights(x)
-    scaled = _weights(lw)[0]                         # u / max(u), in (0, 1]
+    return _sandwich(x, np.asarray(theta_hat, dtype=float).ravel(), model, lw,
+                     _weights(lw)[0])
+
+
+def _sandwich(x: np.ndarray, theta_hat: np.ndarray,
+              model: ParametricMomentModel, lw: np.ndarray, scaled: np.ndarray
+              ) -> SandwichMatrices:
+    """``sandwich`` from validated data, the log-weights ``lw`` of u on it and
+    their max-shifted weights ``scaled`` = u / max(u), in (0, 1]."""
+    n = x.shape[0]
     if model.space.on_boundary(theta_hat):
+        # stacklevel 3: the line that called the public entry
         warnings.warn("estimate lies on the parameter-space boundary; "
                       "the sandwich asymptotics assume an interior optimum",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
     psi, gam = _psi_gamma(x, theta_hat, model)       # (n, m), (n, m, m)
     g_scaled = np.einsum("n,nk,nj->kj", scaled ** 2, psi, psi) / n
     f_scaled = -np.einsum("n,nkj->kj", scaled, gam) / n
@@ -273,16 +281,22 @@ def select_mt_parameter(data, family: Callable[[float], MTFunction],
                                         ParametricMomentModel]
                         ) -> SelectionResult:
     """``select_by_trace`` with the sandwich MSE of a full re-estimate of
-    theta on the same dataset for every candidate omega; ``model(x, u)``
-    builds the moment model for each candidate weight."""
+    theta on the same dataset for every candidate omega.
+
+    Each candidate makes two passes over the data: ``model(x, u)`` builds the
+    moment model for u = family(omega) with a pass of its own, and the fit
+    evaluates u's log-weights once and builds one set of reweighted moments,
+    which the estimator and the sandwich share. The data is validated once.
+    """
     x = as_dataset(data)
 
     def fit(omega):
         u = family(omega)
         model_i = model(x, u)
-        est = estimate_mt_gqmle(x, u, model_i)
-        return (est, sandwich(x, est.theta, model_i, u).c_hat,
-                est.moments.weights)
+        lw = u.log_weights(x)
+        scaled, phi = _weights(lw)
+        est = _estimate(_moments(x, phi), model_i)
+        return (est, _sandwich(x, est.theta, model_i, lw, scaled).c_hat, phi)
 
     return select_by_trace(omegas, fit)
 

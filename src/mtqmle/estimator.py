@@ -13,7 +13,6 @@ space; both paths are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,7 +57,11 @@ class ParameterSpace:
 
     def grid_points(self) -> np.ndarray:
         """All grid points, shape (prod(grid_sizes), dim), lowest index first."""
-        return np.array(list(itertools.product(*self.axes())))
+        dim = self.lower.size
+        if dim == 0:
+            return np.empty((1, 0))
+        grids = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack(grids, axis=-1).reshape(-1, dim)
 
     def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float).ravel()
@@ -154,7 +157,12 @@ def estimate_mt_gqmle(data, u: MTFunction, model: ParametricMomentModel
     grid: ties go to the lowest grid index, NaN never wins, and a grid with
     no finite objective raises ValueError.
     """
-    moments = empirical_mt_moments(data, u)
+    return _estimate(empirical_mt_moments(data, u), model)
+
+
+def _estimate(moments: EmpiricalMTMoments, model: ParametricMomentModel
+              ) -> EstimationResult:
+    """``estimate_mt_gqmle`` from moments already built."""
     if model.solver is not None:
         theta = np.asarray(model.solver(moments), dtype=float).ravel()
         if theta.size != model.theta_dim:
@@ -186,24 +194,6 @@ def _fit_cov_scalars(sigma_hat: np.ndarray, t_basis: float,
     r_b, r_i = np.linalg.solve(gram, np.array([t_basis, t_i]))
     r_i = max(r_i, 1e-12 * max(t_i / sigma_hat.shape[0], 1e-30))
     return float(max(r_b, 0.0)), float(r_i)
-
-
-def finite_diff_moment_derivatives(model: ParametricMomentModel, theta,
-                                   k: int, step: float):
-    """Central differences of mt_mean and mt_cov in coordinate k."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    theta = np.asarray(theta, dtype=float).ravel()
-    lo = theta.copy()
-    hi = theta.copy()
-    hi[k] += step
-    lo[k] -= step
-    for point in (hi, lo):
-        if not model.space.contains(point):
-            raise ValueError("finite-difference stencil leaves the parameter space")
-    d_mean = (model.mt_mean(hi) - model.mt_mean(lo)) / (2.0 * step)
-    d_cov = (model.mt_cov(hi) - model.mt_cov(lo)) / (2.0 * step)
-    return d_mean, d_cov
 
 
 @dataclass

@@ -141,20 +141,9 @@ def _weights(lw: np.ndarray) -> tuple:
     return w, w / w.sum(axis=-1, keepdims=True)
 
 
-def mt_weights(data, u: MTFunction) -> np.ndarray:
-    """Normalized weights u(x_n) / sum_m u(x_m).
-
-    Raises DegenerateWeights when every weight vanishes. Normalization is
-    done in log space (max-shifted), so any common scale of u cancels exactly.
-    """
-    return _weights(u.log_weights(data))[1]
-
-
-def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
-    """Reweighted mean and covariance with their normalized weights;
-    NotPositiveDefinite when the covariance overflows."""
-    x = as_dataset(data)
-    phi = _weights(u.log_weights(x))[1]
+def _moments(x: np.ndarray, phi: np.ndarray) -> EmpiricalMTMoments:
+    """Reweighted mean and covariance of a validated dataset under normalized
+    weights ``phi``; NotPositiveDefinite when the covariance overflows."""
     mean = phi @ x
     with np.errstate(over="ignore", invalid="ignore"):
         # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
@@ -163,6 +152,15 @@ def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
     if not np.all(np.isfinite(cov)):
         raise NotPositiveDefinite("reweighted covariance is not finite")
     return EmpiricalMTMoments(weights=phi, mt_mean=mean, mt_cov=cov)
+
+
+def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
+    """Reweighted mean and covariance with their normalized weights
+    u(x_n) / sum_m u(x_m), normalized in log space (max-shifted) so that any
+    common scale of u cancels exactly; DegenerateWeights when every weight
+    vanishes, NotPositiveDefinite when the covariance overflows."""
+    x = as_dataset(data)
+    return _moments(x, _weights(u.log_weights(x))[1])
 
 
 def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:

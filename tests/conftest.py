@@ -83,6 +83,23 @@ def dense_psi_gamma(x, theta, model):
     return psi, 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
+def finite_diff_moment_derivatives(model, theta, k: int, step: float):
+    """Central differences of mt_mean and mt_cov in coordinate k."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    theta = np.asarray(theta, dtype=float).ravel()
+    lo = theta.copy()
+    hi = theta.copy()
+    hi[k] += step
+    lo[k] -= step
+    for point in (hi, lo):
+        if not model.space.contains(point):
+            raise ValueError("finite-difference stencil leaves the parameter space")
+    d_mean = (model.mt_mean(hi) - model.mt_mean(lo)) / (2.0 * step)
+    d_cov = (model.mt_cov(hi) - model.mt_cov(lo)) / (2.0 * step)
+    return d_mean, d_cov
+
+
 def read_csv(path) -> list:
     """Parse a file written by emit_csv back into dictionaries."""
     with open(path, "r", encoding="utf-8") as fh:

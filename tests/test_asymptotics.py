@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from mtqmle.asymptotics import (
     select_mt_parameter,
 )
 from mtqmle.doa import doa_moment_model
-from mtqmle.estimator import ParameterSpace, ParametricMomentModel
+from mtqmle.estimator import (ParameterSpace, ParametricMomentModel,
+                              estimate_mt_gqmle)
 from mtqmle.exceptions import (DegenerateWeights, NotPositiveDefinite,
                                SingularMatrix)
 from mtqmle.regression import (
@@ -35,7 +37,8 @@ from mtqmle.regression import (
 )
 from mtqmle.samplers import stream_rng, synthesize_doa, synthesize_regression
 from mtqmle.transform import (MTFunction, check_mt_condition,
-                              constant_mt_function, gaussian_mt_function)
+                              constant_mt_function, empirical_mt_moments,
+                              gaussian_mt_function)
 
 from conftest import THETA0_REG, dense_psi_gamma, random_dataset, random_pd
 
@@ -373,8 +376,10 @@ class TestSandwich:
         x = make_regression_data(reg_gaussian, 100, 9)
         u = projected_mt_function(reg_gaussian, 3.0)
         mm = regression_moment_model(reg_gaussian, x, u, bounds=0.3)
-        with pytest.warns(RuntimeWarning, match="boundary"):
+        with pytest.warns(RuntimeWarning, match="boundary") as record:
+            line = inspect.currentframe().f_lineno + 1
             sandwich(x, np.array([0.3, 0.0, 0.0, 0.0]), mm, u)
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
 
     def test_singular_f_raises(self, rng):
         # weight concentrated on one sample makes the curvature rank deficient
@@ -392,6 +397,37 @@ class TestSandwich:
         x = (rng.standard_normal((50, 1)) + 1j * rng.standard_normal((50, 1)))
         with pytest.raises(SingularMatrix, match="F matrix singular"):
             sandwich(x, np.zeros(2), mm, constant_mt_function())
+
+
+class TestPublicEntriesValidate:
+    """The public entries validate their data and log-weights themselves."""
+
+    ENTRIES = {
+        "empirical_mt_moments": lambda x, u, mm: empirical_mt_moments(x, u),
+        "estimate_mt_gqmle": lambda x, u, mm: estimate_mt_gqmle(x, u, mm),
+        "sandwich": lambda x, u, mm: sandwich(x, np.zeros(4), mm, u),
+    }
+
+    @pytest.fixture
+    def model(self, reg_t):
+        x = make_regression_data(reg_t, 50, 19)
+        return x, regression_moment_model(reg_t, x, constant_mt_function())
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data(self, model, entry, bad):
+        x, mm = model
+        x = x.copy()
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            self.ENTRIES[entry](x, constant_mt_function(), mm)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_log_weights_of_wrong_shape(self, model, entry):
+        x, mm = model
+        u = MTFunction(lambda data: np.zeros(data.shape[0] + 1))
+        with pytest.raises(ValueError, match="wrong shape"):
+            self.ENTRIES[entry](x, u, mm)
 
 
 class TestScoreIdentity:
@@ -488,6 +524,62 @@ class TestSelection:
                 est.theta, mt_gqmle_regression(x, reg_t, om), rtol=1e-10)
         idx = int(np.argmin(sel.traces))
         assert sel.omega_opt == sel.omegas[idx]
+
+    def test_one_weight_pass_per_width(self, rng):
+        """With a factory that never evaluates u, each candidate width's fit
+        evaluates its log-weights exactly once."""
+        calls = []
+
+        def family(om):
+            def log_fn(x):
+                calls.append(om)
+                return -np.abs(x[:, 0]) ** 2 / om ** 2
+            return MTFunction(log_fn)
+
+        eye = np.eye(1, dtype=complex)
+        location = ParametricMomentModel(
+            theta_dim=2,
+            mt_mean=lambda th: (th[..., :1] + 1j * th[..., 1:]).astype(complex),
+            mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (1, 1)),
+            d_mean=lambda th: np.array([[1.0], [1.0j]]),
+            d_cov=lambda th: np.zeros((2, 1, 1), dtype=complex),
+            d2_mean=lambda th: np.zeros((2, 2, 1), dtype=complex),
+            d2_cov=lambda th: np.zeros((2, 2, 1, 1), dtype=complex),
+            space=ParameterSpace([-1.0] * 2, [1.0] * 2, 5),
+            solver=lambda mom: [mom.mt_mean[0].real, mom.mt_mean[0].imag])
+        x = random_dataset(rng, 200, 1, scale=0.3)
+        sel = select_mt_parameter(x, family, [3.0, 1.0, 2.0],
+                                  lambda data, u: location)
+        assert np.isfinite(sel.traces).all()
+        assert calls == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_equals_public_chain(self, reg_t, ula_gaussian, seed):
+        """Every candidate's estimate, weights and trace are bit-identical to
+        model(x, u) -> estimate_mt_gqmle -> sandwich, on the solver path and
+        on the grid path."""
+        x_doa = synthesize_doa(4, 0.3, 1.0, ula_gaussian.noise, 1000,
+                               stream_rng(seed, 1))
+        cases = [
+            (make_regression_data(reg_t, 200, seed),
+             lambda om: projected_mt_function(reg_t, om), [2.0, 5.0, 10.0],
+             lambda data, u: regression_moment_model(reg_t, data, u)),
+            (x_doa, gaussian_mt_function, [2.0, 4.0],
+             lambda data, u: doa_moment_model(
+                 ula_gaussian, data, u.params["width"], k_theta=181,
+                 use_solver=False)),
+        ]
+        for x, family, omegas, factory in cases:
+            sel = select_mt_parameter(x, family, omegas, factory)
+            for om, est, trace in zip(sel.omegas, sel.estimates, sel.traces):
+                u = family(om)
+                mm = factory(x, u)
+                ref = estimate_mt_gqmle(x, u, mm)
+                assert np.array_equal(est.theta, ref.theta)
+                assert est.objective == ref.objective
+                assert np.array_equal(est.moments.weights, ref.moments.weights)
+                assert np.array_equal(est.moments.mt_cov, ref.moments.mt_cov)
+                assert trace == np.trace(sandwich(x, ref.theta, mm, u).c_hat)
 
     def test_gaussian_closed_form_trace_decreasing(self, reg_gaussian):
         omegas = np.linspace(1.0, 30.0, 30)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from mtqmle.estimator import (
     check_identifiability,
     estimate_gqmle,
     estimate_mt_gqmle,
-    finite_diff_moment_derivatives,
     objective_j_u,
 )
 from mtqmle.doa import doa_moment_model, steering
@@ -32,7 +32,7 @@ from mtqmle.transform import (
     gaussian_mt_function,
 )
 
-from conftest import THETA0_REG, random_dataset
+from conftest import THETA0_REG, finite_diff_moment_derivatives, random_dataset
 
 
 def model_moments_at(model, theta):
@@ -63,6 +63,20 @@ class TestParameterSpace:
         pts = space.grid_points()
         np.testing.assert_array_equal(pts[0], [0.0, 0.0])
         np.testing.assert_array_equal(pts[1], [0.0, 1.0])
+
+    @pytest.mark.parametrize("lower, upper, sizes", [
+        ([0.0], [np.pi], 721),
+        ([-3.0] * 4, [3.0] * 4, 9),
+        ([-1.0, 0.0], [1.0, 2.0], [3, 7]),
+        ([0.5], [0.5], 1),
+        ([], [], []),
+    ])
+    def test_grid_matches_product_oracle(self, lower, upper, sizes):
+        space = ParameterSpace(lower, upper, sizes)
+        oracle = np.array(list(itertools.product(*space.axes())))
+        pts = space.grid_points()
+        assert pts.shape == oracle.shape and pts.dtype == oracle.dtype
+        np.testing.assert_array_equal(pts, oracle)
 
     def test_validation(self):
         with pytest.raises(ValueError):

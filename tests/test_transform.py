@@ -12,7 +12,6 @@ from mtqmle.transform import (
     empirical_mt_moments,
     gaussian_log_weights,
     gaussian_mt_function,
-    mt_weights,
 )
 
 from conftest import random_dataset
@@ -21,8 +20,9 @@ from conftest import random_dataset
 class TestMTWeights:
     def test_constant_uniform(self, rng):
         x = random_dataset(rng, 8, 2)
-        np.testing.assert_allclose(mt_weights(x, constant_mt_function()),
-                                   np.full(8, 1 / 8))
+        np.testing.assert_allclose(
+            empirical_mt_moments(x, constant_mt_function()).weights,
+            np.full(8, 1 / 8))
 
     def test_single_support_point(self, rng):
         x = random_dataset(rng, 5, 2)
@@ -31,7 +31,7 @@ class TestMTWeights:
         def fn(data):
             return (np.abs(data - target).sum(axis=1) < 1e-12).astype(float)
 
-        w = mt_weights(x, MTFunction.from_callable(fn))
+        w = empirical_mt_moments(x, MTFunction.from_callable(fn)).weights
         expected = np.zeros(5)
         expected[2] = 1.0
         np.testing.assert_allclose(w, expected)
@@ -40,25 +40,25 @@ class TestMTWeights:
         x = random_dataset(rng, 40, 3)
         u = gaussian_mt_function(1.5)
         direct = np.exp(-np.sum(np.abs(x) ** 2, axis=1) / 1.5 ** 2)
-        np.testing.assert_allclose(mt_weights(x, u), direct / direct.sum(),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(empirical_mt_moments(x, u).weights,
+                                   direct / direct.sum(), rtol=1e-12)
 
     def test_annihilating_function_raises(self, rng):
         x = random_dataset(rng, 4, 2)
         zero = MTFunction.from_callable(lambda data: np.zeros(data.shape[0]))
         with pytest.raises(DegenerateWeights, match="annihilates"):
-            mt_weights(x, zero)
+            empirical_mt_moments(x, zero)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(DegenerateWeights):
-            mt_weights(np.zeros((0, 3), dtype=complex),
-                       gaussian_mt_function(1.0))
+            empirical_mt_moments(np.zeros((0, 3), dtype=complex),
+                                 gaussian_mt_function(1.0))
 
     def test_underflow_safe_normalization(self):
         # raw weights underflow float64; log-space normalization still works
         x = 60.0 * np.ones((3, 2), dtype=complex)
         x[0] *= 0.999
-        w = mt_weights(x, gaussian_mt_function(1.0))
+        w = empirical_mt_moments(x, gaussian_mt_function(1.0)).weights
         assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0)
         assert w[0] > 0.99
 
@@ -93,7 +93,7 @@ class TestEmpiricalMoments:
     def test_weighted_outer_product_oracle(self, rng):
         x = random_dataset(rng, 25, 3)
         u = gaussian_mt_function(2.5)
-        phi = mt_weights(x, u)
+        phi = empirical_mt_moments(x, u).weights
         mean = (phi[:, None] * x).sum(axis=0)
         oracle = np.zeros((3, 3), dtype=complex)
         for w_n, x_n in zip(phi, x):
@@ -182,7 +182,7 @@ class TestCheckMTCondition:
         x = random_dataset(rng, 1000, 2, scale=np.sqrt(0.5))
         u = gaussian_mt_function(2.0)
         diag = check_mt_condition(x, u)
-        phi = mt_weights(x, u)
+        phi = empirical_mt_moments(x, u).weights
         assert diag.ess == pytest.approx(1.0 / np.sum(phi ** 2), rel=1e-12)
 
     def test_degenerate_reported_not_raised(self, rng):
