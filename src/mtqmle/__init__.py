@@ -19,12 +19,6 @@ from .asymptotics import (
     score_identity_check,
     select_mt_parameter,
 )
-from .core import (
-    log_det_divergence,
-    sample_covariance,
-    sample_mean,
-    weighted_norm_sq,
-)
 from .estimator import (
     EstimationResult,
     ParameterSpace,
@@ -64,17 +58,13 @@ __all__ = [
     "fisher_information",
     "gaussian_mt_function",
     "influence",
-    "log_det_divergence",
     "log_phi_u",
     "objective_j_u",
     "psi_u",
     "psi_u_batch",
-    "sample_covariance",
-    "sample_mean",
     "sandwich",
     "score_identity_check",
     "select_mt_parameter",
-    "weighted_norm_sq",
 ]
 
 __version__ = "0.1.0"

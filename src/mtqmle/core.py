@@ -1,4 +1,4 @@
-"""Complex-vector sample moments and the matrix primitives of the fit objective.
+"""Dataset coercion and the matrix primitives of the fit objective.
 
 Datasets are complex arrays of shape (n, p), one observation per row. All
 functions are pure and safe to call concurrently.
@@ -36,24 +36,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def sample_mean(data) -> np.ndarray:
-    """Standard sample mean vector, (1/n) sum_i x_i."""
-    x = as_dataset(data)
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
-    return x.mean(axis=0)
-
-
-def sample_covariance(data) -> np.ndarray:
-    """Biased sample covariance (1/n) sum_i (x_i - mean)(x_i - mean)^H."""
-    x = as_dataset(data)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("empty dataset")
-    xc = x - x.mean(axis=0)
-    return hermitize(xc.T @ xc.conj() / n)
-
-
 def cholesky_pd(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with one jittered retry.
 
@@ -76,37 +58,3 @@ def cholesky_pd(a: np.ndarray) -> np.ndarray:
 def _logdet_cholesky(chol: np.ndarray):
     """log det A from the lower Cholesky factor of A, or of each A in a stack."""
     return 2.0 * np.sum(np.log(np.abs(chol.diagonal(0, -2, -1))), axis=-1)
-
-
-def log_det_divergence(a: np.ndarray, b: np.ndarray) -> float:
-    """Log-determinant divergence tr[AB^-1] - log det[AB^-1] - p.
-
-    Nonnegative for positive-definite A, B of equal size, zero iff A = B.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("A and B must be square matrices of equal size")
-    chol_b = cholesky_pd(b)
-    b_inv_a = np.linalg.solve(chol_b.conj().T, np.linalg.solve(chol_b, a))
-    trace_term = float(np.trace(b_inv_a).real)
-    logdet_ratio = _logdet_cholesky(cholesky_pd(a)) - _logdet_cholesky(chol_b)
-    return trace_term - logdet_ratio - a.shape[0]
-
-
-def weighted_norm_sq(a: np.ndarray, c: np.ndarray) -> float:
-    """Squared weighted norm a^H C a for positive-definite weighting C."""
-    a = np.asarray(a, dtype=complex).ravel()
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (a.size, a.size):
-        raise ValueError(
-            f"dimension mismatch: vector of length {a.size}, matrix {c.shape}"
-        )
-    return float((a.conj() @ c @ a).real)
-
-
-def inv_quad_form(d: np.ndarray, sigma: np.ndarray) -> float:
-    """d^H Sigma^-1 d for positive-definite Sigma, via one triangular solve."""
-    chol = cholesky_pd(sigma)
-    y = np.linalg.solve(chol, np.asarray(d, dtype=complex).ravel())
-    return float(np.real(y.conj() @ y))

@@ -60,20 +60,6 @@ class MTFunction:
         """Raw (unnormalized) weights u(x_n)."""
         return np.exp(self.log_weights(data))
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray]
-                      ) -> "MTFunction":
-        """Wrap a plain (vectorized, nonnegative) weight evaluator."""
-
-        def log_fn(x):
-            u = np.asarray(fn(x), dtype=float)
-            if np.any(u < 0):
-                raise ValueError("weight function returned negative values")
-            with np.errstate(divide="ignore"):
-                return np.log(u)
-
-        return cls(log_fn)
-
 
 def constant_mt_function() -> MTFunction:
     """u(x) = 1, reproducing the unweighted sample moments."""

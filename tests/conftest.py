@@ -1,11 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from mtqmle.asymptotics import _FD_STEP
-from mtqmle.core import cholesky_pd
+from mtqmle.core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from mtqmle.doa import ULAModel
 from mtqmle.regression import build_steering_regressors, unrealify
 from mtqmle.samplers import NoiseSpec, _texture_nu2_draws
+from mtqmle.transform import MTFunction
 
 THETA0_REG = np.array([0.3, 0.5, 0.6, 0.8])
 THETA0_DOA = np.deg2rad(30.0)
@@ -21,6 +25,114 @@ def random_pd(rng, p, scale=1.0):
 
 def random_dataset(rng, n, p, scale=1.0):
     return scale * (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
+
+
+def sample_mean(data) -> np.ndarray:
+    """Standard sample mean vector, (1/n) sum_i x_i."""
+    x = as_dataset(data)
+    if x.shape[0] == 0:
+        raise ValueError("empty dataset")
+    return x.mean(axis=0)
+
+
+def sample_covariance(data) -> np.ndarray:
+    """Biased sample covariance (1/n) sum_i (x_i - mean)(x_i - mean)^H."""
+    x = as_dataset(data)
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("empty dataset")
+    xc = x - x.mean(axis=0)
+    return hermitize(xc.T @ xc.conj() / n)
+
+
+def log_det_divergence(a: np.ndarray, b: np.ndarray) -> float:
+    """Log-determinant divergence tr[AB^-1] - log det[AB^-1] - p.
+
+    Nonnegative for positive-definite A, B of equal size, zero iff A = B.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("A and B must be square matrices of equal size")
+    chol_b = cholesky_pd(b)
+    b_inv_a = np.linalg.solve(chol_b.conj().T, np.linalg.solve(chol_b, a))
+    trace_term = float(np.trace(b_inv_a).real)
+    logdet_ratio = _logdet_cholesky(cholesky_pd(a)) - _logdet_cholesky(chol_b)
+    return trace_term - logdet_ratio - a.shape[0]
+
+
+def weighted_norm_sq(a: np.ndarray, c: np.ndarray) -> float:
+    """Squared weighted norm a^H C a for positive-definite weighting C."""
+    a = np.asarray(a, dtype=complex).ravel()
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (a.size, a.size):
+        raise ValueError(
+            f"dimension mismatch: vector of length {a.size}, matrix {c.shape}"
+        )
+    return float((a.conj() @ c @ a).real)
+
+
+def inv_quad_form(d: np.ndarray, sigma: np.ndarray) -> float:
+    """d^H Sigma^-1 d for positive-definite Sigma, via one triangular solve."""
+    chol = cholesky_pd(sigma)
+    y = np.linalg.solve(chol, np.asarray(d, dtype=complex).ravel())
+    return float(np.real(y.conj() @ y))
+
+
+def mt_function_from_callable(fn) -> MTFunction:
+    """Wrap a plain (vectorized, nonnegative) weight evaluator."""
+
+    def log_fn(x):
+        u = np.asarray(fn(x), dtype=float)
+        if np.any(u < 0):
+            raise ValueError("weight function returned negative values")
+        with np.errstate(divide="ignore"):
+            return np.log(u)
+
+    return MTFunction(log_fn)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_are_tukey(c: float, p: int) -> float:
+    """baselines.are_tukey against scipy's chi density, memoised so that the
+    bisections of several targets share their evaluations: the exactness
+    oracle for the closed-form density."""
+    if not c > 0:
+        raise ValueError("c must be positive")
+    dist = stats.chi(2 * p, scale=2.0 ** -0.5)
+
+    def expect(fn):
+        val, _ = integrate.quad(lambda r: fn(r) * dist.pdf(r), 0.0, c,
+                                limit=200)
+        return val
+
+    t_lin = expect(lambda r: (1.0 - (r / c) ** 2) * r ** 2)
+    t_sq = expect(lambda r: (1.0 - (r / c) ** 2) ** 2)
+    denom = expect(lambda r: (1.0 - (r / c) ** 2) ** 4 * r ** 2) / p
+    return (2.0 * t_lin / (c ** 2 * p) - t_sq) ** 2 / denom
+
+
+def oracle_tune_c_for_are(target: float, p: int) -> float:
+    """baselines.tune_c_for_are bisecting oracle_are_tukey."""
+    if not 0.0 < target < 1.0:
+        raise ValueError("target must lie in (0, 1)")
+    lo, hi = 0.5, 1.0
+    if oracle_are_tukey(lo, p) > target:
+        raise ValueError(f"target {target} unreachable above c = 0.5")
+    while oracle_are_tukey(hi, p) < target:
+        hi *= 2.0
+        if hi > 1e3:
+            raise ValueError(f"target {target} unreachable below c = 1e3")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = oracle_are_tukey(mid, p)
+        if abs(val - target) < 1e-4:
+            return mid
+        if val < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def whole_array_texture_mean(noise, fn):

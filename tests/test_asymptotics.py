@@ -40,7 +40,8 @@ from mtqmle.transform import (MTFunction, check_mt_condition,
                               constant_mt_function, empirical_mt_moments,
                               gaussian_mt_function)
 
-from conftest import THETA0_REG, dense_psi_gamma, random_dataset, random_pd
+from conftest import (THETA0_REG, dense_psi_gamma, mt_function_from_callable,
+                      random_dataset, random_pd)
 
 
 # Normalized weights of a stub fit: Kish ESS 4 and 1.
@@ -604,7 +605,7 @@ class TestSelection:
 
     def test_all_degenerate_raises(self, reg_t):
         x = make_regression_data(reg_t, 100, 18)
-        zero_family = lambda om: MTFunction.from_callable(
+        zero_family = lambda om: mt_function_from_callable(
             lambda d: np.zeros(d.shape[0]))
         with pytest.raises(DegenerateWeights, match="all grid points"):
             select_mt_parameter(

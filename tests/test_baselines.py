@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from mtqmle import baselines
 from mtqmle.baselines import (
     GAMMA_ERFINV,
     GAMMA_NORMAL_QUARTILE,
+    _residual_density,
     are_tukey,
     least_squares,
     mad_scale,
@@ -18,7 +19,7 @@ from mtqmle.baselines import (
 from mtqmle.regression import realify, unrealify
 from mtqmle.samplers import stream_rng, synthesize_regression
 
-from conftest import THETA0_REG
+from conftest import THETA0_REG, oracle_are_tukey, oracle_tune_c_for_are
 
 
 def make_data(model, n, seed, theta0=THETA0_REG):
@@ -295,3 +296,61 @@ class TestARE:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             tune_c_for_are(1.5, 10)
+
+    def test_underflowing_integrals_raise(self):
+        with pytest.raises(ValueError, match="underflow"):
+            are_tukey(0.5, 200)
+
+    def test_tuning_at_large_p(self):
+        c = tune_c_for_are(0.95, 200)
+        assert abs(are_tukey(c, 200) - 0.95) < 1e-4
+
+    def test_non_positive_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            tune_c_for_are(0.95, 0)
+
+
+def _tuned_or_error(tune, target, p):
+    try:
+        return tune(target, p)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+class TestAREExactness:
+    """The closed-form chi density against scipy's, and the ARE and its
+    tuned cutoff against the scipy-density oracle."""
+
+    def test_mad_constants_match_scipy(self):
+        assert GAMMA_ERFINV == 1.0 / special.erfinv(0.75)
+        assert GAMMA_NORMAL_QUARTILE == \
+            1.0 / (np.sqrt(2.0) * special.erfinv(0.5))
+
+    def test_closed_form_density(self):
+        r = np.linspace(0.01, 30.0, 600)
+        for p in range(1, 41):
+            ref = stats.chi(2 * p, scale=2.0 ** -0.5).pdf(r)
+            pdf = _residual_density(p)
+            got = np.array([pdf(v) for v in r])
+            keep = ref > 1e-300
+            np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12,
+                                       atol=0.0, err_msg=f"p = {p}")
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10, 20, 40])
+    def test_are_matches_oracle(self, p):
+        for c in (0.6, 1.0, 2.5, 6.2, 12.0, 40.0, 1000.0):
+            assert are_tukey(c, p) == pytest.approx(oracle_are_tukey(c, p),
+                                                    rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("p", range(1, 41))
+    def test_tuned_cutoff_equals_oracle(self, p):
+        for target in (0.5, 0.8, 0.9, 0.95, 0.99):
+            assert _tuned_or_error(tune_c_for_are, target, p) == \
+                _tuned_or_error(oracle_tune_c_for_are, target, p)
+
+    @pytest.mark.parametrize("target, p", [(0.01, 1), (1.0 - 1e-12, 3),
+                                           (0.0, 10), (1.5, 10)])
+    def test_unreachable_targets_raise_as_oracle(self, target, p):
+        got = _tuned_or_error(tune_c_for_are, target, p)
+        assert isinstance(got, tuple)
+        assert got == _tuned_or_error(oracle_tune_c_for_are, target, p)

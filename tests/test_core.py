@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from mtqmle.core import (
-    as_dataset,
-    inv_quad_form,
-    log_det_divergence,
-    sample_covariance,
-    sample_mean,
-    weighted_norm_sq,
-)
+from mtqmle.core import as_dataset
 from mtqmle.exceptions import NotPositiveDefinite
 
-from conftest import random_dataset, random_pd
+from conftest import (inv_quad_form, log_det_divergence, random_dataset,
+                      random_pd, sample_covariance, sample_mean,
+                      weighted_norm_sq)
 
 
 class TestAsDataset:

@@ -7,7 +7,6 @@ from scipy import integrate, stats
 
 from mtqmle import doa
 from mtqmle.asymptotics import fisher_information, sandwich, select_by_trace
-from mtqmle.core import sample_covariance, sample_mean
 from mtqmle.doa import (
     ULAModel,
     asymptotic_mse_doa,
@@ -31,7 +30,8 @@ from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
 from mtqmle.transform import (constant_mt_function, empirical_mt_moments,
                               gaussian_mt_function, squared_norms)
 
-from conftest import THETA0_DOA, random_pd, whole_array_texture_mean
+from conftest import (THETA0_DOA, random_pd, sample_covariance, sample_mean,
+                      whole_array_texture_mean)
 
 
 def make_doa_data(model, n, seed, theta0=THETA0_DOA):

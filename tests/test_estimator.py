@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mtqmle import estimator
-from mtqmle.core import inv_quad_form, log_det_divergence
 from mtqmle.estimator import (
     ParameterSpace,
     ParametricMomentModel,
@@ -32,7 +31,8 @@ from mtqmle.transform import (
     gaussian_mt_function,
 )
 
-from conftest import THETA0_REG, finite_diff_moment_derivatives, random_dataset
+from conftest import (THETA0_REG, finite_diff_moment_derivatives,
+                      inv_quad_form, log_det_divergence, random_dataset)
 
 
 def model_moments_at(model, theta):

@@ -126,6 +126,15 @@ class TestRunExperiment:
             assert row.failures == 0
             assert row.empirical_mse < 1e-16
 
+    def test_tukey_tunes_at_large_dimension(self):
+        """At p = 200 the cutoff search starts where the ARE integrals
+        underflow; the run must still tune and fit."""
+        cfg = small_regression_config(p=200, n_samples=400, trials=1,
+                                      estimators=["tukey"],
+                                      sweep_values=[5.0])
+        (row,) = run_experiment(cfg).rows
+        assert row.failures == 0 and np.isfinite(row.empirical_mse)
+
     def test_determinism(self):
         cfg = small_regression_config()
         t1 = run_experiment(cfg)

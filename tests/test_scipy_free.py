@@ -1,0 +1,56 @@
+"""scipy is needed only to tune the Tukey cutoff: the package, the command
+line and every config without the ``tukey`` estimator run without it."""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+RUN_SELECT_CONFIGS = """
+import mtqmle, mtqmle.cli
+from mtqmle.harness import ExperimentConfig, run_experiment
+
+doa = ExperimentConfig.from_dict(dict(
+    application="doa", noise_kind="k", noise_lam=0.75,
+    theta0=[0.5235987755982988], estimators=["mt-gqmle", "gqmle"],
+    sweep_axis="snr", sweep_values=[-5.0], trials=2, seed=2, n_samples=400,
+    omega="select", omega_grid=[1.0, 30.0, 6], p=4, k_theta=801))
+reg = ExperimentConfig.from_dict(dict(
+    application="regression", noise_kind="t", noise_lam=0.2,
+    theta0=[0.3, 0.5, 0.6, 0.8], estimators=["mt-gqmle", "gqmle", "mle"],
+    sweep_axis="snr", sweep_values=[-10.0], trials=2, seed=1,
+    n_samples=300, omega="select", omega_grid=[1.0, 30.0, 6], p=10))
+for cfg in (doa, reg):
+    rows = run_experiment(cfg).rows
+    assert len(rows) == len(cfg.estimators), cfg.application
+    assert all(r.failures == 0 for r in rows), cfg.application
+"""
+
+
+def _python(code: str) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_select_configs_run_with_scipy_blocked():
+    _python("import sys\nsys.modules['scipy'] = None\n" + RUN_SELECT_CONFIGS
+            + """
+from mtqmle.baselines import tune_c_for_are
+try:
+    tune_c_for_are(0.95, 10)
+except ImportError:
+    pass
+else:
+    raise AssertionError("tune_c_for_are ran without scipy")
+""")
+
+
+def test_select_configs_do_not_import_scipy():
+    _python("import sys\n" + RUN_SELECT_CONFIGS
+            + "assert 'scipy' not in sys.modules, 'scipy was imported'\n")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mtqmle.core import sample_covariance, sample_mean
 from mtqmle.exceptions import DegenerateWeights, NotPositiveDefinite
 from mtqmle.regression import projected_mt_function
 from mtqmle.samplers import stream_rng, synthesize_regression
@@ -14,7 +13,8 @@ from mtqmle.transform import (
     gaussian_mt_function,
 )
 
-from conftest import random_dataset
+from conftest import (mt_function_from_callable, random_dataset,
+                      sample_covariance, sample_mean)
 
 
 class TestMTWeights:
@@ -31,7 +31,7 @@ class TestMTWeights:
         def fn(data):
             return (np.abs(data - target).sum(axis=1) < 1e-12).astype(float)
 
-        w = empirical_mt_moments(x, MTFunction.from_callable(fn)).weights
+        w = empirical_mt_moments(x, mt_function_from_callable(fn)).weights
         expected = np.zeros(5)
         expected[2] = 1.0
         np.testing.assert_allclose(w, expected)
@@ -45,7 +45,7 @@ class TestMTWeights:
 
     def test_annihilating_function_raises(self, rng):
         x = random_dataset(rng, 4, 2)
-        zero = MTFunction.from_callable(lambda data: np.zeros(data.shape[0]))
+        zero = mt_function_from_callable(lambda data: np.zeros(data.shape[0]))
         with pytest.raises(DegenerateWeights, match="annihilates"):
             empirical_mt_moments(x, zero)
 
@@ -187,7 +187,7 @@ class TestCheckMTCondition:
 
     def test_degenerate_reported_not_raised(self, rng):
         x = random_dataset(rng, 4, 2)
-        zero = MTFunction.from_callable(lambda d: np.zeros(d.shape[0]))
+        zero = mt_function_from_callable(lambda d: np.zeros(d.shape[0]))
         diag = check_mt_condition(x, zero)
         assert diag.degenerate and diag.ess == 0.0
 
