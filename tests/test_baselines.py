@@ -319,7 +319,8 @@ def _tuned_or_error(tune, target, p):
 
 class TestAREExactness:
     """The closed-form chi density against scipy's, and the ARE and its
-    tuned cutoff against the scipy-density oracle."""
+    tuned cutoff against high-precision values and a tight scipy-quadrature
+    oracle."""
 
     def test_mad_constants_match_scipy(self):
         assert GAMMA_ERFINV == 1.0 / special.erfinv(0.75)
@@ -331,10 +332,22 @@ class TestAREExactness:
         for p in range(1, 41):
             ref = stats.chi(2 * p, scale=2.0 ** -0.5).pdf(r)
             pdf = _residual_density(p)
-            got = np.array([pdf(v) for v in r])
+            got = pdf(r)
             keep = ref > 1e-300
             np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12,
                                        atol=0.0, err_msg=f"p = {p}")
+
+    # 100-digit values, computed with mpmath from both the three-integral
+    # form and the integration-by-parts form, which agree in every digit.
+    @pytest.mark.parametrize("p, c, want", [
+        (20, 0.6, 1.3262250996482706724e-30),
+        (20, 1.0, 1.5098578416962477399e-21),
+        (40, 0.6, 2.4761169520988388918e-69),
+        (40, 1.0, 2.0666039246382061404e-51),
+        (10, 6.2, 0.94952684878960637059),
+    ])
+    def test_are_matches_high_precision_values(self, p, c, want):
+        assert are_tukey(c, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p", [1, 2, 5, 10, 20, 40])
     def test_are_matches_oracle(self, p):
