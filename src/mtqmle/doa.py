@@ -158,7 +158,9 @@ def asymptotic_mse_doa(model: ULAModel, theta0: float, omega: float, n: int
     def f_num(nu2):
         v2 = nu2 * s2z
         d2 = 2.0 * v2 + w2
-        log_v2, log_d2 = np.log(v2), np.log(d2)
+        with np.errstate(divide="ignore"):     # a zero draw's term is 0
+            log_v2 = np.log(v2)
+        log_d2 = np.log(d2)
         # log-space sum keeps extreme texture draws finite
         log_gain = np.logaddexp(2.0 * log_v2,
                                 log_v2 + np.log(w2 * p * s2s) - log_d2)

@@ -63,11 +63,6 @@ class ParameterSpace:
         grids = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, dim)
 
-    def contains(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float).ravel()
-        return bool(np.all(theta >= self.lower - 1e-12)
-                    and np.all(theta <= self.upper + 1e-12))
-
     def on_boundary(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float).ravel()
         tol = 1e-9 * np.maximum(self.upper - self.lower, 1e-300)

@@ -124,8 +124,8 @@ class ResultTable:
 
 
 # --- per-application plumbing -------------------------------------------------
-# Synthesis, baselines, the per-dataset fitter (x, candidate grid) -> fit that
-# every mt-gqmle call selects over (see select_by_trace), the closed-form trace.
+# Synthesis, baselines, the per-dataset fitter x -> fit that every mt-gqmle
+# call selects over (see select_by_trace), the closed-form trace.
 
 class _Regression:
     def __init__(self, config: ExperimentConfig, snr_db: float):
@@ -161,8 +161,8 @@ class _Regression:
                              f"{self.noise.kind!r} regression noise")
         raise ValueError(name)
 
-    def fitter(self, x: np.ndarray, omegas=()) -> Callable:
-        return regression.mt_fitter_regression(x, self.model, omegas)
+    def fitter(self, x: np.ndarray) -> Callable:
+        return regression.mt_fitter_regression(x, self.model)
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
         return float(np.trace(regression.asymptotic_mse_regression(
@@ -188,7 +188,7 @@ class _DOA:
                                               self._config.k_theta)
         raise ValueError(name)
 
-    def fitter(self, x: np.ndarray, omegas=()) -> Callable:
+    def fitter(self, x: np.ndarray) -> Callable:
         return doa.mt_fitter_doa(x, self.model, self._config.k_theta)
 
     def asymptotic_trace(self, omega: float, n: int) -> float:
@@ -210,7 +210,7 @@ def _runner(app, name: str, config: ExperimentConfig, omega_policy
               else [float(omega_policy)])
 
     def run(x):
-        sel = asymptotics.select_by_trace(omegas, app.fitter(x, omegas))
+        sel = asymptotics.select_by_trace(omegas, app.fitter(x))
         return sel.best_estimate, (sel.omega_opt, float(np.nanmin(sel.traces)))
 
     return run

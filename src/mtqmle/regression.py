@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
-from .exceptions import DegenerateWeights
 from .samplers import NoiseSpec, _over_square, texture_expectation
 from .transform import (MTFunction, _weights, empirical_mt_moments,
                         gaussian_log_weights, squared_norms, width_squared)
@@ -136,8 +135,10 @@ def _texture_ratio(model: RegressionModel, omega: float) -> float:
     w2 = width_squared(omega)
 
     def numerator(nu2):
+        with np.errstate(divide="ignore"):     # a zero draw's term is 0
+            log_nu2 = np.log(nu2)
         # single exp keeps huge-texture tails at 0 instead of 0 * inf
-        return np.exp(np.log(nu2) + expo * (np.log(w2) - np.log(2.0 * s2 * nu2 + w2)))
+        return np.exp(log_nu2 + expo * (np.log(w2) - np.log(2.0 * s2 * nu2 + w2)))
 
     num = texture_expectation(model.noise, numerator)
     return _over_square(num, mean_weight_regression(model, omega))
@@ -149,31 +150,23 @@ def asymptotic_mse_regression(model: RegressionModel, omega: float, n: int
     return _texture_ratio(model, omega) * (model.sigma2_z / (2.0 * n)) * model.b_matrix
 
 
-def mt_fitter_regression(data, model: RegressionModel, omegas=()):
+def mt_fitter_regression(data, model: RegressionModel):
     """Per-dataset fitter: omega -> (theta_hat, empirical asymptotic MSE
     sum u^2 zeta zeta^T / (sum u)^2, weights phi); zeta = B [Re; Im](A^H (x -
-    mu_hat^(u))) is z0 - theta_hat, z0 = B [Re; Im](A^H x_n). ``omegas`` share
-    one batched pass, any other width gets its own, with the same outputs."""
+    mu_hat^(u))) is z0 - theta_hat, z0 = B [Re; Im](A^H x_n). The norms and
+    z0 are computed once per dataset."""
     x = as_dataset(data)
     norms = squared_norms(x, model.proj_perp)
     z0 = realify(x @ model.a_matrix.conj()) @ model.b_matrix.T
-    lw = np.reshape([gaussian_log_weights(norms, om) for om in omegas],
-                    (len(omegas), norms.size))
-    live = lw.max(axis=1, initial=-np.inf) > -np.inf
-    scaled, phi = _weights(lw[live])
-    thetas = np.reshape([_least_squares(model, row @ x) for row in phi],
-                        (len(phi), 1, z0.shape[1]))
-    zeta = z0 - thetas
-    mse = (np.swapaxes(scaled[..., None] ** 2 * zeta, 1, 2) @ zeta
-           / scaled.sum(axis=1)[:, None, None] ** 2)
-    fits = dict(zip(np.compress(live, omegas), zip(thetas[:, 0], mse, phi)))
 
     def fit(omega: float) -> tuple:
-        if float(omega) in fits:
-            return fits[float(omega)]
-        if omega in omegas:
-            raise DegenerateWeights("MT-function annihilates sample")
-        return mt_fitter_regression(x, model, [omega])(omega)
+        scaled, phi = _weights(gaussian_log_weights(norms, omega))
+        theta = _least_squares(model, phi @ x)
+        zeta = z0 - theta
+        total = scaled.sum()
+        # total * total, not total ** 2: a numpy scalar's pow can round the
+        # last bit differently
+        return theta, (scaled ** 2 * zeta.T) @ zeta / (total * total), phi
 
     return fit
 
@@ -182,13 +175,13 @@ def mt_gqmle_regression(data, model: RegressionModel, omega: float
                         ) -> np.ndarray:
     """Closed-form estimate realified (A^H A)^-1 A^H mu_hat^(u), the first
     output of the fitter."""
-    return mt_fitter_regression(data, model, [omega])(omega)[0]
+    return mt_fitter_regression(data, model)(omega)[0]
 
 
 def empirical_asymptotic_mse_regression(data, model: RegressionModel,
                                         omega: float) -> np.ndarray:
     """Empirical asymptotic MSE matrix, the second output of the fitter."""
-    return mt_fitter_regression(data, model, [omega])(omega)[1]
+    return mt_fitter_regression(data, model)(omega)[1]
 
 
 def influence_regression(y, theta0, model: RegressionModel, omega: float

@@ -92,8 +92,11 @@ def squared_norms(x: np.ndarray, projector=None) -> np.ndarray:
 
 
 def gaussian_log_weights(sq_norms: np.ndarray, width: float) -> np.ndarray:
-    """-||P x||^2 / width^2; many widths can share one ``squared_norms``."""
-    return -sq_norms / width_squared(width)
+    """-||P x||^2 / width^2; many widths can share one ``squared_norms``.
+    A quotient that overflows is -inf, the exact log of a vanishing weight."""
+    w2 = width_squared(width)
+    with np.errstate(over="ignore"):
+        return -sq_norms / w2
 
 
 @dataclass
@@ -117,14 +120,14 @@ class MTDiagnostic:
 
 
 def _weights(lw: np.ndarray) -> tuple:
-    """Max-shifted weights exp(lw - max lw), unchanged by any common scale of
-    u, and their normalization along the last axis (a leading axis stacks
-    widths); DegenerateWeights when a row's weights all vanish or n = 0."""
-    top = lw.max(axis=-1, keepdims=True, initial=-np.inf)
-    if (top == -np.inf).any():
+    """Max-shifted weights exp(lw - max lw), which any common scale of u
+    leaves unchanged, and their normalization; DegenerateWeights when every
+    weight vanishes or the sample is empty."""
+    top = lw.max(initial=-np.inf)
+    if top == -np.inf:
         raise DegenerateWeights("MT-function annihilates sample")
     w = np.exp(lw - top)
-    return w, w / w.sum(axis=-1, keepdims=True)
+    return w, w / w.sum()
 
 
 def _moments(x: np.ndarray, phi: np.ndarray) -> EmpiricalMTMoments:

@@ -209,8 +209,10 @@ def finite_diff_moment_derivatives(model, theta, k: int, step: float):
     hi = theta.copy()
     hi[k] += step
     lo[k] -= step
+    space = model.space
     for point in (hi, lo):
-        if not model.space.contains(point):
+        if not (np.all(point >= space.lower - 1e-12)
+                and np.all(point <= space.upper + 1e-12)):
             raise ValueError("finite-difference stencil leaves the parameter space")
     d_mean = (model.mt_mean(hi) - model.mt_mean(lo)) / (2.0 * step)
     d_cov = (model.mt_cov(hi) - model.mt_cov(lo)) / (2.0 * step)

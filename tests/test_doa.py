@@ -413,6 +413,31 @@ class TestFitter:
                                                      float(omega))
                 assert fit(float(omega))[:2] == (theta, trace)
 
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    def test_grid_independent(self, snr_db):
+        """A width's (theta_hat, MSE, phi) from a fitter called over the 30
+        widths in shuffled order are bit-for-bit a fresh fitter's, so the
+        per-angle cache does not depend on call order, and the order of the
+        grid changes no selection output."""
+        noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, snr_db), 4, lam=0.75)
+        model = ULAModel(4, 1.0, noise)
+        omegas = np.linspace(1.0, 30.0, 30)
+        for stream in (0, 1):
+            x = synthesize_doa(4, THETA0_DOA, 1.0, noise, 1000,
+                               stream_rng(59, stream))
+            fit = mt_fitter_doa(x, model)
+            shuffled = np.random.default_rng(stream).permutation(omegas)
+            for omega in shuffled:
+                alone = mt_fitter_doa(x, model)(omega)
+                for got, want in zip(fit(omega), alone):
+                    assert np.array_equal(got, want)
+            sel = select_by_trace(omegas, mt_fitter_doa(x, model))
+            for grid in (omegas, omegas[::-1], shuffled):
+                other = select_by_trace(grid, fit)
+                assert other.omega_opt == sel.omega_opt
+                assert np.array_equal(other.traces, sel.traces)
+                assert other.best_estimate == sel.best_estimate
+
     def test_zero_snapshots_fail_every_width(self, ula_k):
         fit = mt_fitter_doa(np.zeros((10, 4), dtype=complex), ula_k, 101)
         omegas = [1.0, 4.0, 16.0]

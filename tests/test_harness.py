@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,29 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         mt = table.by("mt-gqmle")[0]
         assert np.isnan(mt.asymptotic_mse_trace) and mt.failures == 0
+
+    @pytest.mark.parametrize("make_config", [
+        lambda: small_regression_config(noise_kind="t", noise_lam=0.2,
+                                        sweep_axis="snr", sweep_values=[0.0],
+                                        omega=1e-150, trials=2),
+        lambda: small_doa_config(noise_lam=1e-3),
+        lambda: small_regression_config(noise_kind="k", noise_lam=1e-3,
+                                        trials=2),
+    ], ids=["regression-overflowing-log-weights", "doa-zero-texture-draws",
+            "regression-zero-texture-draws"])
+    def test_extreme_configs_run_without_warnings(self, make_config):
+        """A log-weight -||P x||^2 / omega^2 that overflows is -inf, and a
+        texture draw of exactly 0 adds the exact 0 to a closed form's
+        integrand: neither warns. Every cell is finite, or NaN where it has
+        no value (an estimator that failed every trial)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = run_experiment(make_config())
+        for row in table.rows:
+            assert np.isfinite(row.empirical_mse) == (row.failures < row.trials)
+            for cell in (row.asymptotic_mse_trace,
+                         row.empirical_asymptotic_mse_trace):
+                assert np.isfinite(cell) or np.isnan(cell)
 
     @pytest.mark.parametrize("make_config", COLLAPSING_CONFIGS,
                              ids=["regression", "doa"])

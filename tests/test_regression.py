@@ -252,8 +252,8 @@ class TestFitter:
 
     @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
     def test_grid_independent(self, reg_gaussian, alpha0, snr_db):
-        """A width's (theta_hat, MSE, phi) from the 30-width pass are
-        bit-for-bit that width fitted alone, theta_hat is the fixed-omega
+        """A width's (theta_hat, MSE, phi) from a fitter called over the 30
+        widths are bit-for-bit a fresh fitter's, theta_hat is the fixed-omega
         estimate, and the order of the grid changes no selection output."""
         sigma2 = regression_sigma2_for_snr_db(reg_gaussian.a_matrix, snr_db)
         model = build_steering_regressors(10, np.pi / 3, np.pi / 6,
@@ -262,9 +262,9 @@ class TestFitter:
         for stream in (0, 1):
             x = synthesize_regression(model.a_matrix, alpha0, model.noise,
                                       500, stream_rng(39, stream))
-            fit = mt_fitter_regression(x, model, omegas)
+            fit = mt_fitter_regression(x, model)
             for omega in omegas:
-                alone = mt_fitter_regression(x, model, [omega])(omega)
+                alone = mt_fitter_regression(x, model)(omega)
                 for got, want in zip(fit(omega), alone):
                     assert np.array_equal(got, want)
                 assert np.array_equal(fit(omega)[0],
@@ -273,7 +273,7 @@ class TestFitter:
             shuffled = np.random.default_rng(stream).permutation(omegas)
             for grid in (omegas[::-1], shuffled):
                 other = select_by_trace(
-                    grid, mt_fitter_regression(x, model, grid))
+                    grid, mt_fitter_regression(x, model))
                 assert other.omega_opt == sel.omega_opt
                 assert np.array_equal(other.traces, sel.traces)
                 assert np.array_equal(other.best_estimate,
@@ -294,7 +294,7 @@ class TestFitter:
                 mt_gqmle_regression(x, reg_gaussian, 5.0)
             with pytest.raises(DegenerateWeights):
                 select_by_trace(omegas,
-                                mt_fitter_regression(x, reg_gaussian, omegas))
+                                mt_fitter_regression(x, reg_gaussian))
 
 
 class TestInfluenceClosedForm:
