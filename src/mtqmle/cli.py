@@ -1,9 +1,12 @@
 """Command-line front end for the Monte Carlo experiment harness.
 
 Subcommands:
-    run    --config cfg.json [--output out.csv] [--timing]
+    run    --config cfg.json [--output out.csv]
     sweep  --config cfg.json --axis omega --values 1,2,...  [--output out.csv]
     timing --config cfg.json
+
+``timing`` runs the experiment and prints the mean wall seconds per estimator
+call at every sweep value (comparative only), in place of the CSV.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import ExperimentConfig, emit_csv, run_experiment, timing_report
+from .harness import ExperimentConfig, emit_csv, run_experiment
 
 
 def _load_config(path: str, axis=None, values=None) -> ExperimentConfig:
@@ -22,23 +25,23 @@ def _load_config(path: str, axis=None, values=None) -> ExperimentConfig:
     return config
 
 
-def _run(config: ExperimentConfig, output, include_timing: bool) -> int:
+def _run(config: ExperimentConfig, output) -> int:
     """Run the experiment; write its CSV to ``output`` (else the config's
     path), or print the rows when neither is set."""
-    table = run_experiment(config)
+    rows = run_experiment(config)
     out = output or config.output
     if out:
-        emit_csv(table, out, include_timing=include_timing)
-        print(f"wrote {len(table.rows)} rows to {out}")
+        emit_csv(rows, out)
+        print(f"wrote {len(rows)} rows to {out}")
     else:
-        for row in table.rows:
+        for row in rows:
             print(f"{row.sweep_value:g} {row.estimator} "
                   f"mse={row.empirical_mse:.6g} failures={row.failures}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    return _run(_load_config(args.config), args.output, args.timing)
+    return _run(_load_config(args.config), args.output)
 
 
 def _cmd_sweep(args) -> int:
@@ -46,14 +49,13 @@ def _cmd_sweep(args) -> int:
     if not values:
         print("error: --values is empty", file=sys.stderr)
         return 2
-    config = _load_config(args.config, axis=args.axis, values=values)
-    return _run(config, args.output, False)
+    return _run(_load_config(args.config, args.axis, values), args.output)
 
 
 def _cmd_timing(args) -> int:
-    config = _load_config(args.config)
-    for name, seconds, calls in timing_report(config):
-        print(f"{name}: {seconds:.6f} s/call over {calls} calls")
+    for row in run_experiment(_load_config(args.config)):
+        print(f"{row.sweep_value:g} {row.estimator}: {row.mean_seconds:.6f}"
+              f" s/call over {row.trials - row.failures} calls")
     return 0
 
 
@@ -67,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the experiment in a config file")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--output", default=None)
-    run_p.add_argument("--timing", action="store_true",
-                       help="include the (nondeterministic) timing column")
     run_p.set_defaults(fn=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run with a sweep axis override")

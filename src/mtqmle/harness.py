@@ -14,7 +14,7 @@ import contextlib
 import functools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,10 +68,17 @@ class ExperimentConfig:
             raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.p is None:
             self.p = 10 if self.application == "regression" else 4
+        for key in ("trials", "seed", "n_samples", "p", "k_theta"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if self.sweep_axis == "n" and not all(
+                float(v).is_integer() for v in self.sweep_values):
+            raise ValueError("sweep_values of axis 'n' must be integers")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
         if not (isinstance(self.omega, (int, float)) or self.omega == "select"):
             raise ValueError("omega must be a number or 'select'")
         lo, hi, count = self.omega_grid
@@ -113,14 +120,6 @@ class ResultRow:
     failures: int
     trials: int
     mean_seconds: float
-
-
-@dataclass
-class ResultTable:
-    rows: list
-
-    def by(self, estimator: str) -> list:
-        return [r for r in self.rows if r.estimator == estimator]
 
 
 # --- per-application plumbing -------------------------------------------------
@@ -216,7 +215,7 @@ def _runner(app, name: str, config: ExperimentConfig, omega_policy
     return run
 
 
-def run_experiment(config: ExperimentConfig) -> ResultTable:
+def run_experiment(config: ExperimentConfig) -> list:
     """Run the configured sweep; deterministic for a fixed config and seed.
 
     A trial where an estimator raises or returns a non-finite estimate is
@@ -280,7 +279,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 failures=failures[name],
                 trials=config.trials,
                 mean_seconds=seconds[name] / config.trials))
-    return ResultTable(rows=rows)
+    return rows
 
 
 _CSV_COLUMNS = ("sweep_value", "estimator", "empirical_mse",
@@ -288,35 +287,15 @@ _CSV_COLUMNS = ("sweep_value", "estimator", "empirical_mse",
                 "failures", "trials")
 
 
-def emit_csv(table: ResultTable, path, include_timing: bool = False) -> None:
-    """Write the table as UTF-8 CSV with 12 significant digits.
-
-    Timing is excluded by default so that two runs with the same config and
-    seed produce byte-identical files.
+def emit_csv(rows: list, path) -> None:
+    """Write the rows as UTF-8 CSV with 12 significant digits and no timing,
+    so that two runs with the same config and seed give byte-identical files.
     """
-    columns = _CSV_COLUMNS + (("mean_seconds",) if include_timing else ())
-    lines = [",".join(columns)]
-    for row in table.rows:
-        cells = []
-        for col in columns:
-            val = getattr(row, col)
-            if isinstance(val, str):
-                cells.append(val)
-            elif isinstance(val, int):
-                cells.append(str(val))
-            else:
-                cells.append(f"{val:.12g}")
-        lines.append(",".join(cells))
+    lines = [",".join(_CSV_COLUMNS)]
+    for r in rows:
+        lines.append(f"{r.sweep_value:.12g},{r.estimator},"
+                     f"{r.empirical_mse:.12g},{r.asymptotic_mse_trace:.12g},"
+                     f"{r.empirical_asymptotic_mse_trace:.12g},"
+                     f"{r.failures},{r.trials}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def timing_report(config: ExperimentConfig) -> list:
-    """Mean wall seconds per estimator call at the first sweep value.
-
-    Comparative only; absolute numbers are machine dependent.
-    """
-    table = run_experiment(replace(config,
-                                   sweep_values=[config.sweep_values[0]]))
-    return [(row.estimator, row.mean_seconds, row.trials - row.failures)
-            for row in table.rows]

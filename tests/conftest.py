@@ -219,6 +219,11 @@ def finite_diff_moment_derivatives(model, theta, k: int, step: float):
     return d_mean, d_cov
 
 
+def by(rows, estimator: str) -> list:
+    """The rows of run_experiment that belong to one estimator."""
+    return [r for r in rows if r.estimator == estimator]
+
+
 def read_csv(path) -> list:
     """Parse a file written by emit_csv back into dictionaries."""
     with open(path, "r", encoding="utf-8") as fh:

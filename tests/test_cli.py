@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mtqmle.cli import main
 
 from conftest import read_csv
@@ -57,6 +59,36 @@ def test_timing_command(tmp_path, capsys):
     assert main(["timing", "--config", str(cfg)]) == 0
     printed = capsys.readouterr().out
     assert "s/call" in printed
+
+
+def test_timing_prints_every_sweep_value(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["timing", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "3 mt-gqmle", "3 gqmle", "9 mt-gqmle", "9 gqmle"]
+    assert all(ln.endswith(" s/call over 2 calls") for ln in lines)
+
+
+DOA = dict(application="doa", noise_kind="k", noise_lam=0.75,
+           theta0=[0.5235987755982988], sweep_axis="snr", sweep_values=[0.0],
+           k_theta=801)
+
+
+@pytest.mark.parametrize("overrides,argv", [
+    (dict(trials=2.5), []),
+    (dict(seed=1.5), []),
+    (dict(n_samples=150.5), []),
+    (dict(DOA, p=4.5), []),
+    (dict(DOA, k_theta=100.5), []),
+    ({}, ["--axis", "n", "--values", "100.7"]),
+], ids=["trials", "seed", "n_samples", "p", "k_theta", "sweep-n"])
+def test_non_integer_config_is_an_error(tmp_path, capsys, overrides, argv):
+    cfg = write_config(tmp_path, **overrides)
+    command = "sweep" if argv else "run"
+    assert main([command, "--config", str(cfg)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_empty_sweep_values_return_two(tmp_path, capsys):

@@ -7,15 +7,9 @@ import pytest
 
 from mtqmle import asymptotics, doa, harness, regression, samplers
 from mtqmle.exceptions import SingularMatrix
-from mtqmle.harness import (
-    ExperimentConfig,
-    ResultTable,
-    emit_csv,
-    run_experiment,
-    timing_report,
-)
+from mtqmle.harness import ExperimentConfig, emit_csv, run_experiment
 
-from conftest import read_csv
+from conftest import by, read_csv
 
 
 def small_regression_config(**overrides):
@@ -96,6 +90,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="omega"):
             small_regression_config(**overrides)
 
+    @pytest.mark.parametrize("application,key,value", [
+        ("regression", "trials", 2.5),
+        ("regression", "trials", True),
+        ("regression", "seed", 1.5),
+        ("regression", "n_samples", 150.5),
+        ("doa", "p", 4.5),
+        ("doa", "k_theta", 100.5),
+    ])
+    def test_non_integer_fields_rejected(self, application, key, value):
+        make = (small_regression_config if application == "regression"
+                else small_doa_config)
+        with pytest.raises(ValueError, match=key):
+            make(**{key: value})
+
+    def test_fractional_sample_counts_rejected(self):
+        small_regression_config(sweep_axis="n", sweep_values=[100.0])
+        with pytest.raises(ValueError, match="sweep_values"):
+            small_regression_config(sweep_axis="n", sweep_values=[100.0, 100.7])
+
     def test_json_roundtrip(self, tmp_path):
         cfg = small_regression_config()
         path = tmp_path / "cfg.json"
@@ -114,6 +127,33 @@ COLLAPSING_CONFIGS = [
     lambda: small_doa_config(**COLLAPSING_GRID),
 ]
 
+# Finite but extreme configs, two trials each.
+_T_REG = dict(noise_kind="t", noise_lam=0.2, trials=2,
+              estimators=["mt-gqmle", "gqmle", "tukey", "mle"])
+_TINY_N = dict(sweep_axis="n", sweep_values=[1, 2, 3])
+_HUGE_SNR = dict(sweep_axis="snr", sweep_values=[-300.0, -200.0, 200.0, 300.0])
+EXTREME_CONFIGS = {
+    "regression-overflowing-log-weights": lambda: small_regression_config(
+        noise_kind="t", noise_lam=0.2, sweep_axis="snr", sweep_values=[0.0],
+        omega=1e-150, trials=2),
+    "doa-zero-texture-draws": lambda: small_doa_config(noise_lam=1e-3),
+    "regression-zero-texture-draws": lambda: small_regression_config(
+        noise_kind="k", noise_lam=1e-3, trials=2),
+    "regression-n-1-2-3": lambda: small_regression_config(
+        **_T_REG, **_TINY_N),
+    "doa-n-1-2-3": lambda: small_doa_config(**_TINY_N),
+    "regression-snr-300-200": lambda: small_regression_config(
+        **_T_REG, **_HUGE_SNR),
+    "doa-snr-300-200": lambda: small_doa_config(**_HUGE_SNR),
+    "regression-omega-1e150": lambda: small_regression_config(
+        **_T_REG, sweep_axis="snr", sweep_values=[0.0], omega=1e150),
+    "doa-omega-1e150": lambda: small_doa_config(omega=1e150),
+    "regression-p-3": lambda: small_regression_config(**_T_REG, p=3),
+    "doa-p-2": lambda: small_doa_config(p=2),
+    "doa-p-3": lambda: small_doa_config(p=3),
+    "doa-k-theta-2": lambda: small_doa_config(k_theta=2),
+}
+
 
 class TestRunExperiment:
     def test_noiseless_trials_have_zero_mse(self):
@@ -121,9 +161,9 @@ class TestRunExperiment:
             snr_db=200.0, trials=1,
             estimators=["mt-gqmle", "gqmle", "tukey", "mle"],
             sweep_values=[5.0])
-        table = run_experiment(cfg)
-        assert len(table.rows) == 4
-        for row in table.rows:
+        rows = run_experiment(cfg)
+        assert len(rows) == 4
+        for row in rows:
             assert row.failures == 0
             assert row.empirical_mse < 1e-16
 
@@ -133,45 +173,45 @@ class TestRunExperiment:
         cfg = small_regression_config(p=200, n_samples=400, trials=1,
                                       estimators=["tukey"],
                                       sweep_values=[5.0])
-        (row,) = run_experiment(cfg).rows
+        (row,) = run_experiment(cfg)
         assert row.failures == 0 and np.isfinite(row.empirical_mse)
 
     def test_determinism(self):
         cfg = small_regression_config()
         t1 = run_experiment(cfg)
         t2 = run_experiment(cfg)
-        for r1, r2 in zip(t1.rows, t2.rows):
+        for r1, r2 in zip(t1, t2):
             assert r1.empirical_mse == r2.empirical_mse
             assert (np.isnan(r1.asymptotic_mse_trace)
                     or r1.asymptotic_mse_trace == r2.asymptotic_mse_trace)
 
     def test_row_bookkeeping(self):
         cfg = small_regression_config()
-        table = run_experiment(cfg)
-        assert len(table.rows) == len(cfg.sweep_values) * len(cfg.estimators)
-        mt_rows = table.by("mt-gqmle")
+        rows = run_experiment(cfg)
+        assert len(rows) == len(cfg.sweep_values) * len(cfg.estimators)
+        mt_rows = by(rows, "mt-gqmle")
         assert all(np.isfinite(r.asymptotic_mse_trace) for r in mt_rows)
         assert all(np.isfinite(r.empirical_asymptotic_mse_trace)
                    for r in mt_rows)
-        gq_rows = table.by("gqmle")
+        gq_rows = by(rows, "gqmle")
         assert all(np.isnan(r.asymptotic_mse_trace) for r in gq_rows)
 
     def test_omega_selection_policy(self):
         cfg = small_regression_config(sweep_axis="n", sweep_values=[150],
                                       omega="select",
                                       omega_grid=[2.0, 20.0, 4])
-        table = run_experiment(cfg)
-        assert all(r.failures == 0 for r in table.rows)
+        rows = run_experiment(cfg)
+        assert all(r.failures == 0 for r in rows)
 
     def test_non_finite_estimate_counts_as_failure(self, monkeypatch):
         monkeypatch.setattr(regression, "gqmle_regression",
                             lambda x, model: np.full(4, np.nan))
         cfg = small_regression_config()
-        table = run_experiment(cfg)
-        for row in table.by("gqmle"):
+        rows = run_experiment(cfg)
+        for row in by(rows, "gqmle"):
             assert row.failures == cfg.trials
             assert np.isnan(row.empirical_mse)
-        assert all(r.failures == 0 for r in table.by("mt-gqmle"))
+        assert all(r.failures == 0 for r in by(rows, "mt-gqmle"))
 
     @pytest.mark.parametrize("make_config", [
         lambda: small_regression_config(sweep_axis="snr", sweep_values=[0.0],
@@ -182,8 +222,8 @@ class TestRunExperiment:
         """At omega = 1e-30 the texture averages of the closed form
         underflow: its cell is NaN and every other column is still filled."""
         cfg = make_config()
-        table = run_experiment(cfg)
-        mt, gq = table.by("mt-gqmle")[0], table.by("gqmle")[0]
+        rows = run_experiment(cfg)
+        mt, gq = by(rows, "mt-gqmle")[0], by(rows, "gqmle")[0]
         assert np.isnan(mt.asymptotic_mse_trace)
         assert mt.failures == gq.failures == 0
         assert np.isfinite(mt.empirical_mse)
@@ -199,28 +239,24 @@ class TestRunExperiment:
         cfg = (small_regression_config(sweep_axis="snr", sweep_values=[0.0],
                                        omega=omega)
                if application == "regression" else small_doa_config(omega=omega))
-        table = run_experiment(cfg)
-        mt = table.by("mt-gqmle")[0]
+        rows = run_experiment(cfg)
+        mt = by(rows, "mt-gqmle")[0]
         assert np.isnan(mt.asymptotic_mse_trace) and mt.failures == 0
 
-    @pytest.mark.parametrize("make_config", [
-        lambda: small_regression_config(noise_kind="t", noise_lam=0.2,
-                                        sweep_axis="snr", sweep_values=[0.0],
-                                        omega=1e-150, trials=2),
-        lambda: small_doa_config(noise_lam=1e-3),
-        lambda: small_regression_config(noise_kind="k", noise_lam=1e-3,
-                                        trials=2),
-    ], ids=["regression-overflowing-log-weights", "doa-zero-texture-draws",
-            "regression-zero-texture-draws"])
+    @pytest.mark.parametrize("make_config", EXTREME_CONFIGS.values(),
+                             ids=EXTREME_CONFIGS.keys())
     def test_extreme_configs_run_without_warnings(self, make_config):
         """A log-weight -||P x||^2 / omega^2 that overflows is -inf, and a
         texture draw of exactly 0 adds the exact 0 to a closed form's
-        integrand: neither warns. Every cell is finite, or NaN where it has
-        no value (an estimator that failed every trial)."""
+        integrand: neither warns. Nor do the tiny samples, extreme SNRs,
+        huge widths, small arrays and coarse angle grids. Every cell is
+        finite, or NaN where it has no value (an estimator that failed every
+        trial, e.g. regression selection raising DegenerateWeights when every
+        width leaves one effective sample)."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            table = run_experiment(make_config())
-        for row in table.rows:
+            rows = run_experiment(make_config())
+        for row in rows:
             assert np.isfinite(row.empirical_mse) == (row.failures < row.trials)
             for cell in (row.asymptotic_mse_trace,
                          row.empirical_asymptotic_mse_trace):
@@ -266,9 +302,9 @@ class TestRunExperiment:
         cfg = small_doa_config(noise_kind="gaussian", noise_lam=None,
                                sweep_values=[-10.0, 0.0, 10.0], trials=10,
                                n_samples=500, omega=6.0, k_theta=1001)
-        table = run_experiment(cfg)
-        assert len(table.rows) == 6
-        mt = [r.empirical_mse for r in table.by("mt-gqmle")]
+        rows = run_experiment(cfg)
+        assert len(rows) == 6
+        mt = [r.empirical_mse for r in by(rows, "mt-gqmle")]
         assert mt[0] > mt[1] > mt[2]
 
     def test_omega_sweep_traces_agree(self):
@@ -276,8 +312,8 @@ class TestRunExperiment:
         each other along an omega sweep (Gaussian noise, N = 1000)."""
         cfg = small_regression_config(trials=2, n_samples=1000,
                                       sweep_values=[4.0, 10.0, 20.0, 30.0])
-        table = run_experiment(cfg)
-        for row in table.by("mt-gqmle"):
+        rows = run_experiment(cfg)
+        for row in by(rows, "mt-gqmle"):
             assert row.empirical_asymptotic_mse_trace == pytest.approx(
                 row.asymptotic_mse_trace, rel=0.15)
 
@@ -339,9 +375,9 @@ class TestTrialZeroSelection:
         cfg = small_regression_config(
             noise_kind="t", noise_lam=0.2, sweep_axis="snr",
             sweep_values=[-10.0, 5.0], omega=6.0, n_samples=300, trials=2)
-        table = run_experiment(cfg)
+        rows = run_experiment(cfg)
         for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
-                                                   table.by("mt-gqmle"))):
+                                                   by(rows, "mt-gqmle"))):
             model, xs = _regression_trials(cfg, sweep_idx, snr)
             x0 = xs[0]
             assert row.failures == 0
@@ -358,9 +394,9 @@ class TestTrialZeroSelection:
     def test_doa_fixed_omega(self):
         cfg = small_doa_config(sweep_values=[-10.0, 0.0], omega=4.0,
                                trials=2)
-        table = run_experiment(cfg)
+        rows = run_experiment(cfg)
         for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
-                                                   table.by("mt-gqmle"))):
+                                                   by(rows, "mt-gqmle"))):
             model, xs = _doa_trials(cfg, sweep_idx, snr)
             thetas = [doa.estimate_doa(x, model, 4.0, cfg.k_theta)
                       for x in xs]
@@ -380,22 +416,22 @@ class TestTrialZeroSelection:
 
         monkeypatch.setattr(doa, "_empirical_mse", singular)
         cfg = small_doa_config(trials=2)
-        table = run_experiment(cfg)
-        row = table.by("mt-gqmle")[0]
+        rows = run_experiment(cfg)
+        row = by(rows, "mt-gqmle")[0]
         assert row.failures == cfg.trials
         assert np.isnan(row.empirical_mse)
         assert np.isfinite(row.asymptotic_mse_trace)
         assert np.isnan(row.empirical_asymptotic_mse_trace)
-        assert table.by("gqmle")[0].failures == 0
+        assert by(rows, "gqmle")[0].failures == 0
 
     def test_regression(self):
         cfg = small_regression_config(
             noise_kind="t", noise_lam=0.2, sweep_axis="snr",
             sweep_values=[-10.0, 5.0], omega="select",
             omega_grid=[1.0, 25.0, 5], n_samples=300, trials=2)
-        table = run_experiment(cfg)
+        rows = run_experiment(cfg)
         for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
-                                                   table.by("mt-gqmle"))):
+                                                   by(rows, "mt-gqmle"))):
             model, (x0, *_) = _regression_trials(cfg, sweep_idx, snr)
             omegas = cfg.omega_candidates()
             traces = [float(np.trace(
@@ -410,9 +446,9 @@ class TestTrialZeroSelection:
     def test_doa(self):
         cfg = small_doa_config(sweep_values=[-10.0, 0.0], omega="select",
                                omega_grid=[1.0, 16.0, 4], trials=2)
-        table = run_experiment(cfg)
+        rows = run_experiment(cfg)
         for sweep_idx, (snr, row) in enumerate(zip(cfg.sweep_values,
-                                                   table.by("mt-gqmle"))):
+                                                   by(rows, "mt-gqmle"))):
             model, (x0, *_) = _doa_trials(cfg, sweep_idx, snr)
             omegas = cfg.omega_candidates()
             traces = []
@@ -429,18 +465,18 @@ class TestTrialZeroSelection:
 class TestCSV:
     def test_header_only_for_empty_table(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(ResultTable(rows=[]), path)
+        emit_csv([], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("sweep_value,estimator,empirical_mse")
 
     def test_roundtrip_values(self, tmp_path):
-        table = run_experiment(small_regression_config())
+        rows = run_experiment(small_regression_config())
         path = tmp_path / "out.csv"
-        emit_csv(table, path)
+        emit_csv(rows, path)
         parsed = read_csv(path)
-        assert len(parsed) == len(table.rows)
-        for rec, row in zip(parsed, table.rows):
+        assert len(parsed) == len(rows)
+        for rec, row in zip(parsed, rows):
             assert rec["estimator"] == row.estimator
             assert rec["empirical_mse"] == pytest.approx(row.empirical_mse,
                                                          rel=1e-11)
@@ -454,20 +490,15 @@ class TestCSV:
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
-    def test_timing_column_optional(self, tmp_path):
-        table = run_experiment(small_regression_config(trials=1,
-                                                       sweep_values=[3.0]))
-        path = tmp_path / "t.csv"
-        emit_csv(table, path, include_timing=True)
-        assert "mean_seconds" in path.read_text().splitlines()[0]
-
 
 class TestTiming:
     def test_report_rows_match_estimators(self):
         cfg = small_regression_config(
             estimators=["mt-gqmle", "gqmle", "mle"], trials=2,
             sweep_values=[4.0, 8.0])
-        report = timing_report(cfg)
+        report = [(r.estimator, r.mean_seconds, r.trials - r.failures)
+                  for r in run_experiment(cfg)
+                  if r.sweep_value == cfg.sweep_values[0]]
         assert [name for name, _, _ in report] == ["mt-gqmle", "gqmle", "mle"]
         assert all(seconds >= 0.0 for _, seconds, _ in report)
         assert all(calls == 2 for _, _, calls in report)
@@ -477,6 +508,6 @@ class TestTiming:
             noise_kind="t", noise_lam=0.2, snr_db=0.0,
             estimators=["gqmle", "mle"], trials=4, sweep_values=[5.0],
             n_samples=500)
-        report = dict((name, secs) for name, secs, _ in timing_report(cfg))
+        report = {r.estimator: r.mean_seconds for r in run_experiment(cfg)}
         # the iterative likelihood fit costs at least as much as least squares
         assert report["mle"] >= report["gqmle"]

@@ -25,7 +25,7 @@ reg = ExperimentConfig.from_dict(dict(
     sweep_axis="snr", sweep_values=[-10.0], trials=2, seed=1,
     n_samples=300, omega="select", omega_grid=[1.0, 30.0, 6], p=10))
 for cfg in (doa, reg):
-    rows = run_experiment(cfg).rows
+    rows = run_experiment(cfg)
     assert len(rows) == len(cfg.estimators), cfg.application
     assert all(r.failures == 0 for r in rows), cfg.application
 
