@@ -55,7 +55,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_timing(args) -> int:
     for row in run_experiment(_load_config(args.config)):
         print(f"{row.sweep_value:g} {row.estimator}: {row.mean_seconds:.6f}"
-              f" s/call over {row.trials - row.failures} calls")
+              f" s/call over {row.trials} calls")
     return 0
 
 

@@ -75,10 +75,11 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.sweep_axis == "n" and not all(
-                float(v).is_integer() for v in self.sweep_values):
-            raise ValueError("sweep_values of axis 'n' must be integers")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+                float(v).is_integer() and v >= 1 for v in self.sweep_values):
+            raise ValueError("sweep_values of axis 'n' must be integers >= 1")
+        for key in ("trials", "n_samples"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if not (isinstance(self.omega, (int, float)) or self.omega == "select"):
             raise ValueError("omega must be a number or 'select'")
         lo, hi, count = self.omega_grid

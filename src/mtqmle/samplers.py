@@ -18,7 +18,7 @@ _NOISE_KINDS = ("gaussian", "t", "k")
 # Fixed seed for the deterministic texture-expectation quadrature draws.
 _TEXTURE_SEED = 20_170_814
 _TEXTURE_DRAWS = 10 ** 6
-_TEXTURE_CHUNK = 2 ** 15  # draws per integrand call: 256 KiB per float array
+_TEXTURE_CHUNK = 2 ** 13  # draws per integrand call: 64 KiB temporaries, below malloc's mmap threshold
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -62,7 +62,8 @@ def sample_complex_gaussian(p: int, sigma2: float, n: int,
 
 def sample_texture(kind: str, lam: Optional[float], n: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Positive texture values nu, one per snapshot.
+    """Positive texture values nu, one per snapshot, computed in place in the
+    generator's output array (n draws hold n floats).
 
     't'      : nu^2 = lam / (2 G), G ~ Gamma(lam/2, 1), so that the compound
                noise is complex multivariate-t with lam degrees of freedom.
@@ -73,11 +74,13 @@ def sample_texture(kind: str, lam: Optional[float], n: int,
         return np.ones(n)
     if kind == "t":
         g = rng.standard_gamma(lam / 2.0, n)
-        g = np.maximum(g, 1e-300)  # guard subnormal underflow of the mixer
-        return np.sqrt(lam / (2.0 * g))
-    if kind == "k":
-        return np.sqrt(rng.gamma(lam, 1.0 / lam, n))
-    raise ValueError(f"unsupported noise kind {kind!r}")
+        np.maximum(g, 1e-300, out=g)  # guard subnormal underflow of the mixer
+        np.divide(lam, np.multiply(2.0, g, out=g), out=g)
+    elif kind == "k":
+        g = rng.gamma(lam, 1.0 / lam, n)
+    else:
+        raise ValueError(f"unsupported noise kind {kind!r}")
+    return np.sqrt(g, out=g)
 
 
 def sample_noise(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,9 +136,10 @@ def doa_sigma2_for_snr_db(sigma2_s: float, snr_db: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _texture_nu2_draws(kind: str, lam: Optional[float]) -> np.ndarray:
-    rng = stream_rng(_TEXTURE_SEED, 0)
-    nu = sample_texture(kind, lam, _TEXTURE_DRAWS, rng)
-    return nu ** 2
+    nu2 = sample_texture(kind, lam, _TEXTURE_DRAWS, stream_rng(_TEXTURE_SEED, 0))
+    np.square(nu2, out=nu2)  # square the sampled nu: skipping the sqrt changes bits
+    nu2.flags.writeable = False  # shared by every closed form
+    return nu2
 
 
 def texture_expectation(noise: NoiseSpec, fn) -> float:
@@ -144,18 +148,23 @@ def texture_expectation(noise: NoiseSpec, fn) -> float:
     Deterministic: Gaussian textures evaluate exactly at nu^2 = 1; heavy
     textures use a fixed-seed 10^6-draw Monte Carlo average shared across
     calls (common random numbers across e.g. an omega sweep). ``fn`` must be
-    element-wise: it is called on consecutive chunks of the draws, and the
-    one mean over all values is that of a single whole-array call. Integrands
-    are nonnegative: a zero (underflowed) or infinite average raises.
+    element-wise: it is called on consecutive blocks of at most 2^13 draws,
+    split where numpy's pairwise sum splits the whole array, so the mean is
+    bit for bit that of one whole-array call. Non-finite values (0 * huge
+    tail) count as 0. Integrands are nonnegative: a zero (underflowed) or
+    infinite average raises.
     """
     nu2 = (np.asarray([1.0]) if noise.kind == "gaussian"
            else _texture_nu2_draws(noise.kind, noise.lam))
-    vals = np.empty(nu2.shape)
-    for start in range(0, nu2.size, _TEXTURE_CHUNK):
-        chunk = np.asarray(fn(nu2[start:start + _TEXTURE_CHUNK]), dtype=float)
-        # 0 * huge tail guard
-        vals[start:start + _TEXTURE_CHUNK] = np.where(np.isfinite(chunk), chunk, 0.0)
-    out = float(vals.mean())
+
+    def block_sum(lo: int, hi: int) -> float:
+        if hi - lo > _TEXTURE_CHUNK:
+            mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+            return block_sum(lo, mid) + block_sum(mid, hi)
+        vals = np.broadcast_to(np.asarray(fn(nu2[lo:hi]), dtype=float), hi - lo)
+        return np.add.reduce(np.where(np.isfinite(vals), vals, 0.0))
+
+    out = float(block_sum(0, nu2.size) / nu2.size)
     if not (np.isfinite(out) and out != 0.0):
         raise ValueError(f"texture expectation is {out!r}: underflowed or "
                          "not integrable")

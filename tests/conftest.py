@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from mtqmle import samplers
 from mtqmle.asymptotics import _FD_STEP
 from mtqmle.core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from mtqmle.doa import ULAModel
 from mtqmle.regression import build_steering_regressors, unrealify
-from mtqmle.samplers import NoiseSpec, _texture_nu2_draws
+from mtqmle.samplers import NoiseSpec, _texture_nu2_draws, stream_rng
 from mtqmle.transform import MTFunction
 
 THETA0_REG = np.array([0.3, 0.5, 0.6, 0.8])
@@ -140,12 +141,35 @@ def oracle_tune_c_for_are(target: float, p: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def masked_mean(vals):
+    """Mean of all the values at once, non-finite ones read as 0."""
+    vals = np.asarray(vals, dtype=float)
+    return float(np.where(np.isfinite(vals), vals, 0.0).mean())
+
+
 def whole_array_texture_mean(noise, fn):
     """E[fn(nu^2)] from one call of fn on all the cached texture draws, with
-    non-finite values read as 0: the oracle for the chunked
+    non-finite values read as 0: the oracle for the blockwise
     samplers.texture_expectation."""
-    vals = np.asarray(fn(_texture_nu2_draws(noise.kind, noise.lam)), dtype=float)
-    return float(np.where(np.isfinite(vals), vals, 0.0).mean())
+    return masked_mean(fn(_texture_nu2_draws(noise.kind, noise.lam)))
+
+
+def out_of_place_texture(kind, lam, n, rng):
+    """samplers.sample_texture written out of place, each step a new array:
+    the oracle for the in-place version."""
+    if kind == "gaussian":
+        return np.ones(n)
+    if kind == "t":
+        g = rng.standard_gamma(lam / 2.0, n)
+        g = np.maximum(g, 1e-300)
+        return np.sqrt(lam / (2.0 * g))
+    return np.sqrt(rng.gamma(lam, 1.0 / lam, n))
+
+
+def out_of_place_nu2_draws(kind, lam):
+    """The texture quadrature draws as nu ** 2 of the out-of-place texture."""
+    rng = stream_rng(samplers._TEXTURE_SEED, 0)
+    return out_of_place_texture(kind, lam, samplers._TEXTURE_DRAWS, rng) ** 2
 
 
 def dense_score(x, theta, model):

@@ -70,6 +70,18 @@ def test_timing_prints_every_sweep_value(tmp_path, capsys):
     assert all(ln.endswith(" s/call over 2 calls") for ln in lines)
 
 
+def test_timing_counts_failed_calls(tmp_path, capsys):
+    """At n = 1 every mt-gqmle call fails; the mean still averages all of
+    them, and the line says so."""
+    cfg = write_config(tmp_path, estimators=["mt-gqmle"], sweep_axis="n",
+                       sweep_values=[1])
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.endswith(" failures=2\n")
+    assert main(["timing", "--config", str(cfg)]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith("1 mt-gqmle: ") and line.endswith(" over 2 calls")
+
+
 DOA = dict(application="doa", noise_kind="k", noise_lam=0.75,
            theta0=[0.5235987755982988], sweep_axis="snr", sweep_values=[0.0],
            k_theta=801)
@@ -82,7 +94,12 @@ DOA = dict(application="doa", noise_kind="k", noise_lam=0.75,
     (dict(DOA, p=4.5), []),
     (dict(DOA, k_theta=100.5), []),
     ({}, ["--axis", "n", "--values", "100.7"]),
-], ids=["trials", "seed", "n_samples", "p", "k_theta", "sweep-n"])
+    # sample counts below 1
+    (dict(n_samples=0), []),
+    (dict(DOA, n_samples=-3), []),
+    ({}, ["--axis", "n", "--values", "1,0"]),
+], ids=["trials", "seed", "n_samples", "p", "k_theta", "sweep-n",
+        "n_samples-0", "doa-n_samples-negative", "sweep-n-0"])
 def test_non_integer_config_is_an_error(tmp_path, capsys, overrides, argv):
     cfg = write_config(tmp_path, **overrides)
     command = "sweep" if argv else "run"

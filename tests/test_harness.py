@@ -109,6 +109,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="sweep_values"):
             small_regression_config(sweep_axis="n", sweep_values=[100.0, 100.7])
 
+    @pytest.mark.parametrize("application,key,overrides", [
+        ("regression", "n_samples", dict(n_samples=0)),
+        ("doa", "n_samples", dict(n_samples=-3)),
+        ("regression", "sweep_values", dict(sweep_axis="n", sweep_values=[1, 0])),
+        ("doa", "sweep_values", dict(sweep_axis="n", sweep_values=[-3.0])),
+    ])
+    def test_sample_counts_below_one_rejected(self, application, key, overrides):
+        make = (small_regression_config if application == "regression"
+                else small_doa_config)
+        make(n_samples=1, sweep_axis="n", sweep_values=[1])
+        with pytest.raises(ValueError, match=key):
+            make(**overrides)
+
     def test_json_roundtrip(self, tmp_path):
         cfg = small_regression_config()
         path = tmp_path / "cfg.json"

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mtqmle import samplers
+from mtqmle import doa, samplers
 from mtqmle.samplers import (
     NoiseSpec,
     doa_sigma2_for_snr_db,
@@ -19,7 +21,13 @@ from mtqmle.samplers import (
     texture_expectation,
 )
 
-from conftest import whole_array_texture_mean
+from conftest import (
+    THETA0_DOA,
+    masked_mean,
+    out_of_place_nu2_draws,
+    out_of_place_texture,
+    whole_array_texture_mean,
+)
 
 
 class TestComplexGaussian:
@@ -156,6 +164,12 @@ class TestTextureExpectation:
         quad, _ = integrate.quad(lambda v: fn(v) * dist.pdf(v), 0, np.inf)
         assert mc == pytest.approx(quad, rel=5e-3)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "t"])
+    def test_constant_integrand_is_broadcast(self, kind):
+        """A scalar from fn stands for every draw of its block."""
+        spec = NoiseSpec(kind, 1.0, 4, lam=1.0)
+        assert texture_expectation(spec, lambda nu2: 2.0) == 2.0
+
     def test_deterministic_across_calls(self):
         spec = NoiseSpec("t", 1.0, 4, lam=0.2)
         f = lambda nu2: np.exp(-nu2)
@@ -177,14 +191,14 @@ class TestTextureExpectation:
 
     @pytest.mark.parametrize("kind, lam", [("t", 0.2), ("k", 0.75)])
     def test_non_finite_values_in_the_partial_last_chunk(self, kind, lam):
-        """10^6 = 30 * 2^15 + 16960: inf and NaN only in the last, partial
-        chunk are read as 0 there and nowhere else."""
+        """10^6 = 120 * 2^13 + 16960: inf and NaN only in the last 16960
+        draws are read as 0 there and nowhere else."""
         chunk = samplers._TEXTURE_CHUNK
-        assert chunk == 2 ** 15
-        assert samplers._TEXTURE_DRAWS == 30 * chunk + 16960
+        assert chunk == 2 ** 13
+        assert samplers._TEXTURE_DRAWS == 120 * chunk + 16960
         spec = NoiseSpec(kind, 1.0, 4, lam=lam)
         draws = samplers._texture_nu2_draws(kind, lam)
-        tail = draws[30 * chunk:]
+        tail = draws[120 * chunk:]
 
         def fn(nu2):
             return np.where(np.isin(nu2, tail[::3]), np.inf,
@@ -192,10 +206,78 @@ class TestTextureExpectation:
                                      1.0 / (1.0 + nu2)))
 
         bad = np.flatnonzero(~np.isfinite(fn(draws)))
-        assert bad.min() >= 30 * chunk and bad.size >= len(tail) // 2
+        assert bad.min() >= 120 * chunk and bad.size >= len(tail) // 2
         got = texture_expectation(spec, fn)
         assert got == whole_array_texture_mean(spec, fn)
         assert got < texture_expectation(spec, lambda nu2: 1.0 / (1.0 + nu2))
+
+
+def _peak_bytes(fn, *args):
+    """Peak bytes traced (numpy's buffers included) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTextureDraws:
+    @pytest.mark.parametrize("kind, lam", [
+        ("t", 0.2), ("t", 3.0), ("k", 0.75), ("k", 5.0)])
+    def test_cached_draws_equal_out_of_place_formula(self, kind, lam):
+        assert np.array_equal(samplers._texture_nu2_draws(kind, lam),
+                              out_of_place_nu2_draws(kind, lam))
+
+    @pytest.mark.parametrize("kind, lam", [("gaussian", None), ("t", 0.2), ("k", 0.75)])
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_sample_texture_equals_out_of_place_formula(self, kind, lam, n):
+        assert np.array_equal(sample_texture(kind, lam, n, stream_rng(n, 1)),
+                              out_of_place_texture(kind, lam, n, stream_rng(n, 1)))
+
+    def test_cached_draws_are_read_only(self):
+        draws = samplers._texture_nu2_draws("k", 0.75)
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            draws *= 2.0
+
+    def test_sampling_the_draws_holds_one_array(self):
+        """Sampled and squared in place: about the 8 MB of the result."""
+        peak = _peak_bytes(samplers._texture_nu2_draws.__wrapped__, "t", 0.2)
+        assert peak <= 1.1 * 8 * samplers._TEXTURE_DRAWS
+
+
+class TestBlockwiseTextureMean:
+    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 2 ** 13, 2 ** 13 + 1,
+                                   2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 5, 10 ** 6])
+    def test_equals_whole_array_masked_mean(self, monkeypatch, n):
+        """The draws are the indices 0..n-1, so fn can see which block it
+        got; its values are lognormal, with inf, NaN and 0 among them."""
+        table = np.exp(3.0 * stream_rng(n, 2).standard_normal(n))
+        table[1::97], table[2::101], table[3::89] = np.inf, np.nan, 0.0
+        monkeypatch.setattr(samplers, "_texture_nu2_draws",
+                            lambda kind, lam: np.arange(n, dtype=float))
+        blocks = []
+
+        def fn(nu2):
+            blocks.append((int(nu2[0]), nu2.size))
+            return table[nu2.astype(np.intp)]
+
+        got = texture_expectation(NoiseSpec("t", 1.0, 4, lam=1.0), fn)
+        assert got == masked_mean(table)
+        starts, sizes = zip(*blocks)
+        assert max(sizes) <= samplers._TEXTURE_CHUNK
+        assert list(starts) == np.cumsum((0,) + sizes[:-1]).tolist()
+        assert sum(sizes) == n
+
+    def test_doa_closed_form_memory_is_bounded(self):
+        """Two expectations on the cached draws, no array of all the
+        integrand values: well under one 8 MB buffer."""
+        model = doa.ULAModel(4, 1.0, NoiseSpec("k", 10 ** 1.5, 4, lam=0.75))
+        samplers._texture_nu2_draws("k", 0.75)
+        peak = _peak_bytes(doa.asymptotic_mse_doa, model, THETA0_DOA, 5.0, 1000)
+        assert peak <= 4 * 2 ** 20
 
 
 def test_dataset_roundtrip(tmp_path, rng):
