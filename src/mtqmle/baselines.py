@@ -1,6 +1,6 @@
 """Comparison estimators for the regression problem: Tukey bi-square
-M-estimation with a MAD scale, the t-noise maximum likelihood fixed point,
-the least-squares / Gaussian MLE path, and the median-location initializer.
+M-estimation with a MAD scale, the t-noise maximum likelihood fixed point
+and the median-location initializer.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .core import as_dataset
-from .regression import RegressionModel, gqmle_regression, realify
+from .regression import RegressionModel, realify
 
 # Two MAD scalings: the default divides by erfinv(3/4) = 0.81341..., the
 # second by the normal quartile sqrt(2) erfinv(1/2) (the conventional 1.4826).
@@ -136,12 +136,6 @@ def mle_t_noise(data, model: RegressionModel, lam: float) -> BaselineResult:
     s2 = model.sigma2_z
     return _fixed_point(x, model, median_location(x),
                         lambda r: 1.0 / (1.0 + 2.0 * r ** 2 / (lam * s2)))
-
-
-def least_squares(data, model: RegressionModel) -> BaselineResult:
-    """Gaussian MLE: least squares on the sample mean (non-iterative)."""
-    return BaselineResult(theta=gqmle_regression(data, model), converged=True,
-                          n_iter=1)
 
 
 class _IntegralUnderflow(ValueError):

@@ -23,7 +23,7 @@ from .transform import (_weights, constant_mt_function,
                         empirical_mt_moments, gaussian_log_weights,
                         gaussian_mt_function, squared_norms, width_squared)
 
-_DEFAULT_DELTA = 1e-3
+_DELTA = 1e-3
 _DEFAULT_GRID = 10_000
 
 
@@ -31,14 +31,13 @@ _DEFAULT_GRID = 10_000
 class ULAModel:
     """Array geometry plus source/noise description.
 
-    The angle space is [-pi/2, pi/2 - delta]; the small gap keeps cos(theta)
+    The angle space is [-pi/2, pi/2 - _DELTA]; the small gap keeps cos(theta)
     in the closed forms away from zero.
     """
 
     p: int
     sigma2_s: float
     noise: NoiseSpec
-    delta: float = _DEFAULT_DELTA
     _bases: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -47,14 +46,12 @@ class ULAModel:
             raise ValueError("need at least 2 sensors")
         if not self.sigma2_s > 0:
             raise ValueError("sigma2_s must be positive")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
         if self.noise.p != self.p:
             raise ValueError("noise dimension differs from sensor count")
 
     @property
     def theta_bounds(self) -> tuple:
-        return (-np.pi / 2.0, np.pi / 2.0 - self.delta)
+        return (-np.pi / 2.0, np.pi / 2.0 - _DELTA)
 
     def grid(self, k_theta: int = _DEFAULT_GRID) -> np.ndarray:
         if k_theta < 2:
@@ -65,7 +62,7 @@ class ULAModel:
     def _basis(self, k_theta: int = _DEFAULT_GRID) -> tuple:
         """(k_theta-point grid, (2p-1, G) real basis [1; 2 Re a_d; 2 Im a_d]
         of its steering vectors), built once per geometry."""
-        key = (self.p, self.delta, k_theta)
+        key = (self.p, k_theta)
         if key not in self._bases:
             thetas = self.grid(k_theta)
             thetas.flags.writeable = False      # shared by every curve

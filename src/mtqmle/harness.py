@@ -146,20 +146,17 @@ class _Regression:
                                               self.noise, n, rng)
 
     def baseline(self, name: str) -> Callable:
-        if name == "gqmle":
-            return lambda x: regression.gqmle_regression(x, self.model)
         if name == "tukey":
             c = _tuned_tukey_c(self._config.p)
             return lambda x: baselines.tukey_m_estimator(x, self.model, c).theta
-        if name == "mle":
-            if self.noise.kind == "gaussian":
-                return lambda x: baselines.least_squares(x, self.model).theta
-            if self.noise.kind == "t":
-                return lambda x: baselines.mle_t_noise(
-                    x, self.model, self.noise.lam).theta
-            raise ValueError("omniscient MLE is unavailable for "
-                             f"{self.noise.kind!r} regression noise")
-        raise ValueError(name)
+        # the rest is "gqmle" or "mle"; the Gaussian MLE is least squares
+        if name == "gqmle" or self.noise.kind == "gaussian":
+            return lambda x: regression.gqmle_regression(x, self.model)
+        if self.noise.kind == "t":
+            return lambda x: baselines.mle_t_noise(
+                x, self.model, self.noise.lam).theta
+        raise ValueError("omniscient MLE is unavailable for "
+                         f"{self.noise.kind!r} regression noise")
 
     def fitter(self, x: np.ndarray) -> Callable:
         return regression.mt_fitter_regression(x, self.model)
@@ -183,10 +180,7 @@ class _DOA:
                                        self._config.sigma2_s, self.noise, n, rng)
 
     def baseline(self, name: str) -> Callable:
-        if name == "gqmle":
-            return lambda x: doa.bartlett_doa(x, self.model,
-                                              self._config.k_theta)
-        raise ValueError(name)
+        return lambda x: doa.bartlett_doa(x, self.model, self._config.k_theta)
 
     def fitter(self, x: np.ndarray) -> Callable:
         return doa.mt_fitter_doa(x, self.model, self._config.k_theta)

@@ -46,7 +46,10 @@ def realify_matrix(c: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RegressionModel:
-    """Known regressors plus the noise description used by the closed forms."""
+    """Known regressors plus the noise description used by the closed forms.
+
+    A must be tall with full column rank, as (A^H A)^-1 A^H mu_hat needs.
+    """
 
     a_matrix: np.ndarray
     noise: NoiseSpec
@@ -56,21 +59,15 @@ class RegressionModel:
         if a.ndim != 2 or a.shape[0] <= a.shape[1]:
             raise ValueError("regressor matrix must be tall (p > q)")
         if np.linalg.matrix_rank(a) < a.shape[1]:
-            # construction proceeds; solves against A^H A will fail downstream
-            warnings.warn("regressor matrix is (numerically) rank deficient",
-                          RuntimeWarning, stacklevel=2)
+            raise ValueError("regressor matrix must have full column rank")
         if self.noise.p != a.shape[0]:
             raise ValueError("noise dimension differs from observation dimension")
         self.a_matrix = a
         self.p, self.q = a.shape
         self.aha = a.conj().T @ a
         self.m_real = realify_matrix(self.aha)          # B^-1 in the real form
-        try:
-            self.b_matrix = np.linalg.inv(self.m_real)
-            self.proj_a = hermitize(a @ np.linalg.solve(self.aha, a.conj().T))
-        except np.linalg.LinAlgError:                   # rank-deficient A
-            self.b_matrix = np.linalg.pinv(self.m_real)
-            self.proj_a = hermitize(a @ np.linalg.pinv(self.aha) @ a.conj().T)
+        self.b_matrix = np.linalg.inv(self.m_real)
+        self.proj_a = hermitize(a @ np.linalg.solve(self.aha, a.conj().T))
         self.proj_perp = np.eye(self.p) - self.proj_a
 
     @property
@@ -84,7 +81,8 @@ def build_steering_regressors(p: int, angle0: float, angle1: float,
     a_k = [1, e^{i angle_k}, ..., e^{i (p-1) angle_k}]^T / sqrt(p).
 
     Nearly equal angles are allowed but warned about (columns become
-    collinear and the fit ill-conditioned).
+    collinear and the fit ill-conditioned); equal angles give a rank-one A,
+    which RegressionModel refuses with ValueError.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -208,15 +206,16 @@ def fit_noise_cov_scalars(model: RegressionModel, sigma_hat: np.ndarray
                             np.array([[q, q], [q, p]], dtype=float))
 
 
-def regression_moment_model(model: RegressionModel, data, u: MTFunction,
-                            bounds: float = 3.0, grid_size: int = 9,
-                            use_solver: bool = True) -> ParametricMomentModel:
+def regression_moment_model(model: RegressionModel, data, u: MTFunction
+                            ) -> ParametricMomentModel:
     """Generic-path moment model for this application.
 
     The reweighted noise covariance scalars (r0, r1) are fitted to the
     empirical reweighted covariance of ``data``; the mean map is the exact
     affine A alpha. The closed-form solver reproduces the direct estimator
     (the (A^H A)-weighting cancels the structured covariance for any r0, r1).
+    The space is [-3, 3]^(2q) with 9 points per axis; for the grid path or
+    another box, use dataclasses.replace(mm, solver=None, space=...).
     """
     a = model.a_matrix
     p, q = model.p, model.q
@@ -229,9 +228,8 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction,
     def solver(moments):
         return _least_squares(model, moments.mt_mean)
 
-    space = ParameterSpace(lower=-bounds * np.ones(m),
-                           upper=bounds * np.ones(m),
-                           grid_sizes=grid_size)
+    space = ParameterSpace(lower=np.full(m, -3.0), upper=np.full(m, 3.0),
+                           grid_sizes=9)
     return ParametricMomentModel(
         theta_dim=m,
         mt_mean=lambda theta: (a @ unrealify(theta)[..., None])[..., 0],
@@ -242,7 +240,7 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction,
         d2_mean=lambda theta: np.zeros((m, m, p), dtype=complex),
         d2_cov=lambda theta: np.zeros((m, m, p, p), dtype=complex),
         space=space,
-        solver=solver if use_solver else None,
+        solver=solver,
         info={"r0": r0, "r1": r1})
 
 

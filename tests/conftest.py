@@ -8,6 +8,7 @@ from mtqmle import samplers
 from mtqmle.asymptotics import _FD_STEP
 from mtqmle.core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from mtqmle.doa import ULAModel
+from mtqmle.estimator import ParameterSpace
 from mtqmle.regression import build_steering_regressors, unrealify
 from mtqmle.samplers import NoiseSpec, _texture_nu2_draws, stream_rng
 from mtqmle.transform import MTFunction
@@ -22,6 +23,12 @@ def random_pd(rng, p, scale=1.0):
     q, _ = np.linalg.qr(z)
     eigs = scale * (0.2 + rng.random(p) * 1.8)
     return q @ np.diag(eigs) @ q.conj().T
+
+
+def regression_box(bound, size):
+    """[-bound, bound]^4 with size points per axis, a space to swap into the
+    two-column regression moment model with dataclasses.replace."""
+    return ParameterSpace(np.full(4, -bound), np.full(4, bound), size)
 
 
 def random_dataset(rng, n, p, scale=1.0):

@@ -41,7 +41,7 @@ from mtqmle.transform import (MTFunction, check_mt_condition,
                               gaussian_mt_function)
 
 from conftest import (THETA0_REG, dense_psi_gamma, mt_function_from_callable,
-                      random_dataset, random_pd)
+                      random_dataset, random_pd, regression_box)
 
 
 # Normalized weights of a stub fit: Kish ESS 4 and 1.
@@ -376,7 +376,8 @@ class TestSandwich:
     def test_boundary_estimate_warns(self, reg_gaussian):
         x = make_regression_data(reg_gaussian, 100, 9)
         u = projected_mt_function(reg_gaussian, 3.0)
-        mm = regression_moment_model(reg_gaussian, x, u, bounds=0.3)
+        mm = dataclasses.replace(regression_moment_model(reg_gaussian, x, u),
+                                 space=regression_box(0.3, 9))
         with pytest.warns(RuntimeWarning, match="boundary") as record:
             line = inspect.currentframe().f_lineno + 1
             sandwich(x, np.array([0.3, 0.0, 0.0, 0.0]), mm, u)
@@ -448,8 +449,9 @@ class TestScoreIdentity:
         u = projected_mt_function(reg_gaussian, omega)
         closed = mt_gqmle_regression(x, reg_gaussian, omega)
         pad, grid_n = 0.2, 9
-        mm = regression_moment_model(reg_gaussian, x, u, use_solver=False)
-        mm.space = ParameterSpace(closed - pad, closed + pad, grid_n)
+        mm = dataclasses.replace(
+            regression_moment_model(reg_gaussian, x, u), solver=None,
+            space=ParameterSpace(closed - pad, closed + pad, grid_n))
         from mtqmle.estimator import estimate_mt_gqmle
         est = estimate_mt_gqmle(x, u, mm)
         s = sandwich(x, est.theta, mm, u)

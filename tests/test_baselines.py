@@ -8,7 +8,6 @@ from mtqmle.baselines import (
     GAMMA_NORMAL_QUARTILE,
     _residual_density,
     are_tukey,
-    least_squares,
     mad_scale,
     median_location,
     mle_t_noise,
@@ -16,7 +15,7 @@ from mtqmle.baselines import (
     tukey_weights,
     tune_c_for_are,
 )
-from mtqmle.regression import realify, unrealify
+from mtqmle.regression import gqmle_regression, realify, unrealify
 from mtqmle.samplers import stream_rng, synthesize_regression
 
 from conftest import THETA0_REG, oracle_are_tukey, oracle_tune_c_for_are
@@ -207,7 +206,7 @@ class TestTukeyEstimator:
             res = tukey_m_estimator(x, reg_gaussian, c,
                                     gamma=GAMMA_NORMAL_QUARTILE)
             mse_tukey += np.sum((res.theta - THETA0_REG) ** 2) / trials
-            ls = least_squares(x, reg_gaussian).theta
+            ls = gqmle_regression(x, reg_gaussian)
             mse_ls += np.sum((ls - THETA0_REG) ** 2) / trials
         assert mse_tukey == pytest.approx(mse_ls / 0.95, rel=0.10)
 
@@ -237,10 +236,17 @@ class TestTMLE:
         res = mle_t_noise(x, reg_gaussian, lam=0.2)
         np.testing.assert_allclose(res.theta, THETA0_REG, atol=1e-10)
 
+    def test_zero_data_stops_at_zero_step(self, reg_gaussian):
+        """From a zero start on all-zero data the first step is zero too."""
+        res = mle_t_noise(np.zeros((20, 10), dtype=complex), reg_gaussian,
+                          lam=0.2)
+        assert np.array_equal(res.theta, np.zeros(4))
+        assert res.converged and res.n_iter == 1
+
     def test_large_dof_limit_is_least_squares(self, reg_gaussian):
         x = make_data(reg_gaussian, 300, 87)
         res = mle_t_noise(x, reg_gaussian, lam=1e6)
-        ls = least_squares(x, reg_gaussian).theta
+        ls = gqmle_regression(x, reg_gaussian)
         assert np.max(np.abs(res.theta - ls)) < 1e-6
 
     def test_translation_equivariance(self, reg_t, rng):
@@ -260,7 +266,7 @@ class TestTMLE:
         for t in range(trials):
             x = make_data(reg_t, n, 3000 + t)
             mse["ls"] += np.sum(
-                (least_squares(x, reg_t).theta - THETA0_REG) ** 2) / trials
+                (gqmle_regression(x, reg_t) - THETA0_REG) ** 2) / trials
             mse["tukey"] += np.sum(
                 (tukey_m_estimator(x, reg_t, c).theta - THETA0_REG) ** 2
             ) / trials

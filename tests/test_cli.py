@@ -131,6 +131,28 @@ def test_overflowing_width_returns_nonzero(tmp_path, capsys):
     assert "error: omega" in capsys.readouterr().err
 
 
+def test_mle_under_k_noise_is_an_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, noise_kind="k", noise_lam=0.75,
+                       estimators=["mt-gqmle", "mle"])
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: omniscient MLE is unavailable for 'k' regression noise\n")
+    assert not out.exists()
+
+
+def test_equal_regressor_angles_are_an_error(tmp_path, capsys):
+    """Equal angles give a rank-one A: no fit exists, so no CSV is written."""
+    cfg = write_config(tmp_path, angles=[0.5, 0.5])
+    out = tmp_path / "out.csv"
+    with pytest.warns(RuntimeWarning, match="nearly equal"):
+        code = main(["run", "--config", str(cfg), "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: regressor matrix must have full column rank\n")
+    assert not out.exists()
+
+
 def test_missing_file_returns_nonzero(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 1

@@ -161,13 +161,13 @@ class TestScannerCache:
             doa_moment_model(ula_k, x, 3.0, k_theta=k_theta)
             mt_spectrum(x, ula_k, 3.0, k_theta=k_theta)
         assert basis_builds == [(101, 4), (401, 4)]
-        estimate_doa(x, ULAModel(4, 1.0, ula_k.noise, ula_k.delta), 3.0, 101)
+        estimate_doa(x, ULAModel(4, 1.0, ula_k.noise), 3.0, 101)
         assert basis_builds == [(101, 4), (401, 4), (101, 4)]
 
     def test_geometry_change_rebuilds(self, ula_k, basis_builds):
+        estimate_doa(make_doa_data(ula_k, 200, 4), ula_k, 3.0, 101)
+        ula_k.p, ula_k.noise = 5, dataclasses.replace(ula_k.noise, p=5)
         x = make_doa_data(ula_k, 200, 4)
-        estimate_doa(x, ula_k, 3.0, 101)
-        ula_k.delta = 0.3
         theta = estimate_doa(x, ula_k, 3.0, 101)
         assert len(basis_builds) == 2
         curve = _fresh_scan(ula_k, 101, *_gaussian_moments(x, 3.0))
@@ -175,7 +175,7 @@ class TestScannerCache:
         assert np.array_equal(curve.thetas, ula_k.grid(101))
 
     def test_not_in_eq_repr_or_replace(self, ula_k):
-        fresh = ULAModel(4, 1.0, ula_k.noise, ula_k.delta)
+        fresh = ULAModel(4, 1.0, ula_k.noise)
         before = repr(ula_k)
         estimate_doa(make_doa_data(ula_k, 50, 5), ula_k, 3.0, 101)
         assert ula_k._bases and not fresh._bases

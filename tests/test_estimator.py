@@ -32,7 +32,8 @@ from mtqmle.transform import (
 )
 
 from conftest import (THETA0_REG, finite_diff_moment_derivatives,
-                      inv_quad_form, log_det_divergence, random_dataset)
+                      inv_quad_form, log_det_divergence, random_dataset,
+                      regression_box)
 
 
 def model_moments_at(model, theta):
@@ -193,8 +194,8 @@ class TestEstimate:
         pad = 0.25
         grid_n = 11
         space = ParameterSpace(closed - pad, closed + pad, grid_n)
-        mm = regression_moment_model(model, x, u, use_solver=False)
-        mm.space = space
+        mm = dataclasses.replace(regression_moment_model(model, x, u),
+                                 solver=None, space=space)
         est = estimate_mt_gqmle(x, u, mm)
         step = 2 * pad / (grid_n - 1)
         assert est.method == "grid"
@@ -203,8 +204,8 @@ class TestEstimate:
     def test_grid_result_beats_all_grid_points(self):
         model, x, u = small_regression_setup(seed=6, n=100)
         moments = empirical_mt_moments(x, u)
-        mm = regression_moment_model(model, x, u, use_solver=False,
-                                     bounds=1.0, grid_size=4)
+        mm = dataclasses.replace(regression_moment_model(model, x, u),
+                                 solver=None, space=regression_box(1.0, 4))
         est = estimate_mt_gqmle(x, u, mm)
         vals = [objective_j_u(moments, mm, th) for th in mm.space.grid_points()]
         assert est.objective >= max(vals) - 1e-12
@@ -230,8 +231,8 @@ class TestUniqueMaximizer:
     def test_regression_population_objective(self, reg_gaussian, rng):
         x = random_dataset(rng, 100, 10)
         u = projected_mt_function(reg_gaussian, 2.0)
-        mm = regression_moment_model(reg_gaussian, x, u, use_solver=False,
-                                     bounds=1.0, grid_size=5)
+        mm = dataclasses.replace(regression_moment_model(reg_gaussian, x, u),
+                                 solver=None, space=regression_box(1.0, 5))
         theta0 = np.array([0.5, -0.5, 0.0, 0.5])  # on the grid
         moments = model_moments_at(mm, theta0)
         pts = mm.space.grid_points()
@@ -312,9 +313,9 @@ def first_coordinate_model(grid_size):
 class TestIdentifiability:
     def test_regression_full_rank_clean(self, reg_gaussian, rng):
         x = random_dataset(rng, 50, 10)
-        mm = regression_moment_model(
-            reg_gaussian, x, projected_mt_function(reg_gaussian, 2.0),
-            bounds=1.0, grid_size=4)
+        mm = dataclasses.replace(regression_moment_model(
+            reg_gaussian, x, projected_mt_function(reg_gaussian, 2.0)),
+            space=regression_box(1.0, 4))
         report = check_identifiability(mm, np.zeros(4))
         assert report.ok and report.n_checked == 4 ** 4
 
@@ -328,9 +329,10 @@ class TestIdentifiability:
         """One call per map over the grid (plus one at theta0) flags the same
         points, with the same distances, as the per-point loop it replaced."""
         dup = first_coordinate_model(5)
-        reg = regression_moment_model(
+        reg = dataclasses.replace(regression_moment_model(
             reg_gaussian, random_dataset(rng, 50, 10),
-            projected_mt_function(reg_gaussian, 2.0), bounds=1.0, grid_size=4)
+            projected_mt_function(reg_gaussian, 2.0)),
+            space=regression_box(1.0, 4))
         for mm, theta0 in ((dup, np.array([0.5, 0.5])), (reg, np.zeros(4))):
             loop = []
             for theta in mm.space.grid_points():
@@ -356,9 +358,10 @@ class TestIdentifiability:
                                                     reg_gaussian, rng, chunk):
         """No map call sees more than _GRID_CHUNK points, and the report is
         the one a single call over the whole grid gives."""
-        reg = regression_moment_model(
+        reg = dataclasses.replace(regression_moment_model(
             reg_gaussian, random_dataset(rng, 50, 10),
-            projected_mt_function(reg_gaussian, 2.0), bounds=1.0, grid_size=6)
+            projected_mt_function(reg_gaussian, 2.0)),
+            space=regression_box(1.0, 6))
         cases = ((first_coordinate_model(25), np.array([0.5, 0.5])),
                  (reg, np.zeros(4)))
         if chunk is None:   # the default chunk: several, the last partial
@@ -470,7 +473,8 @@ class TestStackedGrid:
         x = synthesize_regression(reg_t.a_matrix, alpha0, reg_t.noise, 300,
                                   stream_rng(42, 0))
         u = projected_mt_function(reg_t, 3.0)
-        mm = regression_moment_model(reg_t, x, u, use_solver=False)
+        mm = dataclasses.replace(regression_moment_model(reg_t, x, u),
+                                 solver=None)
         assert mm.space.grid_points().shape == (6561, 4)   # p = 10
         assert_grid_matches_per_point(empirical_mt_moments(x, u), mm)
 
@@ -606,7 +610,8 @@ class TestMomentMapContract:
         x = synthesize_regression(reg_t.a_matrix, alpha0, reg_t.noise, 300,
                                   stream_rng(45, 0))
         u = projected_mt_function(reg_t, omega)
-        mm = regression_moment_model(reg_t, x, u, use_solver=False)
+        mm = dataclasses.replace(regression_moment_model(reg_t, x, u),
+                                 solver=None)
         a = reg_t.a_matrix
         cov = mm.info["r0"] * reg_t.proj_a + mm.info["r1"] * np.eye(10)
         rng = np.random.default_rng(46)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from mtqmle.asymptotics import select_by_trace
 from mtqmle.estimator import ParameterSpace, estimate_mt_gqmle
 from mtqmle.exceptions import DegenerateWeights
 from mtqmle.regression import (
+    RegressionModel,
     asymptotic_mse_regression,
     build_steering_regressors,
     empirical_asymptotic_mse_regression,
@@ -45,18 +47,30 @@ class TestBuildRegressors:
         np.testing.assert_allclose(np.diag(reg_gaussian.aha).real, 0.5,
                                    rtol=1e-12)
 
-    def test_equal_angles_warn_but_build(self):
+    def test_equal_angles_warn_and_raise(self):
         noise = NoiseSpec("gaussian", 1.0, 6)
-        with pytest.warns(RuntimeWarning):
-            model = build_steering_regressors(6, 0.7, 0.7, noise)
-        assert model.p == 6  # construction still completes
+        with pytest.warns(RuntimeWarning, match="nearly equal"), \
+                pytest.raises(ValueError, match="full column rank"):
+            build_steering_regressors(6, 0.7, 0.7, noise)
 
-    def test_rank_deficient_warns(self):
+    def test_near_equal_angles_warn_but_build(self):
+        """Columns 1e-9 apart pass the rank test: cond(A^H A) ~ 2.5e16 is
+        ill-conditioned, not rank deficient."""
+        noise = NoiseSpec("gaussian", 1.0, 10)
+        with pytest.warns(RuntimeWarning, match="nearly equal"):
+            model = build_steering_regressors(10, 0.5, 0.5 + 1e-9, noise)
+        assert model.p == 10 and np.linalg.cond(model.aha) > 1e15
+
+    def test_rank_deficient_raises(self):
         noise = NoiseSpec("gaussian", 1.0, 4)
-        a = np.ones((4, 2), dtype=complex)
-        from mtqmle.regression import RegressionModel
-        with pytest.warns(RuntimeWarning, match="rank deficient"):
-            RegressionModel(a, noise)
+        with pytest.raises(ValueError, match="full column rank"):
+            RegressionModel(np.ones((4, 2), dtype=complex), noise)
+
+    @pytest.mark.parametrize("p, match", [(1, "at least 2"), (2, "tall")])
+    def test_too_few_sensors_raise(self, p, match):
+        with pytest.raises(ValueError, match=match):
+            build_steering_regressors(p, 0.3, 0.9,
+                                      NoiseSpec("gaussian", 1.0, p))
 
     def test_realify_roundtrip(self, rng):
         alpha = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -96,9 +110,10 @@ class TestClosedFormEstimator:
         omega = 6.0
         closed = mt_gqmle_regression(x, reg_t, omega)
         u = projected_mt_function(reg_t, omega)
-        mm = regression_moment_model(reg_t, x, u, use_solver=False)
         pad, grid_n = 0.3, 13
-        mm.space = ParameterSpace(closed - pad, closed + pad, grid_n)
+        mm = dataclasses.replace(
+            regression_moment_model(reg_t, x, u), solver=None,
+            space=ParameterSpace(closed - pad, closed + pad, grid_n))
         est = estimate_mt_gqmle(x, u, mm)
         step = 2 * pad / (grid_n - 1)
         assert np.max(np.abs(est.theta - closed)) <= step / 2 + 1e-12

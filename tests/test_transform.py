@@ -54,6 +54,13 @@ class TestMTWeights:
             empirical_mt_moments(np.zeros((0, 3), dtype=complex),
                                  gaussian_mt_function(1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_log_weight_raises(self, rng, bad):
+        x = random_dataset(rng, 4, 2)
+        u = MTFunction(lambda data: np.array([0.0, bad, -np.inf, 0.0]))
+        with pytest.raises(ValueError, match=r"NaN or \+inf"):
+            u.log_weights(x)
+
     def test_underflow_safe_normalization(self):
         # raw weights underflow float64; log-space normalization still works
         x = 60.0 * np.ones((3, 2), dtype=complex)
