@@ -52,33 +52,29 @@ def log_phi_u(data, theta, model: ParametricMomentModel) -> np.ndarray:
 def _score(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
            ) -> tuple:
     """Score of log phi for every sample, shape (n, m), from one Cholesky
-    factor of S(theta), with the pieces it is built from: the solve with that
-    factor, dm_k (m, p), w = S^-1 (x - m) (p, n), b_k = S^-1 dm_k (p, m),
-    A_k = S^-1 dS_k (m, p, p) and the rows w^H dS_k (m, n, p). When dS = 0,
-    w, A_k and w^H dS_k are None and their score terms, exact zeros, are
-    skipped."""
+    factor of S(theta), with the pieces it is built from: S^-1, formed once
+    from that factor, dm_k (m, p), w = S^-1 (x - m) (p, n), b_k = S^-1 dm_k
+    (p, m), A_k = S^-1 dS_k (m, p, p) and dS_k (m, p, p). When dS = 0, w and
+    A_k are None and their score terms, exact zeros, are skipped."""
     d_mean = np.asarray(model.d_mean(theta))
     d_cov = np.asarray(model.d_cov(theta))
-    chol = cholesky_pd(model.mt_cov(theta))
-
-    def solve(rhs):
-        return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
-
+    l_inv = np.linalg.inv(cholesky_pd(model.mt_cov(theta)))
+    s_inv = l_inv.conj().T @ l_inv
     e = x - model.mt_mean(theta)                      # (n, p)
-    b = solve(d_mean.T)
+    b = s_inv @ d_mean.T
     if not np.any(d_cov):
-        return 2.0 * np.real(e.conj() @ b), (solve, d_mean, None, b, None, None)
-    w = solve(e.T)
-    a = solve(d_cov)
-    w_ds = w.T.conj() @ d_cov
+        return 2.0 * np.real(e.conj() @ b), (s_inv, d_mean, None, b, None, d_cov)
+    w = s_inv @ e.T
+    a = s_inv @ d_cov
     psi = (-np.trace(a, axis1=1, axis2=2).real + 2.0 * np.real(e.conj() @ b)
-           + np.einsum("kna,an->nk", w_ds, w).real)
-    return psi, (solve, d_mean, w, b, a, w_ds)
+           + np.einsum("kna,an->nk", w.T.conj() @ d_cov, w).real)
+    return psi, (s_inv, d_mean, w, b, a, d_cov)
 
 
-def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
-               ) -> tuple:
-    """Score (n, m) and Hessian (n, m, m) of log phi for every sample.
+def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel,
+               weights: Optional[np.ndarray] = None) -> tuple:
+    """Score (n, m) of log phi for every sample, and its Hessian: per sample
+    (n, m, m), or the weighted sum sum_n weights_n Gamma_n (m, m).
 
     The Hessian is analytic when the model carries second derivatives, built
     from the score's own pieces: with A_k = S^-1 dS_k, b_k = S^-1 dm_k and
@@ -86,37 +82,46 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
 
         Gamma_kj = tr[A_j A_k] - tr[S^-1 dS_kj] - 2 Re{dm_j^H b_k}
                    + 2 Re{w^H dm_kj} - 2 Re{w^H dS_j b_k} - 2 Re{w^H dS_k b_j}
-                   + w^H dS_kj w - w^H dS_j A_k w - w^H dS_k A_j w.
+                   + w^H dS_kj w - w^H dS_j A_k w - w^H dS_k A_j w,
 
-    Terms of zero dS, dS_kj or dm_kj blocks are skipped, and w is solved only
-    when a remaining term reads it; the rest add in order.
-    Otherwise it is central differences of the score with a scaled step.
+    which is linear in 1, w and w w^H. One formula takes those statistics
+    per sample or as the weighted sums s0 = sum u, s1 = sum u w and
+    s2 = sum u w w^H. Terms of zero dS, dS_kj or dm_kj blocks are skipped,
+    and w is formed only when a remaining term reads it; the rest add in
+    order. Otherwise it is central differences of the score with a scaled
+    step, per sample, then contracted with the weights.
     """
-    psi, (solve, d_mean, w, b, a, w_ds) = _score(x, theta, model)
+    psi, (s_inv, d_mean, w, b, a, d_cov) = _score(x, theta, model)
     m = theta.size
     if model.has_second_derivatives:
         d2_mean = np.asarray(model.d2_mean(theta))    # (m, m, p)
         d2_cov = np.asarray(model.d2_cov(theta))      # (m, m, p, p)
         has_d2m, has_d2s = np.any(d2_mean), np.any(d2_cov)
-        if w is None and (has_d2m or has_d2s):        # dS = 0 left it unsolved
-            w = solve((x - model.mt_mean(theta)).T)
-        wc = None if w is None else w.T.conj()
-        out = np.zeros((x.shape[0], m, m))
+        if w is None and (has_d2m or has_d2s):        # dS = 0 left it unformed
+            w = s_inv @ (x - model.mt_mean(theta)).T
+        s0 = np.ones(x.shape[0]) if weights is None else np.sum(weights)
+        if w is not None:    # per sample (w_n, w_n w_n^H), or weighted sums
+            s1 = w.T if weights is None else w @ weights
+            s2 = (s1[:, :, None] * s1.conj()[:, None, :] if weights is None
+                  else (w * weights) @ w.T.conj())
+        const = -2.0 * (d_mean.conj() @ b).real.T
         if a is not None:
-            out = out + np.einsum("jab,kba->kj", a, a).real
+            const = const + np.einsum("jab,kba->kj", a, a).real
         if has_d2s:
-            out = out - np.trace(solve(d2_cov), axis1=2, axis2=3).real
-        out = out - 2.0 * (d_mean.conj() @ b).real.T
+            const = const - np.trace(s_inv @ d2_cov, axis1=2, axis2=3).real
+        out = np.multiply.outer(s0, const)
         if has_d2m:
-            out = out + 2.0 * np.einsum("na,kja->nkj", wc, d2_mean).real
+            out = out + 2.0 * np.einsum("...a,kja->...kj", s1.conj(),
+                                        d2_mean).real
         if has_d2s:
-            out = out + np.stack([np.einsum("jna,an->nj", wc @ d2_cov[k], w)
-                                  for k in range(m)], axis=1).real
+            out = out + np.einsum("kjab,...ba->...kj", d2_cov, s2).real
         if a is not None:
             # X_kj = 2 Re{w^H dS_j b_k} + w^H dS_j A_k w enters as -(X_kj + X_jk)
-            cross = (2.0 * (w_ds @ b).real.transpose(1, 2, 0)
-                     + np.einsum("jna,kan->nkj", w_ds, a @ w).real)
-            out = out - cross - np.swapaxes(cross, 1, 2)
+            cross = (2.0 * np.einsum("...a,jak->...kj", s1.conj(),
+                                     d_cov @ b).real
+                     + np.einsum("jkab,...ba->...kj", d_cov[:, None] @ a,
+                                 s2).real)
+            out = out - cross - np.swapaxes(cross, -1, -2)
     else:
         out = np.empty((x.shape[0], m, m))
         for j in range(m):
@@ -124,7 +129,9 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
             h = step * np.eye(m)[j]
             out[:, :, j] = (_score(x, theta + h, model)[0]
                             - _score(x, theta - h, model)[0]) / (2.0 * step)
-    return psi, 0.5 * (out + np.swapaxes(out, 1, 2))
+        if weights is not None:
+            out = np.einsum("n,nkj->kj", weights, out)
+    return psi, 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def psi_u_batch(data, theta, model: ParametricMomentModel) -> np.ndarray:
@@ -181,9 +188,9 @@ def _sandwich(x: np.ndarray, theta_hat: np.ndarray,
         warnings.warn("estimate lies on the parameter-space boundary; "
                       "the sandwich asymptotics assume an interior optimum",
                       RuntimeWarning, stacklevel=3)
-    psi, gam = _psi_gamma(x, theta_hat, model)       # (n, m), (n, m, m)
-    g_scaled = np.einsum("n,nk,nj->kj", scaled ** 2, psi, psi) / n
-    f_scaled = -np.einsum("n,nkj->kj", scaled, gam) / n
+    psi, gam_sum = _psi_gamma(x, theta_hat, model, scaled)   # (n, m), (m, m)
+    g_scaled = (psi.T * scaled ** 2) @ psi / n
+    f_scaled = -gam_sum / n
     if not np.all(np.isfinite(f_scaled)) or \
             np.linalg.cond(f_scaled) > _COND_LIMIT:
         raise SingularMatrix("F matrix singular")
@@ -218,9 +225,8 @@ def influence(y, theta0, model: ParametricMomentModel, u: MTFunction,
         if reference_data is None:
             raise ValueError("provide f_matrix or reference_data")
         ref = as_dataset(reference_data)
-        uvals = u.weights(ref)
-        gam = gamma_u_batch(ref, theta0, model)
-        f_matrix = -np.einsum("n,nkj->kj", uvals, gam) / ref.shape[0]
+        f_matrix = -_psi_gamma(ref, theta0, model,
+                               u.weights(ref))[1] / ref.shape[0]
     f_matrix = np.asarray(f_matrix, dtype=float)
     if not np.all(np.isfinite(f_matrix)) or \
             np.linalg.cond(f_matrix) > _COND_LIMIT:

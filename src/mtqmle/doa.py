@@ -312,6 +312,7 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     theta_ref = _lag_scan(*basis, moments.mt_mean, moments.mt_cov).argmax_theta
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)
     eye = np.eye(p)
+    zeros = np.zeros((1, 1, p), dtype=complex)
 
     def mt_cov(theta):
         a = steering(np.asarray(theta)[..., :1], p)
@@ -340,9 +341,9 @@ def doa_moment_model(model: ULAModel, data, omega: float,
         mt_mean=lambda theta: np.zeros(np.shape(theta)[:-1] + (p,),
                                        dtype=complex),
         mt_cov=mt_cov,
-        d_mean=lambda theta: np.zeros((1, p), dtype=complex),
+        d_mean=lambda theta: zeros[0],
         d_cov=d_cov,
-        d2_mean=lambda theta: np.zeros((1, 1, p), dtype=complex),
+        d2_mean=lambda theta: zeros,
         d2_cov=d2_cov,
         space=space,
         solver=solver if use_solver else None,

@@ -5,7 +5,7 @@ covariances to the empirical reweighted moments of the data by maximizing
 
     J_u(theta) = -D_LD[S_hat || S(theta)] - ||m_hat - m(theta)||^2_{S(theta)^-1},
 
-which is <= 0 with equality iff the empirical moments match the model ones.
+which is <= 0 up to rounding, and 0 iff the empirical moments match the model.
 Maximization runs through a model-supplied closed-form solver when present,
 otherwise over an exhaustive grid of the (compact, box-shaped) parameter
 space; both paths are deterministic.
@@ -110,7 +110,7 @@ class EstimationResult:
 
 def objective_j_u(moments: EmpiricalMTMoments, model: ParametricMomentModel,
                   theta) -> float:
-    """J_u(theta); always <= 0, zero iff the moments match the model exactly."""
+    """J_u(theta); <= 0 up to rounding, zero iff the moments match the model."""
     theta = np.asarray(theta, dtype=float).ravel()
     return float(_grid_objective(moments, model, theta[None])[0])
 

@@ -136,8 +136,7 @@ class _Regression:
         sigma2 = samplers.regression_sigma2_for_snr_db(probe.a_matrix, snr_db)
         self.noise = samplers.NoiseSpec(config.noise_kind, sigma2, config.p,
                                         lam=config.noise_lam)
-        self.model = regression.build_steering_regressors(
-            config.p, angles[0], angles[1], self.noise)
+        self.model = regression.RegressionModel(probe.a_matrix, self.noise)
         self.alpha0 = regression.unrealify(config.theta0)
         self._config = config
 

@@ -224,6 +224,8 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction
     cov_const = r0 * model.proj_a + r1 * np.eye(p)
     d_mean = np.concatenate([a.T, 1j * a.T], axis=0)       # (m, p)
     zeros_cov = np.zeros((m, p, p), dtype=complex)
+    zeros_d2m = np.zeros((m, m, p), dtype=complex)
+    zeros_d2s = np.zeros((m, m, p, p), dtype=complex)
 
     def solver(moments):
         return _least_squares(model, moments.mt_mean)
@@ -237,8 +239,8 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction
                                              np.shape(theta)[:-1] + (p, p)),
         d_mean=lambda theta: d_mean,
         d_cov=lambda theta: zeros_cov,
-        d2_mean=lambda theta: np.zeros((m, m, p), dtype=complex),
-        d2_cov=lambda theta: np.zeros((m, m, p, p), dtype=complex),
+        d2_mean=lambda theta: zeros_d2m,
+        d2_cov=lambda theta: zeros_d2s,
         space=space,
         solver=solver,
         info={"r0": r0, "r1": r1})

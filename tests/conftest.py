@@ -184,40 +184,41 @@ def dense_score(x, theta, model):
     oracle for asymptotics._score, which skips exactly-zero blocks."""
     d_mean = np.asarray(model.d_mean(theta))
     d_cov = np.asarray(model.d_cov(theta))
-    chol = cholesky_pd(model.mt_cov(theta))
-
-    def solve(rhs):
-        return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
-
+    l_inv = np.linalg.inv(cholesky_pd(model.mt_cov(theta)))
+    s_inv = l_inv.conj().T @ l_inv
     e = x - model.mt_mean(theta)                      # (n, p)
-    w = solve(e.T)
-    b = solve(d_mean.T)
-    a = solve(d_cov)
-    w_ds = w.T.conj() @ d_cov
+    w = s_inv @ e.T
+    b = s_inv @ d_mean.T
+    a = s_inv @ d_cov
     psi = (-np.trace(a, axis1=1, axis2=2).real + 2.0 * np.real(e.conj() @ b)
-           + np.einsum("kna,an->nk", w_ds, w).real)
-    return psi, (solve, d_mean, w, b, a, w_ds)
+           + np.einsum("kna,an->nk", w.T.conj() @ d_cov, w).real)
+    return psi, (s_inv, d_mean, w, b, a, d_cov)
 
 
-def dense_psi_gamma(x, theta, model):
-    """Score and Hessian with every term computed, zero or not: the oracle
-    for asymptotics._psi_gamma."""
-    psi, (solve, d_mean, w, b, a, w_ds) = dense_score(x, theta, model)
+def dense_psi_gamma(x, theta, model, weights=None):
+    """Score and Hessian (per sample, or summed with ``weights``) with every
+    term computed, zero or not: the oracle for asymptotics._psi_gamma."""
+    psi, (s_inv, d_mean, w, b, a, d_cov) = dense_score(x, theta, model)
     m = theta.size
     if model.has_second_derivatives:
         d2_mean = np.asarray(model.d2_mean(theta))    # (m, m, p)
         d2_cov = np.asarray(model.d2_cov(theta))      # (m, m, p, p)
-        wc = w.T.conj()
-        out = (np.einsum("jab,kba->kj", a, a).real
-               - np.trace(solve(d2_cov), axis1=2, axis2=3).real
-               - 2.0 * (d_mean.conj() @ b).real.T
-               + 2.0 * np.einsum("na,kja->nkj", wc, d2_mean).real
-               + np.stack([np.einsum("jna,an->nj", wc @ d2_cov[k], w)
-                           for k in range(m)], axis=1).real)
+        if weights is None:
+            s0, s1 = np.ones(x.shape[0]), w.T
+            s2 = s1[:, :, None] * s1.conj()[:, None, :]
+        else:
+            s0, s1 = np.sum(weights), w @ weights
+            s2 = (w * weights) @ w.T.conj()
+        const = (-2.0 * (d_mean.conj() @ b).real.T
+                 + np.einsum("jab,kba->kj", a, a).real
+                 - np.trace(s_inv @ d2_cov, axis1=2, axis2=3).real)
+        out = (np.multiply.outer(s0, const)
+               + 2.0 * np.einsum("...a,kja->...kj", s1.conj(), d2_mean).real
+               + np.einsum("kjab,...ba->...kj", d2_cov, s2).real)
         # X_kj = 2 Re{w^H dS_j b_k} + w^H dS_j A_k w enters as -(X_kj + X_jk)
-        cross = (2.0 * (w_ds @ b).real.transpose(1, 2, 0)
-                 + np.einsum("jna,kan->nkj", w_ds, a @ w).real)
-        out = out - cross - np.swapaxes(cross, 1, 2)
+        cross = (2.0 * np.einsum("...a,jak->...kj", s1.conj(), d_cov @ b).real
+                 + np.einsum("jkab,...ba->...kj", d_cov[:, None] @ a, s2).real)
+        out = out - cross - np.swapaxes(cross, -1, -2)
     else:
         out = np.empty((x.shape[0], m, m))
         for j in range(m):
@@ -228,7 +229,9 @@ def dense_psi_gamma(x, theta, model):
             lo[j] -= step
             out[:, :, j] = (dense_score(x, hi, model)[0]
                             - dense_score(x, lo, model)[0]) / (2.0 * step)
-    return psi, 0.5 * (out + np.swapaxes(out, 1, 2))
+        if weights is not None:
+            out = np.einsum("n,nkj->kj", weights, out)
+    return psi, 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def finite_diff_moment_derivatives(model, theta, k: int, step: float):

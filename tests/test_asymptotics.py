@@ -292,9 +292,9 @@ class TestZeroBlocksSkipped:
     def test_cov_pieces_are_none_only_for_zero_ds(self, kind, reg_gaussian,
                                                   ula_gaussian):
         x, theta, mm, _ = zero_block_case(kind, reg_gaussian, ula_gaussian)
-        a, w_ds = asymptotics._score(x, theta, mm)[1][4:]
+        w, _, a = asymptotics._score(x, theta, mm)[1][2:5]
         zero_ds = kind in ("regression", "zero_slope_cov")
-        assert (a is None) == zero_ds and (w_ds is None) == zero_ds
+        assert (a is None) == zero_ds and (w is None) == zero_ds
 
     @pytest.mark.parametrize("kind", ["regression", "zero_slope_cov"])
     def test_finite_difference_branch_matches_dense_oracle(
@@ -311,24 +311,44 @@ class TestZeroBlocksSkipped:
         ("regression", False, False),       # nothing reads w
         ("zero_slope_cov", False, True),    # only the d2S and d2m terms do
         ("doa", True, True)])
-    def test_residual_solved_only_when_read(self, kind, in_score, in_psi_gamma,
-                                            reg_gaussian, ula_gaussian,
-                                            monkeypatch):
-        """w = S^-1 (x - m) is the only solve with n right-hand sides."""
-        x, theta, mm, _ = zero_block_case(kind, reg_gaussian, ula_gaussian)
-        widths = []
-        solve = np.linalg.solve
+    def test_residual_formed_only_when_read(self, kind, in_score, in_psi_gamma,
+                                            reg_gaussian, ula_gaussian):
+        """w = S^-1 (x - m) is formed only when a term reads it: the score
+        returns it as None unless dS != 0, and the Hessian evaluates x - m
+        again for it only when a d2m or d2S term reads it."""
+        x, theta, mm, u = zero_block_case(kind, reg_gaussian, ula_gaussian)
+        assert (asymptotics._score(x, theta, mm)[1][2] is not None) == in_score
+        calls = []
+        mean = mm.mt_mean
+        mm = dataclasses.replace(
+            mm, mt_mean=lambda th: calls.append(th) or mean(th))
+        for weights in (None, u.weights(x)):
+            calls.clear()
+            asymptotics._psi_gamma(x, theta, mm, weights)
+            assert len(calls) == 1 + (in_psi_gamma and not in_score)
 
-        def recording(a, b):
-            widths.append(np.shape(b)[-1])
-            return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", recording)
-        asymptotics._score(x, theta, mm)
-        assert (x.shape[0] in widths) == in_score
-        widths.clear()
-        asymptotics._psi_gamma(x, theta, mm)
-        assert (x.shape[0] in widths) == in_psi_gamma
+class TestWeightedHessian:
+    """The weighted Hessian sum from (s0, s1, s2) against the per-sample
+    Hessians contracted with the weights."""
+
+    CASES = ([(kind, True) for kind in TestZeroBlocksSkipped.KINDS]
+             + [("regression", False), ("zero_slope_cov", False)])
+
+    @pytest.mark.parametrize("kind, analytic", CASES)
+    def test_sandwich_and_influence_f_match_per_sample_sum(
+            self, kind, analytic, reg_gaussian, ula_gaussian):
+        x, theta, mm, u = zero_block_case(kind, reg_gaussian, ula_gaussian)
+        if not analytic:
+            mm = dataclasses.replace(mm, d2_mean=None, d2_cov=None)
+        gam = gamma_u_batch(x, theta, mm)
+        f_hat = -np.einsum("n,nkj->kj", u.weights(x), gam) / x.shape[0]
+        np.testing.assert_allclose(sandwich(x, theta, mm, u).f_hat, f_hat,
+                                   rtol=1e-12, atol=0)
+        y = x[1] + 0.2
+        np.testing.assert_allclose(
+            influence(y, theta, mm, u, reference_data=x),
+            influence(y, theta, mm, u, f_matrix=f_hat), rtol=1e-12, atol=0)
 
 
 class TestSandwich:

@@ -148,6 +148,12 @@ class TestObjective:
         theta = rng.standard_normal(4)
         assert objective_j_u(moments, mm, theta) <= 1e-12
 
+    def test_exact_match_is_zero_up_to_rounding(self):
+        """J_u <= 0 holds up to rounding: where the model matches the
+        moments exactly it may read a few ulps above zero."""
+        val = objective_j_u(TOY_MOMENTS, table_model([1, .5, .25, 0]), [3])
+        assert abs(val) <= 8 * np.finfo(float).eps
+
     def test_non_pd_model_cov_raises(self):
         space = ParameterSpace([0.0], [1.0], 3)
         bad = ParametricMomentModel(

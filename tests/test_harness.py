@@ -331,6 +331,15 @@ class TestRunExperiment:
                 row.asymptotic_mse_trace, rel=0.15)
 
 
+    def test_regressors_built_once_per_sweep_value(self):
+        """Near-equal angles warn once per sweep value: the model reuses the
+        probe's regressors instead of building them a second time."""
+        cfg = small_regression_config(angles=[0.5, 0.5 + 5e-9], trials=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        assert sum("nearly equal" in str(w.message) for w in caught) == 2
+
 def _first_minimum(omegas, traces):
     """(omega, trace) of the first minimum, NaN traces skipped."""
     best = None
