@@ -28,7 +28,8 @@ from .estimator import (
     estimate_mt_gqmle,
     objective_j_u,
 )
-from .exceptions import DegenerateWeights, NotPositiveDefinite, SingularMatrix
+from .exceptions import (DegenerateWeights, MTQMLEError, NotPositiveDefinite,
+                         SingularMatrix)
 from .transform import (
     EmpiricalMTMoments,
     MTFunction,
@@ -43,6 +44,7 @@ __all__ = [
     "EmpiricalMTMoments",
     "EstimationResult",
     "MTFunction",
+    "MTQMLEError",
     "NotPositiveDefinite",
     "ParameterSpace",
     "ParametricMomentModel",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from .estimator import EstimationResult, ParametricMomentModel, _estimate
-from .exceptions import DegenerateWeights, NotPositiveDefinite, SingularMatrix
+from .exceptions import DegenerateWeights, MTQMLEError, SingularMatrix
 from .transform import MTFunction, _moments, _weights
 
 _COND_LIMIT = 1e14
@@ -256,12 +256,12 @@ def select_by_trace(omegas: Sequence[float],
     mse, normalized weights phi)`` has the smallest trace of its empirical
     asymptotic MSE (a scalar or a square matrix).
 
-    Candidates are visited in sorted order. One whose fit raises
-    DegenerateWeights, SingularMatrix or NotPositiveDefinite gets a NaN trace
-    and is skipped; any other error propagates. So is one whose Kish ESS
-    1 / sum phi^2 is below _ESS_FLOOR, unless it is the only candidate: a
-    fixed width is an estimate, not a choice. Raises DegenerateWeights when
-    every candidate fails. Ties resolve to the smallest omega.
+    Candidates are visited in sorted order. One whose fit raises an
+    MTQMLEError gets a NaN trace and is skipped; any other error propagates.
+    So is one whose Kish ESS 1 / sum phi^2 is below _ESS_FLOOR, unless it is
+    the only candidate: a fixed width is an estimate, not a choice. Raises
+    DegenerateWeights when every candidate fails. Ties resolve to the
+    smallest omega.
     """
     omegas = np.sort(np.asarray(list(omegas), dtype=float))
     traces = np.full(omegas.size, np.nan)
@@ -269,7 +269,7 @@ def select_by_trace(omegas: Sequence[float],
     for i, omega in enumerate(omegas):
         try:
             estimate, mse, phi = fit(float(omega))
-        except (DegenerateWeights, SingularMatrix, NotPositiveDefinite):
+        except MTQMLEError:
             continue
         if omegas.size > 1 and 1.0 / (phi @ phi) < _ESS_FLOOR:
             continue

@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .core import as_dataset
+from .exceptions import DegenerateWeights, MTQMLEError
 from .regression import RegressionModel, realify
 
 # Two MAD scalings: the default divides by erfinv(3/4) = 0.81341..., the
@@ -61,13 +62,13 @@ def median_location(data) -> np.ndarray:
 def _location_and_scale(x: np.ndarray, gamma: float) -> tuple:
     """median_location and mad_scale from one selection per coordinate."""
     if x.shape[0] < 2:
-        raise ValueError("scale estimation needs at least 2 samples")
+        raise MTQMLEError("scale estimation needs at least 2 samples")
     med, block = _split_medians(x)
     # A median ignores the order within a row: reuse the reordered block.
     mad = _medians(np.abs(block - med[:, None]))
     per_coord = gamma ** 2 * (mad[0::2] ** 2 + mad[1::2] ** 2)
     if np.all(per_coord == 0.0):
-        raise ValueError("degenerate scale")
+        raise MTQMLEError("degenerate scale")
     return med[0::2] + 1j * med[1::2], float(np.sqrt(per_coord.mean()))
 
 
@@ -95,7 +96,7 @@ def _fixed_point(x: np.ndarray, model: RegressionModel, start: np.ndarray,
         w = weight_fn(resid)
         total = w.sum()
         if total == 0.0:
-            raise ValueError("all samples rejected")
+            raise DegenerateWeights("all samples rejected")
         alpha_new = np.linalg.solve(model.aha, a.conj().T @ ((w @ x) / total))
         denom = np.linalg.norm(alpha)
         step = np.linalg.norm(alpha_new - alpha)

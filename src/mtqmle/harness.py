@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import asymptotics, baselines, doa, regression, samplers
+from .exceptions import MTQMLEError
 from .transform import width_squared
 
 
@@ -77,9 +78,9 @@ class ExperimentConfig:
         if self.sweep_axis == "n" and not all(
                 float(v).is_integer() and v >= 1 for v in self.sweep_values):
             raise ValueError("sweep_values of axis 'n' must be integers >= 1")
-        for key in ("trials", "n_samples"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
+        for key, least in (("trials", 1), ("n_samples", 1), ("k_theta", 2)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}")
         if not (isinstance(self.omega, (int, float)) or self.omega == "select"):
             raise ValueError("omega must be a number or 'select'")
         lo, hi, count = self.omega_grid
@@ -212,13 +213,13 @@ def _runner(app, name: str, config: ExperimentConfig, omega_policy
 def run_experiment(config: ExperimentConfig) -> list:
     """Run the configured sweep; deterministic for a fixed config and seed.
 
-    A trial where an estimator raises or returns a non-finite estimate is
-    recorded as a failure for that estimator and excluded from its average.
-    The mt-gqmle asymptotic columns are evaluated at the width trial 0's
-    selection picked, or at the fixed omega. The empirical trace is NaN when
-    trial 0's call failed, and so is the closed-form one under selection.
-    The closed-form trace alone is NaN when it raises ValueError at that
-    width, e.g. when a texture expectation underflows.
+    A trial where an estimator raises an MTQMLEError or returns a non-finite
+    estimate is a failure for that estimator, excluded from its average; any
+    other error ends the run. The mt-gqmle asymptotic columns are evaluated
+    at the width trial 0's selection picked, or at the fixed omega. The
+    empirical trace is NaN when trial 0's call failed, and so is the
+    closed-form one under selection. The closed-form trace alone is NaN when
+    it raises an MTQMLEError at that width, e.g. a texture underflow.
     """
     theta0 = np.asarray(config.theta0, dtype=float)
     rows = []
@@ -246,8 +247,8 @@ def run_experiment(config: ExperimentConfig) -> list:
                     theta, selection = run(x)
                     theta = np.asarray(theta, dtype=float).ravel()
                     if not np.all(np.isfinite(theta)):
-                        raise ValueError("non-finite estimate")
-                except ValueError:
+                        raise MTQMLEError("non-finite estimate")
+                except MTQMLEError:
                     failures[name] += 1
                     continue
                 finally:
@@ -261,7 +262,7 @@ def run_experiment(config: ExperimentConfig) -> list:
             emp_asym = np.nan
             if name == "mt-gqmle" and picked is not None:
                 omega, emp_asym = picked
-                with contextlib.suppress(ValueError):  # a NaN cell
+                with contextlib.suppress(MTQMLEError):  # a NaN cell
                     asym = app.asymptotic_trace(omega, n)
             ok = len(sq_err[name])
             rows.append(ResultRow(

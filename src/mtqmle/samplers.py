@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from .exceptions import MTQMLEError
+
 _NOISE_KINDS = ("gaussian", "t", "k")
 
 # Fixed seed for the deterministic texture-expectation quadrature draws.
@@ -166,16 +168,16 @@ def texture_expectation(noise: NoiseSpec, fn) -> float:
 
     out = float(block_sum(0, nu2.size) / nu2.size)
     if not (np.isfinite(out) and out != 0.0):
-        raise ValueError(f"texture expectation is {out!r}: underflowed or "
-                         "not integrable")
+        raise MTQMLEError(f"texture expectation is {out!r}: underflowed or "
+                          "not integrable")
     return out
 
 
 def _over_square(num: float, den: float) -> float:
-    """num / den ** 2; ValueError where the square underflows to 0."""
+    """num / den ** 2; MTQMLEError where the square underflows to 0."""
     den2 = den ** 2
     if den2 == 0.0:
-        raise ValueError("squared texture expectation underflows")
+        raise MTQMLEError("squared texture expectation underflows")
     return num / den2
 
 

@@ -20,8 +20,8 @@ from mtqmle.asymptotics import (
 from mtqmle.doa import doa_moment_model
 from mtqmle.estimator import (ParameterSpace, ParametricMomentModel,
                               estimate_mt_gqmle)
-from mtqmle.exceptions import (DegenerateWeights, NotPositiveDefinite,
-                               SingularMatrix)
+from mtqmle.exceptions import (DegenerateWeights, MTQMLEError,
+                               NotPositiveDefinite, SingularMatrix)
 from mtqmle.regression import (
     asymptotic_mse_regression,
     empirical_asymptotic_mse_regression,
@@ -642,7 +642,8 @@ class TestSelection:
         np.testing.assert_array_equal(sel.traces, [7.0, 5.0, 5.0])
         assert sel.omega_opt == 2.0 and sel.best_estimate == 20.0
 
-    @pytest.mark.parametrize("error", [SingularMatrix, NotPositiveDefinite])
+    @pytest.mark.parametrize("error", [SingularMatrix, NotPositiveDefinite,
+                                       DegenerateWeights, MTQMLEError])
     def test_rule_skips_typed_failures(self, error):
         def fit(om):
             if om == 1.0:

@@ -15,6 +15,7 @@ from mtqmle.baselines import (
     tukey_weights,
     tune_c_for_are,
 )
+from mtqmle.exceptions import DegenerateWeights, MTQMLEError
 from mtqmle.regression import gqmle_regression, realify, unrealify
 from mtqmle.samplers import stream_rng, synthesize_regression
 
@@ -219,9 +220,20 @@ class TestTukeyEstimator:
         np.testing.assert_allclose(shifted, base + realify(delta), atol=1e-8)
 
     def test_all_samples_rejected(self, reg_gaussian, alpha0):
+        """Every fixed-point weight vanished: DegenerateWeights' own case."""
         x = make_data(reg_gaussian, 50, 85)
-        with pytest.raises(ValueError, match="all samples rejected"):
+        with pytest.raises(DegenerateWeights, match="all samples rejected"):
             tukey_m_estimator(x, reg_gaussian, c=1e-9)
+
+    def test_one_sample_is_a_package_error(self, reg_gaussian):
+        x = make_data(reg_gaussian, 1, 85)
+        with pytest.raises(MTQMLEError, match="at least 2 samples"):
+            tukey_m_estimator(x, reg_gaussian, c=6.2)
+
+    def test_constant_data_is_a_package_error(self, reg_gaussian, alpha0):
+        x = np.tile(reg_gaussian.a_matrix @ alpha0, (24, 1))
+        with pytest.raises(MTQMLEError, match="degenerate scale"):
+            tukey_m_estimator(x, reg_gaussian, c=6.2)
 
     def test_nonconvergence_flagged(self, reg_t, monkeypatch):
         x = make_data(reg_t, 400, 86)

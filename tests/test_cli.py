@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mtqmle import regression
 from mtqmle.cli import main
 
 from conftest import read_csv
@@ -98,14 +99,30 @@ DOA = dict(application="doa", noise_kind="k", noise_lam=0.75,
     (dict(n_samples=0), []),
     (dict(DOA, n_samples=-3), []),
     ({}, ["--axis", "n", "--values", "1,0"]),
+    # an angle grid needs two points
+    (dict(DOA, k_theta=1), []),
 ], ids=["trials", "seed", "n_samples", "p", "k_theta", "sweep-n",
-        "n_samples-0", "doa-n_samples-negative", "sweep-n-0"])
+        "n_samples-0", "doa-n_samples-negative", "sweep-n-0", "k_theta-1"])
 def test_non_integer_config_is_an_error(tmp_path, capsys, overrides, argv):
     cfg = write_config(tmp_path, **overrides)
     command = "sweep" if argv else "run"
     assert main([command, "--config", str(cfg)] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_estimator_bug_is_an_error(tmp_path, capsys, monkeypatch):
+    """An untyped error is not a failed call: the run ends with one error
+    line and exit 1, and writes no CSV."""
+    monkeypatch.setattr(regression, "gqmle_regression",
+                        lambda x, model: x[:, :3] + x[:, :2])
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "broadcast" in line
 
 
 def test_empty_sweep_values_return_two(tmp_path, capsys):

@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
+import mtqmle
 from mtqmle.core import as_dataset
-from mtqmle.exceptions import NotPositiveDefinite
+from mtqmle.exceptions import (DegenerateWeights, MTQMLEError,
+                               NotPositiveDefinite, SingularMatrix)
 
 from conftest import (inv_quad_form, log_det_divergence, random_dataset,
                       random_pd, sample_covariance, sample_mean,
                       weighted_norm_sq)
+
+
+@pytest.mark.parametrize("error", [DegenerateWeights, NotPositiveDefinite,
+                                   SingularMatrix])
+def test_typed_errors_share_one_package_base(error):
+    """Every typed failure is an MTQMLEError, which callers that catch
+    ValueError still catch; the package exports the base with them."""
+    assert issubclass(error, MTQMLEError) and issubclass(MTQMLEError, ValueError)
+    assert mtqmle.MTQMLEError is MTQMLEError and "MTQMLEError" in mtqmle.__all__
+    assert getattr(mtqmle, error.__name__) is error
 
 
 class TestAsDataset:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtqmle import asymptotics, doa, harness, regression, samplers
-from mtqmle.exceptions import SingularMatrix
+from mtqmle.exceptions import MTQMLEError, SingularMatrix
 from mtqmle.harness import ExperimentConfig, emit_csv, run_experiment
 
 from conftest import by, read_csv
@@ -225,6 +225,50 @@ class TestRunExperiment:
             assert row.failures == cfg.trials
             assert np.isnan(row.empirical_mse)
         assert all(r.failures == 0 for r in by(rows, "mt-gqmle"))
+
+    def test_non_finite_estimate_raises_a_package_error(self, monkeypatch):
+        """The harness fails a non-finite estimate with an MTQMLEError, the
+        one error type it counts."""
+        raised = []
+
+        class Recorded(MTQMLEError):
+            def __init__(self, *args):
+                super().__init__(*args)
+                raised.append(str(self))
+
+        monkeypatch.setattr(harness, "MTQMLEError", Recorded)
+        monkeypatch.setattr(regression, "gqmle_regression",
+                            lambda x, model: np.full(4, np.nan))
+        cfg = small_regression_config(estimators=["gqmle"])
+        (row, _) = run_experiment(cfg)
+        assert row.failures == cfg.trials
+        assert raised == ["non-finite estimate"] * (
+            cfg.trials * len(cfg.sweep_values))
+
+    def test_untyped_error_ends_the_run(self, monkeypatch):
+        """A bug in an estimator (here numpy's broadcast ValueError) is not
+        a failed call: it propagates out of the run."""
+        monkeypatch.setattr(regression, "gqmle_regression",
+                            lambda x, model: x[:, :3] + x[:, :2])
+        with pytest.raises(ValueError, match="broadcast") as info:
+            run_experiment(small_regression_config())
+        assert not isinstance(info.value, MTQMLEError)
+
+    @pytest.mark.parametrize("application,omega,message", [
+        ("regression", 1e-30, "texture expectation is 0.0"),
+        ("doa", 1e-30, "texture expectation is 0.0"),
+        ("regression", 1e-20, "squared texture expectation underflows"),
+        ("doa", 1e-20, "squared texture expectation underflows")])
+    def test_failed_closed_form_raises_a_package_error(self, application,
+                                                       omega, message):
+        """The closed form behind a NaN asymptotic cell fails with an
+        MTQMLEError, the one error type the epilogue turns into NaN."""
+        cfg = (small_regression_config(sweep_axis="snr", sweep_values=[0.0],
+                                       omega=omega)
+               if application == "regression" else small_doa_config(omega=omega))
+        app = harness._APPLICATIONS[application](cfg, cfg.sweep_values[0])
+        with pytest.raises(MTQMLEError, match=message):
+            app.asymptotic_trace(omega, cfg.n_samples)
 
     @pytest.mark.parametrize("make_config", [
         lambda: small_regression_config(sweep_axis="snr", sweep_values=[0.0],
