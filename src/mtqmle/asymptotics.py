@@ -30,7 +30,7 @@ import numpy as np
 from .core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from .estimator import EstimationResult, ParametricMomentModel, _estimate
 from .exceptions import DegenerateWeights, MTQMLEError, SingularMatrix
-from .transform import MTFunction, _moments, _weights
+from .transform import MTFunction, _ess, _moments, _weights
 
 _COND_LIMIT = 1e14
 # Least Kish ESS 1 / sum phi^2 of a selectable width: below 2, x_n - mu_hat
@@ -271,7 +271,7 @@ def select_by_trace(omegas: Sequence[float],
             estimate, mse, phi = fit(float(omega))
         except MTQMLEError:
             continue
-        if omegas.size > 1 and 1.0 / (phi @ phi) < _ESS_FLOOR:
+        if omegas.size > 1 and _ess(phi) < _ESS_FLOOR:
             continue
         estimates[i], traces[i] = estimate, np.trace(np.atleast_2d(mse))
     if np.all(np.isnan(traces)):

@@ -5,8 +5,10 @@ Subcommands:
     sweep  --config cfg.json --axis omega --values 1,2,...  [--output out.csv]
     timing --config cfg.json
 
-``timing`` runs the experiment and prints the mean wall seconds per estimator
-call at every sweep value (comparative only), in place of the CSV.
+``sweep`` takes negative values in the ``=`` form, ``--values=-25,-20``, since
+argparse reads a separate ``-25,-20`` as an option. ``timing`` runs the
+experiment and prints the mean wall seconds per estimator call at every sweep
+value (comparative only), in place of the CSV.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--axis", required=True,
                          choices=("omega", "snr", "n"))
     sweep_p.add_argument("--values", required=True,
-                         help="comma-separated sweep values")
+                         help="comma-separated sweep values; write "
+                              "negative ones as --values=-25,-20")
     sweep_p.add_argument("--output", default=None)
     sweep_p.set_defaults(fn=_cmd_sweep)
 

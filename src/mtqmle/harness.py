@@ -60,6 +60,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.application not in ("regression", "doa"):
             raise ValueError(f"unknown application {self.application!r}")
+        sizes = {"theta0": 4 if self.application == "regression" else 1,
+                 "angles": 2}
+        for key, size in sizes.items():
+            if np.shape(getattr(self, key)) != (size,):
+                raise ValueError(f"{key} must be a list of length {size} "
+                                 f"for {self.application}")
         allowed = _REG_ESTIMATORS if self.application == "regression" else _DOA_ESTIMATORS
         for name in self.estimators:
             if name not in allowed:
@@ -192,31 +198,15 @@ class _DOA:
 _APPLICATIONS = {"regression": _Regression, "doa": _DOA}
 
 
-def _runner(app, name: str, config: ExperimentConfig, omega_policy
-            ) -> Callable:
-    """x -> (theta_hat, selection), where selection is (omega_opt, its
-    empirical asymptotic MSE trace) for mt-gqmle and None otherwise. A fixed
-    omega is a one-candidate selection."""
-    if name != "mt-gqmle":
-        estimate = app.baseline(name)
-        return lambda x: (estimate(x), None)
-    omegas = (config.omega_candidates() if omega_policy == "select"
-              else [float(omega_policy)])
-
-    def run(x):
-        sel = asymptotics.select_by_trace(omegas, app.fitter(x))
-        return sel.best_estimate, (sel.omega_opt, float(np.nanmin(sel.traces)))
-
-    return run
-
-
 def run_experiment(config: ExperimentConfig) -> list:
     """Run the configured sweep; deterministic for a fixed config and seed.
 
-    A trial where an estimator raises an MTQMLEError or returns a non-finite
-    estimate is a failure for that estimator, excluded from its average; any
-    other error ends the run. The mt-gqmle asymptotic columns are evaluated
-    at the width trial 0's selection picked, or at the fixed omega. The
+    Each estimator call yields one outcome (squared error or None, seconds,
+    mt-gqmle's SelectionResult or None), and a row reads the outcomes of one
+    (sweep value, estimator). A call that raises an MTQMLEError or returns a
+    non-finite estimate fails and is left out of the average; any other
+    error ends the run. The mt-gqmle asymptotic columns are taken at trial
+    0's selection, or at the fixed omega (a one-candidate selection). The
     empirical trace is NaN when trial 0's call failed, and so is the
     closed-form one under selection. The closed-form trace alone is NaN when
     it raises an MTQMLEError at that width, e.g. a texture underflow.
@@ -228,52 +218,53 @@ def run_experiment(config: ExperimentConfig) -> list:
         n = int(sweep_value) if config.sweep_axis == "n" else config.n_samples
         omega_policy = (float(sweep_value) if config.sweep_axis == "omega"
                         else config.omega)
+        omegas = (config.omega_candidates() if omega_policy == "select"
+                  else [float(omega_policy)])
         app = _APPLICATIONS[config.application](config, snr_db)
-        runners = {name: _runner(app, name, config, omega_policy)
-                   for name in config.estimators}
-        sq_err = {name: [] for name in config.estimators}
-        failures = {name: 0 for name in config.estimators}
-        seconds = {name: 0.0 for name in config.estimators}
-        # (omega, empirical trace) of trial 0
-        picked = (None if omega_policy == "select"
-                  else (float(omega_policy), np.nan))
+        estimate = {name: app.baseline(name) for name in config.estimators
+                    if name != "mt-gqmle"}
+        outcomes = {name: [] for name in config.estimators}
         for trial in range(config.trials):
             rng = samplers.stream_rng(config.seed,
                                       sweep_idx * config.trials + trial)
             x = app.synthesize(n, rng)
-            for name, run in runners.items():
+            for name, calls in outcomes.items():
                 start = time.perf_counter()
+                error = selection = None
                 try:
-                    theta, selection = run(x)
+                    if name == "mt-gqmle":
+                        selection = asymptotics.select_by_trace(
+                            omegas, app.fitter(x))
+                        theta = selection.best_estimate
+                    else:
+                        theta = estimate[name](x)
                     theta = np.asarray(theta, dtype=float).ravel()
                     if not np.all(np.isfinite(theta)):
                         raise MTQMLEError("non-finite estimate")
+                    error = float(np.sum((theta - theta0) ** 2))
                 except MTQMLEError:
-                    failures[name] += 1
-                    continue
-                finally:
-                    seconds[name] += time.perf_counter() - start
-                if trial == 0 and selection is not None:
-                    picked = selection
-                sq_err[name].append(float(np.sum((theta - theta0) ** 2)))
+                    selection = None
+                calls.append((error, time.perf_counter() - start, selection))
 
         for name in config.estimators:
+            calls = outcomes[name]
+            errors = [err for err, _, _ in calls if err is not None]
+            first = calls[0][2]                         # trial 0's selection
+            emp_asym = float(np.nanmin(first.traces)) if first else np.nan
             asym = np.nan
-            emp_asym = np.nan
-            if name == "mt-gqmle" and picked is not None:
-                omega, emp_asym = picked
+            if name == "mt-gqmle" and (first or omega_policy != "select"):
                 with contextlib.suppress(MTQMLEError):  # a NaN cell
-                    asym = app.asymptotic_trace(omega, n)
-            ok = len(sq_err[name])
+                    asym = app.asymptotic_trace(
+                        first.omega_opt if first else omegas[0], n)
             rows.append(ResultRow(
                 sweep_value=float(sweep_value),
                 estimator=name,
-                empirical_mse=float(np.mean(sq_err[name])) if ok else np.nan,
+                empirical_mse=float(np.mean(errors)) if errors else np.nan,
                 asymptotic_mse_trace=float(asym),
-                empirical_asymptotic_mse_trace=float(emp_asym),
-                failures=failures[name],
+                empirical_asymptotic_mse_trace=emp_asym,
+                failures=config.trials - len(errors),
                 trials=config.trials,
-                mean_seconds=seconds[name] / config.trials))
+                mean_seconds=sum(sec for _, sec, _ in calls) / config.trials))
     return rows
 
 

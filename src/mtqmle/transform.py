@@ -130,6 +130,11 @@ def _weights(lw: np.ndarray) -> tuple:
     return w, w / w.sum()
 
 
+def _ess(phi: np.ndarray) -> float:
+    """Kish effective sample size 1 / sum phi^2 of normalized weights."""
+    return float(1.0 / (phi @ phi))
+
+
 def _moments(x: np.ndarray, phi: np.ndarray) -> EmpiricalMTMoments:
     """Reweighted mean and covariance of a validated dataset under normalized
     weights ``phi``; NotPositiveDefinite when the covariance overflows."""
@@ -170,7 +175,7 @@ def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:
                             degenerate=True, warnings=notes)
     mean_weight = float(np.exp(lw).mean())
     tiny = float(np.mean(lw < np.log(_TINY_WEIGHT)))
-    ess = float(1.0 / np.sum(phi ** 2))
+    ess = _ess(phi)
     if ess < _ESS_WARN:
         notes.append(f"effective sample size {ess:.2f} < {_ESS_WARN:g}")
     return MTDiagnostic(mean_weight=mean_weight, tiny_fraction=tiny, ess=ess,

@@ -55,6 +55,24 @@ def test_sweep_overrides_axis(tmp_path):
     assert sorted({r["sweep_value"] for r in rows}) == [100.0, 200.0]
 
 
+def test_negative_sweep_values_take_the_equals_form(tmp_path, capsys,
+                                                    monkeypatch):
+    """argparse reads a separate "-25,-20" as an option, so the help names
+    the "=" form, and that form runs the same sweep as the config would."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "--values=-25,-20" in capsys.readouterr().out
+    cfg = write_config(tmp_path, omega=4.0)
+    swept, ran = tmp_path / "sweep.csv", tmp_path / "run.csv"
+    assert main(["sweep", "--config", str(cfg), "--axis", "snr",
+                 "--values=-25,-20", "--output", str(swept)]) == 0
+    cfg = write_config(tmp_path, omega=4.0, sweep_axis="snr",
+                       sweep_values=[-25, -20])
+    assert main(["run", "--config", str(cfg), "--output", str(ran)]) == 0
+    assert swept.read_bytes() == ran.read_bytes()
+
+
 def test_timing_command(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep_values=[5.0], trials=1)
     assert main(["timing", "--config", str(cfg)]) == 0
@@ -167,6 +185,25 @@ def test_equal_regressor_angles_are_an_error(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: regressor matrix must have full column rank\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(DOA, theta0=[0.5235987755982988] * 2),
+     "theta0 must be a list of length 1 for doa"),
+    (dict(theta0=[0.3, 0.5, 0.6]),
+     "theta0 must be a list of length 4 for regression"),
+    (dict(angles=[0.5]), "angles must be a list of length 2 for regression"),
+    (dict(angles=[0.5, 0.9, 1.2]),
+     "angles must be a list of length 2 for regression"),
+], ids=["doa-theta0-2", "regression-theta0-3", "angles-1", "angles-3"])
+def test_misshapen_config_is_an_error(tmp_path, capsys, overrides, message):
+    """A theta0 or angles list of the wrong length is refused before any
+    trial, instead of being broadcast, truncated or indexed past its end."""
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -527,6 +527,41 @@ class TestTrialZeroSelection:
             assert row.asymptotic_mse_trace == doa.asymptotic_mse_doa(
                 model, float(cfg.theta0[0]), omega, cfg.n_samples)
 
+    @pytest.mark.parametrize("omega", ["select", 6.0])
+    def test_only_trial_zero_fails(self, monkeypatch, omega):
+        """A later trial's selection never stands in for trial 0's: under
+        selection both asymptotic cells are NaN, while a fixed omega still
+        fills the closed form. Trials 1 and 2 are averaged as usual."""
+        fitter = harness._Regression.fitter
+        datasets = []
+
+        def first_fails(app, x):
+            datasets.append(x)
+            if len(datasets) == 1:
+                raise MTQMLEError("stub")
+            return fitter(app, x)
+
+        monkeypatch.setattr(harness._Regression, "fitter", first_fails)
+        cfg = small_regression_config(
+            noise_kind="t", noise_lam=0.2, sweep_axis="snr",
+            sweep_values=[0.0], omega=omega, omega_grid=[1.0, 25.0, 5],
+            n_samples=300, trials=3)
+        row = by(run_experiment(cfg), "mt-gqmle")[0]
+        assert len(datasets) == cfg.trials
+        assert row.failures == 1 < cfg.trials
+        assert np.isfinite(row.empirical_mse)
+        assert np.isnan(row.empirical_asymptotic_mse_trace)
+        if omega == "select":
+            assert np.isnan(row.asymptotic_mse_trace)
+            return
+        model, xs = _regression_trials(cfg, 0, 0.0)
+        assert row.empirical_mse == _mean_sq_err(
+            [regression.mt_gqmle_regression(x, model, omega) for x in xs[1:]],
+            cfg.theta0)
+        assert row.asymptotic_mse_trace == float(np.trace(
+            regression.asymptotic_mse_regression(model, omega,
+                                                 cfg.n_samples)))
+
 
 class TestCSV:
     def test_header_only_for_empty_table(self, tmp_path):

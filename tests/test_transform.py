@@ -192,6 +192,16 @@ class TestCheckMTCondition:
         phi = empirical_mt_moments(x, u).weights
         assert diag.ess == pytest.approx(1.0 / np.sum(phi ** 2), rel=1e-12)
 
+    def test_ess_is_the_width_rules_arithmetic(self):
+        """The diagnostic reads the ESS exactly as select_by_trace's floor
+        does; 1 / np.sum(phi ** 2) differs from it in the last bit on some
+        of these datasets."""
+        u = gaussian_mt_function(1.4)
+        for seed in range(10):
+            x = random_dataset(np.random.default_rng(seed), 50, 2)
+            phi = empirical_mt_moments(x, u).weights
+            assert check_mt_condition(x, u).ess == 1.0 / (phi @ phi), seed
+
     def test_degenerate_reported_not_raised(self, rng):
         x = random_dataset(rng, 4, 2)
         zero = mt_function_from_callable(lambda d: np.zeros(d.shape[0]))
