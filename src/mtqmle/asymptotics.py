@@ -42,7 +42,7 @@ _FD_STEP = 1e-5
 def log_phi_u(data, theta, model: ParametricMomentModel) -> np.ndarray:
     """log of the fitted Gaussian density at each sample, shape (n,)."""
     x = as_dataset(data)
-    theta = np.asarray(theta, dtype=float).ravel()
+    theta = model.space._point(theta)
     chol = cholesky_pd(model.mt_cov(theta))
     resid = np.linalg.solve(chol, (x - model.mt_mean(theta)).T)
     quad = np.einsum("pn,pn->n", resid.conj(), resid).real
@@ -136,7 +136,7 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel,
 
 def psi_u_batch(data, theta, model: ParametricMomentModel) -> np.ndarray:
     """Score vectors for every sample, shape (n, m)."""
-    theta = np.asarray(theta, dtype=float).ravel()
+    theta = model.space._point(theta)
     return _score(as_dataset(data), theta, model)[0]
 
 
@@ -149,7 +149,7 @@ def psi_u(x, theta, model: ParametricMomentModel) -> np.ndarray:
 def gamma_u_batch(data, theta, model: ParametricMomentModel) -> np.ndarray:
     """Hessians of log phi per sample, shape (n, m, m): analytic when the
     model carries second derivatives, else central differences of the score."""
-    theta = np.asarray(theta, dtype=float).ravel()
+    theta = model.space._point(theta)
     return _psi_gamma(as_dataset(data), theta, model)[1]
 
 
@@ -173,7 +173,7 @@ def sandwich(data, theta_hat, model: ParametricMomentModel, u: MTFunction
     """
     x = as_dataset(data)
     lw = u.log_weights(x)
-    return _sandwich(x, np.asarray(theta_hat, dtype=float).ravel(), model, lw,
+    return _sandwich(x, model.space._point(theta_hat), model, lw,
                      _weights(lw)[0])
 
 
@@ -220,7 +220,7 @@ def influence(y, theta0, model: ParametricMomentModel, u: MTFunction,
     estimated from ``reference_data`` as the weighted negative mean Hessian.
     """
     y = np.asarray(y, dtype=complex).ravel()
-    theta0 = np.asarray(theta0, dtype=float).ravel()
+    theta0 = model.space._point(theta0)
     if f_matrix is None:
         if reference_data is None:
             raise ValueError("provide f_matrix or reference_data")
@@ -242,12 +242,12 @@ class SelectionResult:
     omega_opt: float
     omegas: np.ndarray
     traces: np.ndarray                    # NaN where a grid point degenerated
-    estimates: list = field(default_factory=list)  # EstimationResult or None
+    estimates: list = field(default_factory=list)  # as best_estimate, or None
 
     @property
-    def best_estimate(self) -> EstimationResult:
-        idx = int(np.nanargmin(self.traces))
-        return self.estimates[idx]
+    def best_estimate(self) -> EstimationResult | np.ndarray | float:
+        """select_mt_parameter's EstimationResult; mt_fitter_*'s theta_hat."""
+        return self.estimates[int(np.nanargmin(self.traces))]
 
 
 def select_by_trace(omegas: Sequence[float],

@@ -337,7 +337,6 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     lo, hi = model.theta_bounds
     space = ParameterSpace(lower=[lo], upper=[hi], grid_sizes=k_theta)
     return ParametricMomentModel(
-        theta_dim=1,
         mt_mean=lambda theta: np.zeros(np.shape(theta)[:-1] + (p,),
                                        dtype=complex),
         mt_cov=mt_cov,

@@ -63,8 +63,16 @@ class ParameterSpace:
         grids = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, dim)
 
-    def on_boundary(self, theta) -> bool:
+    def _point(self, theta) -> np.ndarray:
+        """theta as a float vector, refused unless it has the space's size."""
         theta = np.asarray(theta, dtype=float).ravel()
+        if theta.size != self.lower.size:
+            raise ValueError(f"theta of wrong dimension {theta.size} for a "
+                             f"{self.lower.size}-dimensional space")
+        return theta
+
+    def on_boundary(self, theta) -> bool:
+        theta = self._point(theta)
         tol = 1e-9 * np.maximum(self.upper - self.lower, 1e-300)
         return bool(np.any((theta - self.lower) <= tol)
                     or np.any((self.upper - theta) <= tol))
@@ -74,17 +82,16 @@ class ParameterSpace:
 class ParametricMomentModel:
     """Maps a real parameter vector to model mean/covariance and derivatives.
 
+    theta has the space's dimension m; public entries refuse another size.
     mt_mean(theta) -> (p,), mt_cov(theta) -> (p, p) positive definite on the
-    whole space; both broadcast over leading axes of theta, (..., m) ->
-    (..., p) and (..., p, p), so a grid is one call. d_mean(theta) -> (m, p)
-    and d_cov(theta) -> (m, p, p) take one point and stack the first
-    derivatives along the parameter axis. Second derivatives
-    (d2_mean -> (m, m, p), d2_cov -> (m, m, p, p)) are optional; when absent
-    the curvature machinery falls back to finite differences of the score.
-    ``solver``, when set, maps empirical moments straight to the maximizer.
+    space; both broadcast, (..., m) -> (..., p) and (..., p, p), so a grid is
+    one call. d_mean(theta) -> (m, p) and d_cov(theta) -> (m, p, p) take one
+    point and stack the first derivatives along the parameter axis. Second
+    derivatives (d2_mean -> (m, m, p), d2_cov -> (m, m, p, p)) are optional;
+    when absent the curvature machinery falls back to finite differences of
+    the score. ``solver``, if set, maps empirical moments to the maximizer.
     """
 
-    theta_dim: int
     mt_mean: Callable[[np.ndarray], np.ndarray]
     mt_cov: Callable[[np.ndarray], np.ndarray]
     d_mean: Callable[[np.ndarray], np.ndarray]
@@ -111,8 +118,8 @@ class EstimationResult:
 def objective_j_u(moments: EmpiricalMTMoments, model: ParametricMomentModel,
                   theta) -> float:
     """J_u(theta); <= 0 up to rounding, zero iff the moments match the model."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    return float(_grid_objective(moments, model, theta[None])[0])
+    return float(_grid_objective(moments, model,
+                                 model.space._point(theta)[None])[0])
 
 
 def _grid_objective(moments: EmpiricalMTMoments, model: ParametricMomentModel,
@@ -159,9 +166,7 @@ def _estimate(moments: EmpiricalMTMoments, model: ParametricMomentModel
               ) -> EstimationResult:
     """``estimate_mt_gqmle`` from moments already built."""
     if model.solver is not None:
-        theta = np.asarray(model.solver(moments), dtype=float).ravel()
-        if theta.size != model.theta_dim:
-            raise ValueError("solver returned a parameter of wrong dimension")
+        theta = model.space._point(model.solver(moments))
         return EstimationResult(
             theta=theta, objective=objective_j_u(moments, model, theta),
             method="closed-form", moments=moments)
@@ -210,7 +215,7 @@ def check_identifiability(model: ParametricMomentModel, theta0
     theta != theta0 means the fit objective cannot separate the two points.
     The maps see _GRID_CHUNK points per call, as in the grid search.
     """
-    theta0 = np.asarray(theta0, dtype=float).ravel()
+    theta0 = model.space._point(theta0)
     points = model.space.grid_points()
     chunks = np.split(points, range(_GRID_CHUNK, len(points), _GRID_CHUNK))
     mean0, cov0 = model.mt_mean(theta0), model.mt_cov(theta0)

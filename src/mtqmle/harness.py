@@ -61,16 +61,18 @@ class ExperimentConfig:
         if self.application not in ("regression", "doa"):
             raise ValueError(f"unknown application {self.application!r}")
         sizes = {"theta0": 4 if self.application == "regression" else 1,
-                 "angles": 2}
-        for key, size in sizes.items():
-            if np.shape(getattr(self, key)) != (size,):
-                raise ValueError(f"{key} must be a list of length {size} "
-                                 f"for {self.application}")
+                 "angles": 2, "omega_grid": 3}
+        for key, n in sizes.items():
+            where = "" if key == "omega_grid" else f" for {self.application}"
+            if np.shape(getattr(self, key)) != (n,):
+                raise ValueError(f"{key} must be a list of length {n}{where}")
         allowed = _REG_ESTIMATORS if self.application == "regression" else _DOA_ESTIMATORS
         for name in self.estimators:
             if name not in allowed:
                 raise ValueError(f"unknown estimator {name!r} for "
                                  f"{self.application}; allowed: {allowed}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"estimators must not repeat a name: {self.estimators}")
         if self.sweep_axis not in _SWEEP_AXES:
             raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}")
         if not self.sweep_values:

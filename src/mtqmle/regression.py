@@ -233,7 +233,6 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction
     space = ParameterSpace(lower=np.full(m, -3.0), upper=np.full(m, 3.0),
                            grid_sizes=9)
     return ParametricMomentModel(
-        theta_dim=m,
         mt_mean=lambda theta: (a @ unrealify(theta)[..., None])[..., 0],
         mt_cov=lambda theta: np.broadcast_to(cov_const,
                                              np.shape(theta)[:-1] + (p, p)),

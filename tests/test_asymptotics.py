@@ -19,7 +19,8 @@ from mtqmle.asymptotics import (
 )
 from mtqmle.doa import doa_moment_model
 from mtqmle.estimator import (ParameterSpace, ParametricMomentModel,
-                              estimate_mt_gqmle)
+                              check_identifiability, estimate_mt_gqmle,
+                              objective_j_u)
 from mtqmle.exceptions import (DegenerateWeights, MTQMLEError,
                                NotPositiveDefinite, SingularMatrix)
 from mtqmle.regression import (
@@ -88,7 +89,7 @@ def quadratic_moment_model(rng):
                 + th[0] ** 2 * h00 + th[1] ** 2 * h11)
 
     return ParametricMomentModel(
-        theta_dim=2, mt_mean=mean, mt_cov=cov,
+        mt_mean=mean, mt_cov=cov,
         d_mean=lambda th: np.stack([c[0] + c[2] * th[1] + 2 * c[3] * th[0],
                                     c[1] + c[2] * th[0] + 2 * c[4] * th[1]]),
         d_cov=lambda th: np.stack([h0 + th[1] * h01 + 2 * th[0] * h00,
@@ -151,7 +152,6 @@ class TestHessian:
         space = ParameterSpace([-1.0], [1.0], 3)
         eye = np.eye(2, dtype=complex)
         mm = ParametricMomentModel(
-            theta_dim=1,
             mt_mean=lambda th: np.zeros(np.shape(th)[:-1] + (2,), dtype=complex),
             mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (2, 2)),
             d_mean=lambda th: np.zeros((1, 2), dtype=complex),
@@ -231,7 +231,6 @@ def zero_slope_cov_model(rng):
     s0 = random_pd(rng, p) + np.eye(p)
     zero = np.zeros((p, p))
     return ParametricMomentModel(
-        theta_dim=2,
         mt_mean=lambda th: c[0] * th[0] + c[1] * th[1] + c[2] * th[0] ** 2,
         mt_cov=lambda th: (1.0 + th @ th) * s0,
         d_mean=lambda th: np.stack([c[0] + 2 * c[2] * th[0], c[1]]),
@@ -408,7 +407,6 @@ class TestSandwich:
         space = ParameterSpace([-1.0] * 2, [1.0] * 2, 3)
         eye = np.eye(1, dtype=complex)
         mm = ParametricMomentModel(
-            theta_dim=2,
             mt_mean=lambda th: (th[..., :1] + th[..., 1:]).astype(complex),
             mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (1, 1)),
             d_mean=lambda th: np.array([[1.0], [1.0]], dtype=complex),
@@ -450,6 +448,43 @@ class TestPublicEntriesValidate:
         u = MTFunction(lambda data: np.zeros(data.shape[0] + 1))
         with pytest.raises(ValueError, match="wrong shape"):
             self.ENTRIES[entry](x, u, mm)
+
+    THETA_ENTRIES = {
+        "objective_j_u": lambda x, th, mm, u: objective_j_u(
+            empirical_mt_moments(x, u), mm, th),
+        "check_identifiability": lambda x, th, mm, u:
+            check_identifiability(mm, th),
+        "on_boundary": lambda x, th, mm, u: mm.space.on_boundary(th),
+        "log_phi_u": lambda x, th, mm, u: log_phi_u(x, th, mm),
+        "psi_u_batch": lambda x, th, mm, u: psi_u_batch(x, th, mm),
+        "psi_u": lambda x, th, mm, u: psi_u(x[0], th, mm),
+        "gamma_u_batch": lambda x, th, mm, u: gamma_u_batch(x, th, mm),
+        "sandwich": lambda x, th, mm, u: sandwich(x, th, mm, u),
+        "score_identity_check": lambda x, th, mm, u:
+            score_identity_check(x, th, mm, u),
+        "influence": lambda x, th, mm, u: influence(x[0], th, mm, u,
+                                                    reference_data=x),
+    }
+
+    @pytest.mark.parametrize("entry", THETA_ENTRIES)
+    @pytest.mark.parametrize("kind", ["doa", "regression"])
+    def test_theta_of_wrong_dimension(self, ula_gaussian, reg_t, entry, kind):
+        """A theta with more or fewer entries than the model's space is
+        refused, instead of being truncated to the space's leading entries
+        or broadcast into a numpy error."""
+        if kind == "doa":
+            x = synthesize_doa(4, 0.3, 1.0, ula_gaussian.noise, 300,
+                               stream_rng(12, 0))
+            u = gaussian_mt_function(3.0)
+            mm = doa_moment_model(ula_gaussian, x, 3.0, k_theta=721)
+            theta = np.array([0.52, 9.0])
+        else:
+            x = make_regression_data(reg_t, 50, 19)
+            u = projected_mt_function(reg_t, 3.0)
+            mm = regression_moment_model(reg_t, x, u)
+            theta = np.array([0.25, 0.55, 0.6])
+        with pytest.raises(ValueError, match="wrong dimension"):
+            self.THETA_ENTRIES[entry](x, theta, mm, u)
 
 
 class TestScoreIdentity:
@@ -561,7 +596,6 @@ class TestSelection:
 
         eye = np.eye(1, dtype=complex)
         location = ParametricMomentModel(
-            theta_dim=2,
             mt_mean=lambda th: (th[..., :1] + 1j * th[..., 1:]).astype(complex),
             mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (1, 1)),
             d_mean=lambda th: np.array([[1.0], [1.0j]]),

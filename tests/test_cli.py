@@ -196,14 +196,29 @@ def test_equal_regressor_angles_are_an_error(tmp_path, capsys):
     (dict(angles=[0.5]), "angles must be a list of length 2 for regression"),
     (dict(angles=[0.5, 0.9, 1.2]),
      "angles must be a list of length 2 for regression"),
-], ids=["doa-theta0-2", "regression-theta0-3", "angles-1", "angles-3"])
+    (dict(omega_grid=[1, 30]), "omega_grid must be a list of length 3"),
+    (dict(omega_grid=[1, 30, 30, 4]), "omega_grid must be a list of length 3"),
+], ids=["doa-theta0-2", "regression-theta0-3", "angles-1", "angles-3",
+        "omega_grid-2", "omega_grid-4"])
 def test_misshapen_config_is_an_error(tmp_path, capsys, overrides, message):
-    """A theta0 or angles list of the wrong length is refused before any
-    trial, instead of being broadcast, truncated or indexed past its end."""
+    """A theta0, angles or omega_grid list of the wrong length is refused
+    before any trial, instead of being broadcast, truncated, indexed past its
+    end or unpacked into Python's message that names no key."""
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "out.csv"
     assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_repeated_estimator_is_an_error(tmp_path, capsys):
+    """A repeated estimator would run once per trial but print one identical
+    row per repetition, which reads as independent estimates."""
+    cfg = write_config(tmp_path, estimators=["gqmle", "gqmle"])
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: estimators must not repeat a name: ['gqmle', 'gqmle']\n")
     assert not out.exists()
 
 

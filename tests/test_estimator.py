@@ -114,7 +114,6 @@ class TestObjective:
         space = ParameterSpace([0.0], [1.0], 3)
         eye = np.eye(2, dtype=complex)
         mm = ParametricMomentModel(
-            theta_dim=1,
             mt_mean=lambda th: np.zeros(np.shape(th)[:-1] + (2,), dtype=complex),
             mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (2, 2)),
             d_mean=lambda th: np.zeros((1, 2), dtype=complex),
@@ -157,7 +156,6 @@ class TestObjective:
     def test_non_pd_model_cov_raises(self):
         space = ParameterSpace([0.0], [1.0], 3)
         bad = ParametricMomentModel(
-            theta_dim=1,
             mt_mean=lambda th: np.zeros(np.shape(th)[:-1] + (2,), dtype=complex),
             mt_cov=lambda th: np.broadcast_to(np.diag([1.0, -1.0]).astype(complex),
                                               np.shape(th)[:-1] + (2, 2)),
@@ -264,7 +262,6 @@ class TestFiniteDiffDerivatives:
         space = ParameterSpace([-1.0], [1.0], 3)
         eye = np.eye(2, dtype=complex)
         mm = ParametricMomentModel(
-            theta_dim=1,
             mt_mean=lambda th: np.ones(2, dtype=complex),
             mt_cov=lambda th: eye,
             d_mean=lambda th: np.zeros((1, 2), dtype=complex),
@@ -307,7 +304,6 @@ def first_coordinate_model(grid_size):
     """2-D model whose mean map ignores the second coordinate entirely."""
     eye = np.eye(2, dtype=complex)
     return ParametricMomentModel(
-        theta_dim=2,
         mt_mean=lambda th: np.stack([th[..., 0], np.zeros_like(th[..., 0])],
                                     axis=-1).astype(complex),
         mt_cov=lambda th: np.broadcast_to(eye, np.shape(th)[:-1] + (2, 2)),
@@ -422,7 +418,6 @@ def table_model(means, covs=None):
         return np.rint(np.asarray(th)[..., 0]).astype(int)
 
     return ParametricMomentModel(
-        theta_dim=1,
         mt_mean=lambda th: means[index(th)][..., None].repeat(2, axis=-1),
         mt_cov=lambda th: covs[index(th)],
         d_mean=lambda th: np.zeros((1, 2), dtype=complex),

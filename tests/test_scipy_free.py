@@ -1,13 +1,13 @@
 """mtqmle needs numpy alone: the package, the command line and every config,
-the ``tukey`` estimator and its ARE-tuned cutoff included, run without
-scipy."""
+the ``tukey`` estimator and its ARE-tuned cutoff included, and README's
+library example run without scipy."""
 
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 RUN_SELECT_CONFIGS = """
 import mtqmle, mtqmle.cli
@@ -50,3 +50,13 @@ def test_select_configs_run_with_scipy_blocked():
 def test_select_configs_do_not_import_scipy():
     _python("import sys\n" + RUN_SELECT_CONFIGS
             + "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+
+
+def test_readme_library_example_runs_with_scipy_blocked():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library example", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    _python("import sys\nsys.modules['scipy'] = None\n" + example
+            + "assert sel.omega_opt in sel.omegas\n"
+            "assert theta_hat.shape == (4,) and np.all(np.isfinite(theta_hat))\n")
