@@ -172,7 +172,7 @@ def sandwich(data, theta_hat, model: ParametricMomentModel, u: MTFunction
     boundary, where the asymptotic normality argument does not apply.
     """
     x = as_dataset(data)
-    lw = u.log_weights(x)
+    lw = u._log_weights(x)
     return _sandwich(x, model.space._point(theta_hat), model, lw,
                      _weights(lw)[0])
 
@@ -299,7 +299,7 @@ def select_mt_parameter(data, family: Callable[[float], MTFunction],
     def fit(omega):
         u = family(omega)
         model_i = model(x, u)
-        lw = u.log_weights(x)
+        lw = u._log_weights(x)
         scaled, phi = _weights(lw)
         est = _estimate(_moments(x, phi), model_i)
         return (est, _sandwich(x, est.theta, model_i, lw, scaled).c_hat, phi)

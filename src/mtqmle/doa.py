@@ -312,7 +312,7 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     theta_ref = _lag_scan(*basis, moments.mt_mean, moments.mt_cov).argmax_theta
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)
     eye = np.eye(p)
-    zeros = np.zeros((1, 1, p), dtype=complex)
+    zeros = np.broadcast_to(0j, (1, 1, p))      # read-only: one element
 
     def mt_cov(theta):
         a = steering(np.asarray(theta)[..., :1], p)

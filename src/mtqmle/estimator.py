@@ -110,9 +110,13 @@ class ParametricMomentModel:
 @dataclass
 class EstimationResult:
     theta: np.ndarray
-    objective: float
     method: str
     moments: EmpiricalMTMoments    # the reweighted moments J_u was built from
+    model: ParametricMomentModel = field(repr=False)
+
+    @property
+    def objective(self) -> float:  # J_u at theta, evaluated when read
+        return objective_j_u(self.moments, self.model, self.theta)
 
 
 def objective_j_u(moments: EmpiricalMTMoments, model: ParametricMomentModel,
@@ -167,9 +171,7 @@ def _estimate(moments: EmpiricalMTMoments, model: ParametricMomentModel
     """``estimate_mt_gqmle`` from moments already built."""
     if model.solver is not None:
         theta = model.space._point(model.solver(moments))
-        return EstimationResult(
-            theta=theta, objective=objective_j_u(moments, model, theta),
-            method="closed-form", moments=moments)
+        return EstimationResult(theta, "closed-form", moments, model)
     points = model.space.grid_points()
     if points.size == 0:
         raise ValueError("empty parameter grid")
@@ -177,8 +179,7 @@ def _estimate(moments: EmpiricalMTMoments, model: ParametricMomentModel
     best = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))  # first max
     if not vals[best] > -np.inf:
         raise ValueError(f"no finite objective on the {len(points)}-point grid")
-    return EstimationResult(theta=points[best], objective=float(vals[best]),
-                            method="grid", moments=moments)
+    return EstimationResult(points[best], "grid", moments, model)
 
 
 def estimate_gqmle(data, model: ParametricMomentModel) -> EstimationResult:

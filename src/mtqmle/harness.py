@@ -66,6 +66,15 @@ class ExperimentConfig:
             where = "" if key == "omega_grid" else f" for {self.application}"
             if np.shape(getattr(self, key)) != (n,):
                 raise ValueError(f"{key} must be a list of length {n}{where}")
+        reals = {"snr_db": [self.snr_db], "sigma2_s": [self.sigma2_s],
+                 "noise_lam": [] if self.noise_lam is None else [self.noise_lam],
+                 "omega": [] if self.omega == "select" else [self.omega],
+                 "sweep_values": self.sweep_values,
+                 **{key: getattr(self, key) for key in sizes}}
+        for key, values in reals.items():    # a bool is not a number
+            if any(isinstance(v, bool) or not isinstance(
+                    v, (int, float, np.integer, np.floating)) for v in values):
+                raise ValueError(f"{key} must be real, got {getattr(self, key)!r}")
         allowed = _REG_ESTIMATORS if self.application == "regression" else _DOA_ESTIMATORS
         for name in self.estimators:
             if name not in allowed:
@@ -89,8 +98,6 @@ class ExperimentConfig:
         for key, least in (("trials", 1), ("n_samples", 1), ("k_theta", 2)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}")
-        if not (isinstance(self.omega, (int, float)) or self.omega == "select"):
-            raise ValueError("omega must be a number or 'select'")
         lo, hi, count = self.omega_grid
         widths = [lo, hi] + ([] if self.omega == "select" else [self.omega])
         widths += self.sweep_values if self.sweep_axis == "omega" else []

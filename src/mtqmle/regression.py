@@ -223,9 +223,7 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction
     r0, r1 = fit_noise_cov_scalars(model, empirical_mt_moments(data, u).mt_cov)
     cov_const = r0 * model.proj_a + r1 * np.eye(p)
     d_mean = np.concatenate([a.T, 1j * a.T], axis=0)       # (m, p)
-    zeros_cov = np.zeros((m, p, p), dtype=complex)
-    zeros_d2m = np.zeros((m, m, p), dtype=complex)
-    zeros_d2s = np.zeros((m, m, p, p), dtype=complex)
+    zero = np.broadcast_to(0j, (m, m, p, p))    # read-only: one element
 
     def solver(moments):
         return _least_squares(model, moments.mt_mean)
@@ -237,9 +235,9 @@ def regression_moment_model(model: RegressionModel, data, u: MTFunction
         mt_cov=lambda theta: np.broadcast_to(cov_const,
                                              np.shape(theta)[:-1] + (p, p)),
         d_mean=lambda theta: d_mean,
-        d_cov=lambda theta: zeros_cov,
-        d2_mean=lambda theta: zeros_d2m,
-        d2_cov=lambda theta: zeros_d2s,
+        d_cov=lambda theta: zero[0],
+        d2_mean=lambda theta: zero[..., 0],
+        d2_cov=lambda theta: zero,
         space=space,
         solver=solver,
         info={"r0": r0, "r1": r1})

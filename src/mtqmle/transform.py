@@ -48,7 +48,10 @@ class MTFunction:
         return f"MTFunction({inner})"
 
     def log_weights(self, data) -> np.ndarray:
-        x = as_dataset(data)
+        return self._log_weights(as_dataset(data))
+
+    def _log_weights(self, x: np.ndarray) -> np.ndarray:
+        """``log_weights`` of a dataset that ``as_dataset`` has validated."""
         lw = np.asarray(self._log_fn(x), dtype=float)
         if lw.shape != (x.shape[0],):
             raise ValueError("log weight evaluator returned a wrong shape")
@@ -154,7 +157,7 @@ def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
     common scale of u cancels exactly; DegenerateWeights when every weight
     vanishes, NotPositiveDefinite when the covariance overflows."""
     x = as_dataset(data)
-    return _moments(x, _weights(u.log_weights(x))[1])
+    return _moments(x, _weights(u._log_weights(x))[1])
 
 
 def check_mt_condition(data, u: MTFunction) -> MTDiagnostic:

@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from mtqmle import asymptotics
+from mtqmle import asymptotics, core, estimator, transform
 from mtqmle.asymptotics import (
     fisher_information,
     gamma_u_batch,
@@ -326,6 +326,21 @@ class TestZeroBlocksSkipped:
             asymptotics._psi_gamma(x, theta, mm, weights)
             assert len(calls) == 1 + (in_psi_gamma and not in_score)
 
+    @pytest.mark.parametrize("kind, blocks", [
+        ("regression", ("d_cov", "d2_mean", "d2_cov")),
+        ("doa", ("d_mean", "d2_mean"))])
+    def test_zero_blocks_are_read_only_views(self, kind, blocks, reg_gaussian,
+                                             ula_gaussian):
+        """The shipped models' all-zero blocks are read-only broadcasts of one
+        element: a selection that keeps one model per width keeps no zero
+        arrays, and no caller can write into a block the fit reads."""
+        _, theta, mm, _ = zero_block_case(kind, reg_gaussian, ula_gaussian)
+        for name in blocks:
+            block = getattr(mm, name)(theta)
+            assert not np.any(block) and not any(block.strides), name
+            with pytest.raises(ValueError, match="read-only"):
+                block[...] = 1.0
+
 
 class TestWeightedHessian:
     """The weighted Hessian sum from (s0, s1, s2) against the per-sample
@@ -609,6 +624,33 @@ class TestSelection:
                                   lambda data, u: location)
         assert np.isfinite(sel.traces).all()
         assert calls == [1.0, 2.0, 3.0]
+
+    def test_solver_path_evaluates_no_objective(self, reg_t, monkeypatch):
+        """The per-width fit leaves J_u unevaluated: it is computed only when
+        a caller reads EstimationResult.objective."""
+        calls = []
+        j_u = estimator.objective_j_u
+        monkeypatch.setattr(estimator, "objective_j_u",
+                            lambda *args: calls.append(1) or j_u(*args))
+        x = make_regression_data(reg_t, 200, 19)
+        sel = select_mt_parameter(
+            x, lambda om: projected_mt_function(reg_t, om), [2.0, 5.0, 10.0],
+            lambda data, u: regression_moment_model(reg_t, data, u))
+        assert np.isfinite(sel.traces).all() and len(calls) == 0
+        assert np.isfinite(sel.best_estimate.objective) and len(calls) == 1
+
+    def test_prebuilt_model_selection_validates_once(self, reg_t, monkeypatch):
+        """The data is validated once, on entry: with a factory that returns a
+        prebuilt model, no per-width step passes x through as_dataset again."""
+        x = make_regression_data(reg_t, 200, 20)
+        family = lambda om: projected_mt_function(reg_t, om)
+        mm = regression_moment_model(reg_t, x, family(5.0))
+        calls = []
+        monkeypatch.setattr(transform, "as_dataset",
+                            lambda d: calls.append(1) or core.as_dataset(d))
+        sel = select_mt_parameter(x, family, [2.0, 5.0, 10.0],
+                                  lambda data, u: mm)
+        assert np.isfinite(sel.traces).all() and len(calls) == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fit_equals_public_chain(self, reg_t, ula_gaussian, seed):

@@ -211,6 +211,32 @@ def test_misshapen_config_is_an_error(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,key", [
+    (dict(snr_db="low"), "snr_db"),
+    (dict(snr_db=None), "snr_db"),
+    (dict(noise_kind="t", noise_lam="x"), "noise_lam"),
+    (dict(noise_kind="t", noise_lam=[0.75]), "noise_lam"),
+    (dict(DOA, sigma2_s="1"), "sigma2_s"),
+    (dict(omega=True), "omega"),
+    (dict(theta0=[0.3, 0.5, "0.6", 0.8]), "theta0"),
+    (dict(angles=["a", "b"]), "angles"),
+    (dict(sweep_values=[3.0, "9"]), "sweep_values"),
+    (dict(omega_grid=[1, 30, True]), "omega_grid"),
+], ids=["snr_db-str", "snr_db-null", "noise_lam-str", "noise_lam-list",
+        "sigma2_s-str", "omega-bool", "theta0-str", "angles-str",
+        "sweep_values-str", "omega_grid-bool"])
+def test_non_real_config_is_an_error(tmp_path, capsys, overrides, key):
+    """A real-valued field holding a string, null, list or bool is refused on
+    load with one line naming its key, instead of a TypeError traceback from
+    the middle of a run or, for a bool, a silent run as 0 or 1."""
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be real, got ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_repeated_estimator_is_an_error(tmp_path, capsys):
     """A repeated estimator would run once per trial but print one identical
     row per repetition, which reads as independent estimates."""

@@ -205,6 +205,21 @@ class TestEstimate:
         assert est.method == "grid"
         assert np.max(np.abs(est.theta - closed)) <= step / 2 + 1e-12
 
+    @pytest.mark.parametrize("path", ["closed-form", "grid"])
+    def test_objective_is_j_u_at_theta(self, path):
+        """EstimationResult.objective is J_u at theta, evaluated when read: bit
+        for bit the one-point objective on both paths, and the model that
+        evaluates it stays out of the repr."""
+        model, x, u = small_regression_setup(seed=9, n=150)
+        mm = regression_moment_model(model, x, u)
+        if path == "grid":
+            mm = dataclasses.replace(mm, solver=None,
+                                     space=regression_box(1.0, 4))
+        est = estimate_mt_gqmle(x, u, mm)
+        assert est.method == path and est.model is mm
+        assert est.objective == objective_j_u(est.moments, mm, est.theta)
+        assert "model" not in repr(est)
+
     def test_grid_result_beats_all_grid_points(self):
         model, x, u = small_regression_setup(seed=6, n=100)
         moments = empirical_mt_moments(x, u)
