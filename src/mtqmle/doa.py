@@ -11,7 +11,7 @@ CRLB.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +32,12 @@ class ULAModel:
     """Array geometry plus source/noise description.
 
     The angle space is [-pi/2, pi/2 - _DELTA]; the small gap keeps cos(theta)
-    in the closed forms away from zero.
+    in the closed forms away from zero. Grid and basis are _basis(p, k_theta).
     """
 
     p: int
     sigma2_s: float
     noise: NoiseSpec
-    _bases: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         if self.p < 2:
@@ -49,27 +47,24 @@ class ULAModel:
         if self.noise.p != self.p:
             raise ValueError("noise dimension differs from sensor count")
 
-    @property
-    def theta_bounds(self) -> tuple:
-        return (-np.pi / 2.0, np.pi / 2.0 - _DELTA)
+    theta_bounds = (-np.pi / 2.0, np.pi / 2.0 - _DELTA)     # not a field
 
-    def grid(self, k_theta: int = _DEFAULT_GRID) -> np.ndarray:
+    @staticmethod
+    def grid(k_theta: int = _DEFAULT_GRID) -> np.ndarray:
         if k_theta < 2:
             raise ValueError("need at least 2 grid points")
-        lo, hi = self.theta_bounds
-        return np.linspace(lo, hi, k_theta)
+        return np.linspace(*ULAModel.theta_bounds, k_theta)
 
-    def _basis(self, k_theta: int = _DEFAULT_GRID) -> tuple:
-        """(k_theta-point grid, (2p-1, G) real basis [1; 2 Re a_d; 2 Im a_d]
-        of its steering vectors), built once per geometry."""
-        key = (self.p, k_theta)
-        if key not in self._bases:
-            thetas = self.grid(k_theta)
-            thetas.flags.writeable = False      # shared by every curve
-            steer = steering_grid(thetas, self.p)[:, 1:].T
-            self._bases[key] = thetas, np.vstack(
-                [np.ones(k_theta), 2.0 * steer.real, 2.0 * steer.imag])
-        return self._bases[key]
+
+@functools.lru_cache(maxsize=8)
+def _basis(p: int, k_theta: int) -> tuple:
+    """(k_theta-point grid, (2p-1, G) real basis [1; 2 Re a_d; 2 Im a_d] of
+    its steering vectors), read-only and built once per (p, k_theta)."""
+    thetas = ULAModel.grid(k_theta)
+    steer = steering_grid(thetas, p)[:, 1:].T
+    basis = np.vstack([np.ones(k_theta), 2.0 * steer.real, 2.0 * steer.imag])
+    thetas.flags.writeable = basis.flags.writeable = False
+    return thetas, basis
 
 
 def steering(theta: float, p: int, order: int = 0) -> np.ndarray:
@@ -108,7 +103,7 @@ class SpectrumCurve:
 def _lag_scan(thetas, basis, mean, cov) -> SpectrumCurve:
     """a^H C a over thetas, C = cov + mean mean^H, in lag form: r_0 + 2 sum_d
     Re(r_d e^{i pi d sin theta}) with r_d the sum of the d-th subdiagonal of
-    C; basis is ULAModel._basis's."""
+    C; basis is _basis's."""
     c_hat = hermitize(cov + np.outer(mean, mean.conj()))
     lags = np.array([np.trace(c_hat, offset=-d) for d in range(len(mean))])
     values = np.concatenate([lags.real, lags[1:].imag]) @ basis
@@ -119,7 +114,7 @@ def mt_spectrum(data, model: ULAModel, omega: float,
                 k_theta: int = _DEFAULT_GRID) -> SpectrumCurve:
     """Reweighted spatial spectrum over the k_theta-point grid."""
     m = empirical_mt_moments(data, gaussian_mt_function(omega))
-    return _lag_scan(*model._basis(k_theta), m.mt_mean, m.mt_cov)
+    return _lag_scan(*_basis(model.p, k_theta), m.mt_mean, m.mt_cov)
 
 
 def estimate_doa(data, model: ULAModel, omega: float,
@@ -131,7 +126,7 @@ def estimate_doa(data, model: ULAModel, omega: float,
 def bartlett_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID) -> float:
     """Constant-weight (classical Bartlett) scan over the same grid."""
     m = empirical_mt_moments(data, constant_mt_function())
-    return _lag_scan(*model._basis(k_theta), m.mt_mean, m.mt_cov).argmax_theta
+    return _lag_scan(*_basis(model.p, k_theta), m.mt_mean, m.mt_cov).argmax_theta
 
 
 def _h_factor(p: int, s_abs2, nu2, omega2):
@@ -187,8 +182,9 @@ def _slope_curvature(x: np.ndarray, theta: float, p: int) -> tuple:
     """Per-sample spectrum slope alpha and curvature beta statistics at theta."""
     with np.errstate(over="ignore", invalid="ignore"):
         ax, dax, ddax = (x @ steering(theta, p, k).conj() for k in range(3))
-        alpha = 2.0 * np.real(dax * ax.conj())
-        beta = 2.0 * np.real(ddax * ax.conj() + np.abs(dax) ** 2)
+        np.conjugate(ax, out=ax)
+        alpha = 2.0 * np.real(dax * ax)
+        beta = 2.0 * np.real(ddax * ax + np.abs(dax) ** 2)
     return alpha, beta
 
 
@@ -198,12 +194,13 @@ def _empirical_mse(alpha: np.ndarray, beta: np.ndarray, scaled) -> float:
     and the curvature sum are divided by the sum's power of two before they
     are squared: exact, so the squares stay finite on scaled-up data."""
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = float(np.sum(np.where(scaled > 0, beta * scaled, 0.0)))
+        kept = scaled > 0
+        denom = float(np.sum(np.where(kept, beta * scaled, 0.0)))
         if denom == 0.0 or not np.isfinite(denom):
             raise SingularMatrix("degenerate curvature")
         mant, exp = np.frexp(denom)
         alpha = np.ldexp(alpha, -exp)
-        num = float(np.sum(np.where(scaled > 0, alpha ** 2 * scaled ** 2, 0.0)))
+        num = float(np.sum(np.where(kept, alpha ** 2 * scaled ** 2, 0.0)))
     return num / float(mant) ** 2
 
 
@@ -220,24 +217,28 @@ def _lag_table(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """(n, 2p-1) per-sample lags [r_0, Re r_d, Im r_d], r_{d,n} = sum_k
     x_{n,k+d} conj(x_{n,k}), so phi @ table is the lag vector of sum phi_n
     x_n x_n^H. Rows whose norm overflows (weight 0 at every width) are 0."""
+    n, p = x.shape
+    table = np.empty((n, 2 * p - 1))
+    table[:, 0] = norms
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.stack([np.einsum("nk,nk->n", x[:, d:], x[:, :-d].conj())
-                      for d in range(1, x.shape[1])], axis=1)
-        table = np.hstack([norms[:, None], r.real, r.imag])
-    return np.where(np.isfinite(norms)[:, None], table, 0.0)
+        for d in range(1, p):
+            r = np.einsum("nk,nk->n", x[:, d:], x[:, :-d].conj())
+            table[:, d], table[:, d - p] = r.real, r.imag
+    table[~np.isfinite(norms)] = 0.0
+    return table
 
 
 def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
     """Per-dataset fitter: omega -> (estimate_doa, empirical_asymptotic_mse_doa
     at it, normalized weights phi). As sum phi = 1, the scanned C = cov +
     mean mean^H is sum phi_n x_n x_n^H: a width needs only phi @ lag table.
-    The norms, the table and the basis are computed once per dataset, slope
-    and curvature once per angle."""
+    Norms and table are built once per dataset, the basis once per geometry;
+    slope and curvature are kept for the latest angle only."""
     x = as_dataset(data)
     norms = squared_norms(x)
     lags = _lag_table(x, norms)
-    thetas, basis = model._basis(k_theta)
-    stats = {}
+    thetas, basis = _basis(model.p, k_theta)
+    latest = {}                                 # {theta: (alpha, beta)}
 
     def fit(omega: float) -> tuple:
         scaled, phi = _weights(gaussian_log_weights(norms, omega))
@@ -245,9 +246,10 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
         if not np.all(np.isfinite(lag_vector)):
             raise NotPositiveDefinite("reweighted lags are not finite")
         theta = SpectrumCurve(thetas, lag_vector @ basis).argmax_theta
-        if theta not in stats:
-            stats[theta] = _slope_curvature(x, theta, model.p)
-        return theta, _empirical_mse(*stats[theta], scaled), phi
+        if theta not in latest:
+            latest.clear()                      # free before recomputing
+            latest[theta] = _slope_curvature(x, theta, model.p)
+        return theta, _empirical_mse(*latest[theta], scaled), phi
 
     return fit
 
@@ -308,7 +310,7 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     """
     p = model.p
     moments = empirical_mt_moments(data, gaussian_mt_function(omega))
-    basis = model._basis(k_theta)
+    basis = _basis(p, k_theta)
     theta_ref = _lag_scan(*basis, moments.mt_mean, moments.mt_cov).argmax_theta
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)
     eye = np.eye(p)

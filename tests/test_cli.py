@@ -237,6 +237,34 @@ def test_non_real_config_is_an_error(tmp_path, capsys, overrides, key):
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("overrides,key", [
+    (dict(snr_db=float("-inf")), "snr_db"),
+    (dict(snr_db=float("nan")), "snr_db"),
+    (dict(sweep_axis="snr", sweep_values=[0.0, float("-inf")]),
+     "sweep_values"),
+    (dict(DOA, sweep_values=[float("inf")]), "sweep_values"),
+    (dict(DOA, theta0=[float("nan")]), "theta0"),
+    (dict(angles=[0.5, float("nan")]), "angles"),
+    (dict(DOA, sigma2_s=float("inf")), "sigma2_s"),
+    (dict(DOA, noise_lam=float("inf")), "noise_lam"),
+    (dict(noise_kind="t", noise_lam=float("nan")), "noise_lam"),
+], ids=["snr_db-ninf", "snr_db-nan", "sweep_values-ninf", "doa-sweep-inf",
+        "theta0-nan", "angles-nan", "sigma2_s-inf", "noise_lam-inf",
+        "noise_lam-nan"])
+def test_non_finite_config_is_an_error(tmp_path, capsys, overrides, key):
+    """json reads NaN, Infinity and -Infinity. Such a value is refused on
+    load with one line naming its key, instead of a ZeroDivisionError
+    traceback from the SNR conversion or a failure whose message names
+    something else."""
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    value = json.loads(cfg.read_text())[key]
+    assert capsys.readouterr().err == (
+        f"error: {key} must be finite, got {value!r}\n")
+    assert not out.exists()
+
+
 def test_repeated_estimator_is_an_error(tmp_path, capsys):
     """A repeated estimator would run once per trial but print one identical
     row per repetition, which reads as independent estimates."""

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestLagFormSpectrum:
     @pytest.mark.parametrize("p", [2, 3, 4, 7])
     def test_matches_steering_einsum(self, rng, p):
         model = ULAModel(p, 1.0, NoiseSpec("gaussian", 1.0, p))
-        grid, basis = model._basis(997)
+        grid, basis = doa._basis(p, 997)
         for _ in range(5):
             mean = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             cov = random_pd(rng, p)
@@ -132,7 +133,9 @@ class TestLagFormSpectrum:
 
 @pytest.fixture
 def basis_builds(monkeypatch):
-    """Counts the spectrum bases built, one doa.steering_grid call each."""
+    """Counts the spectrum bases built, one doa.steering_grid call each, from
+    an empty basis cache, so that the counts do not depend on test order."""
+    doa._basis.cache_clear()
     built = []
     real = doa.steering_grid
 
@@ -145,13 +148,15 @@ def basis_builds(monkeypatch):
 
 
 def _fresh_scan(model, k_theta, mean, cov):
-    """The spectrum through a basis built anew, outside model's cache."""
-    return doa._lag_scan(*dataclasses.replace(model)._basis(k_theta), mean,
+    """The spectrum through a basis built anew, outside the basis cache."""
+    return doa._lag_scan(*doa._basis.__wrapped__(model.p, k_theta), mean,
                          cov)
 
 
 class TestScannerCache:
     def test_one_basis_per_model_and_grid(self, ula_k, basis_builds):
+        """One steering_grid build per (p, k_theta) per process, read by every
+        entry point and shared by new models of the same geometry."""
         x = make_doa_data(ula_k, 200, 3)
         for k_theta in (101, 101, 401):
             estimate_doa(x, ula_k, 3.0, k_theta)
@@ -162,27 +167,40 @@ class TestScannerCache:
             mt_spectrum(x, ula_k, 3.0, k_theta=k_theta)
         assert basis_builds == [(101, 4), (401, 4)]
         estimate_doa(x, ULAModel(4, 1.0, ula_k.noise), 3.0, 101)
-        assert basis_builds == [(101, 4), (401, 4), (101, 4)]
+        estimate_doa(x, ULAModel(4, 2.0, ula_k.noise), 3.0, 401)
+        assert basis_builds == [(101, 4), (401, 4)]
 
     def test_geometry_change_rebuilds(self, ula_k, basis_builds):
         estimate_doa(make_doa_data(ula_k, 200, 4), ula_k, 3.0, 101)
         ula_k.p, ula_k.noise = 5, dataclasses.replace(ula_k.noise, p=5)
         x = make_doa_data(ula_k, 200, 4)
         theta = estimate_doa(x, ula_k, 3.0, 101)
-        assert len(basis_builds) == 2
+        back = ULAModel(4, 1.0, dataclasses.replace(ula_k.noise, p=4))
+        estimate_doa(make_doa_data(back, 200, 4), back, 3.0, 101)
+        assert basis_builds == [(101, 4), (101, 5)]     # p = 4 is not rebuilt
         curve = _fresh_scan(ula_k, 101, *_gaussian_moments(x, 3.0))
         assert theta == curve.argmax_theta
         assert np.array_equal(curve.thetas, ula_k.grid(101))
 
-    def test_not_in_eq_repr_or_replace(self, ula_k):
+    def test_not_in_eq_repr_or_replace(self, ula_k, basis_builds):
+        """The basis is no part of a model: == and repr see the geometry
+        alone, and a dataclasses.replace copy reads the same read-only
+        arrays without a build of its own."""
         fresh = ULAModel(4, 1.0, ula_k.noise)
         before = repr(ula_k)
-        estimate_doa(make_doa_data(ula_k, 50, 5), ula_k, 3.0, 101)
-        assert ula_k._bases and not fresh._bases
+        x = make_doa_data(ula_k, 50, 5)
+        curve = mt_spectrum(x, ula_k, 3.0, k_theta=101)
+        assert [f.name for f in dataclasses.fields(ula_k)] == [
+            "p", "sigma2_s", "noise"]
         assert ula_k == fresh and repr(ula_k) == repr(fresh) == before
         copy = dataclasses.replace(ula_k)
-        assert copy == ula_k and copy._bases == {}
-        assert copy._bases is not ula_k._bases
+        assert copy == ula_k
+        assert mt_spectrum(x, copy, 3.0, k_theta=101).thetas is curve.thetas
+        assert basis_builds == [(101, 4)]
+        thetas, basis = doa._basis(copy.p, 101)
+        assert not thetas.flags.writeable and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
 
     def test_model_with_a_cache_pickles(self, ula_k):
         x = make_doa_data(ula_k, 100, 8)
@@ -417,8 +435,8 @@ class TestFitter:
     def test_grid_independent(self, snr_db):
         """A width's (theta_hat, MSE, phi) from a fitter called over the 30
         widths in shuffled order are bit-for-bit a fresh fitter's, so the
-        per-angle cache does not depend on call order, and the order of the
-        grid changes no selection output."""
+        latest-angle statistics the fitter keeps do not depend on call order,
+        and the order of the grid changes no selection output."""
         noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, snr_db), 4, lam=0.75)
         model = ULAModel(4, 1.0, noise)
         omegas = np.linspace(1.0, 30.0, 30)
@@ -464,7 +482,7 @@ class TestMomentModelSolver:
 
 class TestLagRoute:
     """The fitter reads each width's spectrum from phi @ (per-sample lag
-    table) and keeps the slope and curvature statistics per angle."""
+    table) and keeps the slope and curvature statistics of the latest angle."""
 
     @pytest.mark.parametrize("p", [2, 3, 4, 7])
     def test_weighted_lag_table_matches_moment_route(self, p):
@@ -497,6 +515,9 @@ class TestLagRoute:
                                                             float(omega)))
 
     def test_slope_and_curvature_once_per_angle(self, monkeypatch, ula_k):
+        """One _slope_curvature call per change of angle, in the order the
+        widths are visited: a width that returns to an earlier angle
+        recomputes its statistics. A fresh fitter starts with none."""
         angles = []
         real = doa._slope_curvature
 
@@ -508,13 +529,35 @@ class TestLagRoute:
         x = make_doa_data(ula_k, 2000, 62)
         omegas = np.linspace(1.0, 30.0, 30)
         fit = mt_fitter_doa(x, ula_k)
-        thetas = {fit(float(omega))[0] for omega in omegas}
-        assert sorted(angles) == sorted(thetas) and 1 < len(thetas) < 30
-        for omega in omegas:
-            fit(float(omega))
-        assert len(angles) == len(thetas)
-        mt_fitter_doa(x, ula_k)(1.0)    # a new fitter starts with no angles
-        assert len(angles) == len(thetas) + 1
+        visited = [fit(float(omega))[0]
+                   for omega in np.concatenate([omegas, omegas[::-1]])]
+        changes = [theta for i, theta in enumerate(visited)
+                   if i == 0 or theta != visited[i - 1]]
+        assert angles == changes
+        assert 1 < len(set(visited)) < 30 and len(changes) > len(set(visited))
+        # a new fitter starts with no angle, even the old one's latest
+        assert mt_fitter_doa(x, ula_k)(1.0)[0] == visited[-1]
+        assert angles == changes + [visited[-1]]
+
+    def test_memory_does_not_grow_with_the_widths(self):
+        """The fitter keeps one angle's statistics, so on one shipped-shape
+        dataset the tracemalloc peak of a 30-width selection exceeds that of
+        a 1-width selection by less than 6 n floats."""
+        n = 5000
+        noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, -10.0), 4, lam=0.75)
+        model = ULAModel(4, 1.0, noise)
+        x = synthesize_doa(4, THETA0_DOA, 1.0, noise, n, stream_rng(66, 0))
+        omegas = np.linspace(1.0, 30.0, 30)
+        peaks = []
+        for grid in (omegas[:1], omegas):
+            fit = mt_fitter_doa(x, model)       # built before tracing
+            tracemalloc.start()
+            try:
+                select_by_trace(grid, fit)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 6 * n * 8
 
     def test_non_finite_lags_fail_the_width(self, monkeypatch, ula_k):
         real = doa._lag_table
