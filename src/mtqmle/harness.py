@@ -75,10 +75,14 @@ class ExperimentConfig:
             if any(isinstance(v, bool) or not isinstance(
                     v, (int, float, np.integer, np.floating)) for v in values):
                 raise ValueError(f"{key} must be real, got {getattr(self, key)!r}")
-        # json reads NaN and +-Infinity; widths keep width_squared's message
+        # json reads NaN, +-Infinity and huge ints; widths keep width_squared's message
         finite = ["snr_db", "sigma2_s", "noise_lam", "theta0", "angles"]
         for key in finite + (["sweep_values"] if self.sweep_axis == "snr" else []):
-            if not np.all(np.isfinite(reals[key])):
+            try:
+                finite_values = np.all(np.isfinite([float(v) for v in reals[key]]))
+            except OverflowError:            # an int too large for a float
+                finite_values = False
+            if not finite_values:
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
         allowed = _REG_ESTIMATORS if self.application == "regression" else _DOA_ESTIMATORS
         for name in self.estimators:

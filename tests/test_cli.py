@@ -248,14 +248,16 @@ def test_non_real_config_is_an_error(tmp_path, capsys, overrides, key):
     (dict(DOA, sigma2_s=float("inf")), "sigma2_s"),
     (dict(DOA, noise_lam=float("inf")), "noise_lam"),
     (dict(noise_kind="t", noise_lam=float("nan")), "noise_lam"),
+    (dict(snr_db=10 ** 400), "snr_db"),
+    (dict(DOA, angles=[0.5, -10 ** 400]), "angles"),
 ], ids=["snr_db-ninf", "snr_db-nan", "sweep_values-ninf", "doa-sweep-inf",
         "theta0-nan", "angles-nan", "sigma2_s-inf", "noise_lam-inf",
-        "noise_lam-nan"])
+        "noise_lam-nan", "snr_db-huge-int", "angles-huge-int"])
 def test_non_finite_config_is_an_error(tmp_path, capsys, overrides, key):
-    """json reads NaN, Infinity and -Infinity. Such a value is refused on
-    load with one line naming its key, instead of a ZeroDivisionError
-    traceback from the SNR conversion or a failure whose message names
-    something else."""
+    """json reads NaN, Infinity, -Infinity and integers too large for a
+    float. Such a value is refused on load with one line naming its key,
+    instead of a ZeroDivisionError or OverflowError traceback from the SNR
+    conversion or a failure whose message names something else."""
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "out.csv"
     assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
