@@ -31,9 +31,10 @@ _TUKEY_ARE = 0.95                 # efficiency the bi-square cutoff is tuned to
 def _tuned_tukey_c(p: int) -> float:
     return baselines.tune_c_for_are(_TUKEY_ARE, p)
 
-_REG_ESTIMATORS = ("mt-gqmle", "gqmle", "tukey", "mle")
-_DOA_ESTIMATORS = ("mt-gqmle", "gqmle")
+_ESTIMATORS = {"regression": ("mt-gqmle", "gqmle", "tukey", "mle"),
+               "doa": ("mt-gqmle", "gqmle")}
 _SWEEP_AXES = ("omega", "snr", "n")
+_INT_LEAST = {"trials": 1, "seed": None, "n_samples": 1, "p": None, "k_theta": 2}
 
 
 @dataclass
@@ -58,67 +59,66 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if self.application not in ("regression", "doa"):
+        if self.application not in tuple(_ESTIMATORS):
             raise ValueError(f"unknown application {self.application!r}")
-        sizes = {"theta0": 4 if self.application == "regression" else 1,
-                 "angles": 2, "omega_grid": 3}
-        for key, n in sizes.items():
-            where = "" if key == "omega_grid" else f" for {self.application}"
-            if np.shape(getattr(self, key)) != (n,):
-                raise ValueError(f"{key} must be a list of length {n}{where}")
-        reals = {"snr_db": [self.snr_db], "sigma2_s": [self.sigma2_s],
-                 "noise_lam": [] if self.noise_lam is None else [self.noise_lam],
-                 "omega": [] if self.omega == "select" else [self.omega],
-                 "sweep_values": self.sweep_values,
-                 **{key: getattr(self, key) for key in sizes}}
-        for key, values in reals.items():    # a bool is not a number
-            if any(isinstance(v, bool) or not isinstance(
+        if self.sweep_axis not in _SWEEP_AXES:
+            raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}")
+        # key: (entries, list length or None, must be finite). json reads NaN,
+        # +-Infinity and huge ints; widths keep width_squared's message.
+        reals = {"theta0": (self.theta0, 1 if self.application == "doa" else 4, True),
+                 "angles": (self.angles, 2, True),
+                 "omega_grid": (self.omega_grid, 3, False),
+                 "snr_db": ([self.snr_db], None, True),
+                 "sigma2_s": ([self.sigma2_s], None, True),
+                 "noise_lam": ([] if self.noise_lam is None else [self.noise_lam], None, True),
+                 "omega": ([] if self.omega == "select" else [self.omega], None, False),
+                 "sweep_values": (self.sweep_values, None, self.sweep_axis == "snr")}
+        floats = {}
+        for key, (values, length, finite) in reals.items():
+            if length is not None and np.shape(values) != (length,):
+                where = "" if key == "omega_grid" else f" for {self.application}"
+                raise ValueError(f"{key} must be a list of length {length}{where}")
+            if any(isinstance(v, bool) or not isinstance(    # a bool is not a number
                     v, (int, float, np.integer, np.floating)) for v in values):
                 raise ValueError(f"{key} must be real, got {getattr(self, key)!r}")
-        # json reads NaN, +-Infinity and huge ints; widths keep width_squared's message
-        finite = ["snr_db", "sigma2_s", "noise_lam", "theta0", "angles"]
-        for key in finite + (["sweep_values"] if self.sweep_axis == "snr" else []):
             try:
-                finite_values = np.all(np.isfinite([float(v) for v in reals[key]]))
+                floats[key] = [float(v) for v in values]
             except OverflowError:            # an int too large for a float
-                finite_values = False
-            if not finite_values:
+                floats[key] = None
+            if floats[key] is None or (finite and not np.all(np.isfinite(floats[key]))):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
-        allowed = _REG_ESTIMATORS if self.application == "regression" else _DOA_ESTIMATORS
+        allowed = _ESTIMATORS[self.application]
         for name in self.estimators:
             if name not in allowed:
                 raise ValueError(f"unknown estimator {name!r} for "
                                  f"{self.application}; allowed: {allowed}")
         if len(set(self.estimators)) < len(self.estimators):
             raise ValueError(f"estimators must not repeat a name: {self.estimators}")
-        if self.sweep_axis not in _SWEEP_AXES:
-            raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
         if self.p is None:
             self.p = 10 if self.application == "regression" else 4
-        for key in ("trials", "seed", "n_samples", "p", "k_theta"):
+        for key, least in _INT_LEAST.items():
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.sweep_axis == "n" and not all(
-                float(v).is_integer() and v >= 1 for v in self.sweep_values):
-            raise ValueError("sweep_values of axis 'n' must be integers >= 1")
-        for key, least in (("trials", 1), ("n_samples", 1), ("k_theta", 2)):
-            if getattr(self, key) < least:
+            if least is not None and value < least:
                 raise ValueError(f"{key} must be >= {least}")
-        lo, hi, count = self.omega_grid
-        widths = [lo, hi] + ([] if self.omega == "select" else [self.omega])
-        widths += self.sweep_values if self.sweep_axis == "omega" else []
-        for w in widths:
+        if self.sweep_axis == "n" and not all(
+                v.is_integer() and v >= 1 for v in floats["sweep_values"]):
+            raise ValueError("sweep_values of axis 'n' must be integers >= 1")
+        lo, hi, count = floats["omega_grid"]
+        swept = floats["sweep_values"] if self.sweep_axis == "omega" else []
+        for w in [lo, hi] + floats["omega"] + swept:
             width_squared(w)
-        if not (float(count).is_integer() and count >= 1):
+        if not (count.is_integer() and count >= 1):
             raise ValueError("omega_grid count must be an integer >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         try:
@@ -154,10 +154,8 @@ class ResultRow:
 
 class _Regression:
     def __init__(self, config: ExperimentConfig, snr_db: float):
-        angles = config.angles
         probe = regression.build_steering_regressors(
-            config.p, angles[0], angles[1],
-            samplers.NoiseSpec("gaussian", 1.0, config.p))
+            config.p, *config.angles, samplers.NoiseSpec("gaussian", 1.0, config.p))
         sigma2 = samplers.regression_sigma2_for_snr_db(probe.a_matrix, snr_db)
         self.noise = samplers.NoiseSpec(config.noise_kind, sigma2, config.p,
                                         lam=config.noise_lam)
@@ -234,8 +232,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     for sweep_idx, sweep_value in enumerate(config.sweep_values):
         snr_db = float(sweep_value) if config.sweep_axis == "snr" else config.snr_db
         n = int(sweep_value) if config.sweep_axis == "n" else config.n_samples
-        omega_policy = (float(sweep_value) if config.sweep_axis == "omega"
-                        else config.omega)
+        omega_policy = sweep_value if config.sweep_axis == "omega" else config.omega
         omegas = (config.omega_candidates() if omega_policy == "select"
                   else [float(omega_policy)])
         app = _APPLICATIONS[config.application](config, snr_db)

@@ -76,8 +76,11 @@ def width_squared(omega) -> float:
     except OverflowError:
         w2 = 0.0  # rejected below
     if not (omega > 0 and 0.0 < w2 < np.inf):
-        raise ValueError("omega must be > 0 with a finite, nonzero square, "
-                         f"got {float(omega):g}")
+        try:
+            shown = f"{float(omega):g}"
+        except OverflowError:  # an int too large for a float
+            shown = "an integer outside the float range"
+        raise ValueError(f"omega must be > 0 with a finite, nonzero square, got {shown}")
     return w2
 
 

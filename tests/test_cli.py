@@ -250,9 +250,16 @@ def test_non_real_config_is_an_error(tmp_path, capsys, overrides, key):
     (dict(noise_kind="t", noise_lam=float("nan")), "noise_lam"),
     (dict(snr_db=10 ** 400), "snr_db"),
     (dict(DOA, angles=[0.5, -10 ** 400]), "angles"),
+    (dict(sweep_axis="snr", sweep_values=[0.0], omega=10 ** 400), "omega"),
+    (dict(sweep_values=[3.0, 10 ** 400]), "sweep_values"),
+    (dict(omega_grid=[1, 10 ** 400, 30]), "omega_grid"),
+    (dict(omega_grid=[1, 30, 10 ** 400]), "omega_grid"),
+    (dict(sweep_axis="n", sweep_values=[100, 10 ** 400]), "sweep_values"),
 ], ids=["snr_db-ninf", "snr_db-nan", "sweep_values-ninf", "doa-sweep-inf",
         "theta0-nan", "angles-nan", "sigma2_s-inf", "noise_lam-inf",
-        "noise_lam-nan", "snr_db-huge-int", "angles-huge-int"])
+        "noise_lam-nan", "snr_db-huge-int", "angles-huge-int",
+        "omega-huge-int", "sweep-omega-huge-int", "omega_grid-bound-huge-int",
+        "omega_grid-count-huge-int", "sweep-n-huge-int"])
 def test_non_finite_config_is_an_error(tmp_path, capsys, overrides, key):
     """json reads NaN, Infinity, -Infinity and integers too large for a
     float. Such a value is refused on load with one line naming its key,
@@ -265,6 +272,55 @@ def test_non_finite_config_is_an_error(tmp_path, capsys, overrides, key):
     assert capsys.readouterr().err == (
         f"error: {key} must be finite, got {value!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(application="teleportation"), "unknown application 'teleportation'"),
+    (dict(estimators=["mt-gqmle", "music"]),
+     "unknown estimator 'music' for regression; "
+     "allowed: ('mt-gqmle', 'gqmle', 'tukey', 'mle')"),
+    (dict(DOA, estimators=["tukey"]),
+     "unknown estimator 'tukey' for doa; allowed: ('mt-gqmle', 'gqmle')"),
+    (dict(sweep_axis="width"), "sweep axis must be one of ('omega', 'snr', 'n')"),
+    (dict(sweep_values=[]), "sweep_values must be nonempty"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(trials=0), "trials must be >= 1"),
+    (dict(DOA, k_theta=1), "k_theta must be >= 2"),
+    (dict(sweep_axis="n", sweep_values=[100, 0]),
+     "sweep_values of axis 'n' must be integers >= 1"),
+    (dict(sweep_axis="n", sweep_values=[float("inf")]),
+     "sweep_values of axis 'n' must be integers >= 1"),
+    (dict(omega_grid=[1, 30, 2.5]), "omega_grid count must be an integer >= 1"),
+    (dict(omega_grid=[1, 30, float("inf")]),
+     "omega_grid count must be an integer >= 1"),
+    (dict(omega=-2.0),
+     "omega must be > 0 with a finite, nonzero square, got -2"),
+], ids=["application", "estimator", "doa-estimator", "sweep_axis",
+        "sweep_values-empty", "seed-fraction", "trials-0", "k_theta-1",
+        "sweep-n-0", "sweep-n-inf", "omega_grid-count-fraction",
+        "omega_grid-count-inf", "omega-negative"])
+def test_config_error_line_is_exact(tmp_path, capsys, overrides, message):
+    """A config with one fault is refused with exactly this line, so the
+    messages that other tests match only by key stay word for word."""
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw,name", [
+    (5, "int"), (None, "NoneType"), ([[1]], "list"), ("abc", "str"),
+], ids=["number", "null", "list", "string"])
+def test_non_object_config_is_an_error(tmp_path, capsys, raw, name):
+    """A config file whose top level is not a JSON object is refused with
+    one line, instead of a TypeError traceback or, for a string, a list of
+    its characters as unknown keys."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config must be a JSON object, got {name}\n")
 
 
 def test_repeated_estimator_is_an_error(tmp_path, capsys):

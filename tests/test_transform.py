@@ -11,6 +11,7 @@ from mtqmle.transform import (
     empirical_mt_moments,
     gaussian_log_weights,
     gaussian_mt_function,
+    width_squared,
 )
 
 from conftest import (mt_function_from_callable, random_dataset,
@@ -166,6 +167,17 @@ class TestGaussianMTFunction:
                 projected_mt_function(reg_gaussian, width)
             with pytest.raises(ValueError, match="omega"):
                 gaussian_log_weights(np.ones(3), width)
+
+    def test_width_outside_the_float_range(self):
+        """An integer too large for a float gets the width error, not an
+        OverflowError from formatting it; a finite width keeps its text."""
+        for width in (10 ** 400, -10 ** 400):
+            with pytest.raises(ValueError, match="omega must be > 0"):
+                width_squared(width)
+            with pytest.raises(ValueError, match="omega must be > 0"):
+                gaussian_mt_function(width)
+        with pytest.raises(ValueError, match=r"got 1e\+160$"):
+            width_squared(1e160)
 
 
 class TestCheckMTCondition:
