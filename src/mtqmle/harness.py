@@ -63,6 +63,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown application {self.application!r}")
         if self.sweep_axis not in _SWEEP_AXES:
             raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}")
+        for key in ("estimators", "sweep_values"):
+            value = getattr(self, key)
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list, got {value!r}")
+            if not value:
+                raise ValueError(f"{key} must be nonempty")
         # key: (entries, list length or None, must be finite). json reads NaN,
         # +-Infinity and huge ints; widths keep width_squared's message.
         reals = {"theta0": (self.theta0, 1 if self.application == "doa" else 4, True),
@@ -75,7 +81,7 @@ class ExperimentConfig:
                  "sweep_values": (self.sweep_values, None, self.sweep_axis == "snr")}
         floats = {}
         for key, (values, length, finite) in reals.items():
-            if length is not None and np.shape(values) != (length,):
+            if length is not None and not (isinstance(values, list) and len(values) == length):
                 where = "" if key == "omega_grid" else f" for {self.application}"
                 raise ValueError(f"{key} must be a list of length {length}{where}")
             if any(isinstance(v, bool) or not isinstance(    # a bool is not a number
@@ -94,8 +100,6 @@ class ExperimentConfig:
                                  f"{self.application}; allowed: {allowed}")
         if len(set(self.estimators)) < len(self.estimators):
             raise ValueError(f"estimators must not repeat a name: {self.estimators}")
-        if not self.sweep_values:
-            raise ValueError("sweep_values must be nonempty")
         if self.p is None:
             self.p = 10 if self.application == "regression" else 4
         for key, least in _INT_LEAST.items():

@@ -58,8 +58,11 @@ def sample_complex_gaussian(p: int, sigma2: float, n: int,
     """n i.i.d. circular complex Gaussian p-vectors with covariance sigma2*I."""
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
+    z = np.empty((n, p), dtype=complex)
+    z.real = rng.standard_normal((n, p))
+    z.imag = rng.standard_normal((n, p))
+    z *= np.sqrt(sigma2 / 2.0)
+    return z
 
 
 def sample_texture(kind: str, lam: Optional[float], n: int,
@@ -86,10 +89,10 @@ def sample_texture(kind: str, lam: Optional[float], n: int,
 
 
 def sample_noise(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of W = nu * Z under the given spec."""
+    """n draws of W = nu * Z under the given spec, Z drawn before nu."""
     z = sample_complex_gaussian(spec.p, spec.sigma2, n, rng)
-    nu = sample_texture(spec.kind, spec.lam, n, rng)
-    return nu[:, None] * z
+    z *= sample_texture(spec.kind, spec.lam, n, rng)[:, None]
+    return z
 
 
 def sample_bpsk(sigma2_s: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,17 +112,21 @@ def synthesize_regression(a_matrix: np.ndarray, alpha0: np.ndarray,
         raise ValueError("regressor matrix and coefficient dimensions differ")
     if noise.p != a_matrix.shape[0]:
         raise ValueError("noise dimension differs from observation dimension")
-    return (a_matrix @ alpha0)[None, :] + sample_noise(noise, n, rng)
+    x = sample_noise(noise, n, rng)
+    x += a_matrix @ alpha0
+    return x
 
 
 def synthesize_doa(p: int, theta0: float, sigma2_s: float, noise: NoiseSpec,
                    n: int, rng: np.random.Generator) -> np.ndarray:
-    """X_n = S_n a(theta0) + W_n on a half-wavelength ULA, BPSK source."""
+    """X_n = S_n a(theta0) + W_n on a half-wavelength ULA, BPSK S_n drawn first."""
     if noise.p != p:
         raise ValueError("noise dimension differs from sensor count")
     steer = np.exp(-1j * np.pi * np.arange(p) * np.sin(theta0))
     s = sample_bpsk(sigma2_s, n, rng)
-    return s[:, None] * steer[None, :] + sample_noise(noise, n, rng)
+    x = sample_noise(noise, n, rng)
+    x += s[:, None] * steer
+    return x
 
 
 def regression_snr(a_matrix: np.ndarray, sigma2_z: float) -> float:

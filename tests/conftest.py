@@ -173,6 +173,34 @@ def out_of_place_texture(kind, lam, n, rng):
     return np.sqrt(rng.gamma(lam, 1.0 / lam, n))
 
 
+def out_of_place_complex_gaussian(p, sigma2, n, rng):
+    """samplers.sample_complex_gaussian written out of place: the oracle for
+    the version that builds one buffer."""
+    scale = np.sqrt(sigma2 / 2.0)
+    return scale * (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
+
+
+def out_of_place_noise(spec, n, rng):
+    """samplers.sample_noise written out of place."""
+    z = out_of_place_complex_gaussian(spec.p, spec.sigma2, n, rng)
+    nu = out_of_place_texture(spec.kind, spec.lam, n, rng)
+    return nu[:, None] * z
+
+
+def out_of_place_regression(a_matrix, alpha0, noise, n, rng):
+    """samplers.synthesize_regression written out of place."""
+    a_matrix = np.asarray(a_matrix, dtype=complex)
+    alpha0 = np.asarray(alpha0, dtype=complex).ravel()
+    return (a_matrix @ alpha0)[None, :] + out_of_place_noise(noise, n, rng)
+
+
+def out_of_place_doa(p, theta0, sigma2_s, noise, n, rng):
+    """samplers.synthesize_doa written out of place."""
+    steer = np.exp(-1j * np.pi * np.arange(p) * np.sin(theta0))
+    s = samplers.sample_bpsk(sigma2_s, n, rng)
+    return s[:, None] * steer[None, :] + out_of_place_noise(noise, n, rng)
+
+
 def out_of_place_nu2_draws(kind, lam):
     """The texture quadrature draws as nu ** 2 of the out-of-place texture."""
     rng = stream_rng(samplers._TEXTURE_SEED, 0)

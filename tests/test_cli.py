@@ -309,6 +309,35 @@ def test_config_error_line_is_exact(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (dict(sweep_values=5), "sweep_values must be a list, got 5"),
+    (dict(sweep_values=None), "sweep_values must be a list, got None"),
+    (dict(estimators=5), "estimators must be a list, got 5"),
+    (dict(estimators=None), "estimators must be a list, got None"),
+    (dict(estimators="gqmle"), "estimators must be a list, got 'gqmle'"),
+    (dict(estimators=[]), "estimators must be nonempty"),
+    (dict(theta0=[[1], [2, 3], [4], [5]]),
+     "theta0 must be real, got [[1], [2, 3], [4], [5]]"),
+    (dict(angles=[[0.5], [0.9, 1.2]]),
+     "angles must be real, got [[0.5], [0.9, 1.2]]"),
+    (dict(omega_grid=[[1], [30, 2], [30]]),
+     "omega_grid must be real, got [[1], [30, 2], [30]]"),
+], ids=["sweep_values-number", "sweep_values-null", "estimators-number",
+        "estimators-null", "estimators-string", "estimators-empty",
+        "theta0-ragged", "angles-ragged", "omega_grid-ragged"])
+def test_malformed_list_config_is_an_error(tmp_path, capsys, overrides,
+                                           message):
+    """A list field holding a number, null, string or ragged nesting, or an
+    empty estimator list, is refused with one line naming its key, instead
+    of a message from Python or numpy that names none, a string read letter
+    by letter, or a CSV with a header and no rows."""
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("raw,name", [
     (5, "int"), (None, "NoneType"), ([[1]], "list"), ("abc", "str"),
 ], ids=["number", "null", "list", "string"])

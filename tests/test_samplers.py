@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtqmle import doa, samplers
+from mtqmle.regression import unrealify
 from mtqmle.samplers import (
     NoiseSpec,
     doa_sigma2_for_snr_db,
@@ -23,9 +24,15 @@ from mtqmle.samplers import (
 
 from conftest import (
     THETA0_DOA,
+    THETA0_REG,
     masked_mean,
+    out_of_place_complex_gaussian,
+    out_of_place_doa,
+    out_of_place_noise,
     out_of_place_nu2_draws,
+    out_of_place_regression,
     out_of_place_texture,
+    random_dataset,
     whole_array_texture_mean,
 )
 
@@ -246,6 +253,62 @@ class TestTextureDraws:
         """Sampled and squared in place: about the 8 MB of the result."""
         peak = _peak_bytes(samplers._texture_nu2_draws.__wrapped__, "t", 0.2)
         assert peak <= 1.1 * 8 * samplers._TEXTURE_DRAWS
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal signs, so that -0.0 and 0.0 differ."""
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+class TestOneBufferSynthesis:
+    """Each dataset is built in one buffer, bit for bit the out-of-place
+    expression on the same stream. A dispersion of 5e-324 makes the scale
+    sqrt(sigma2 / 2) round to 0, so the noise is all signed zeros."""
+
+    @pytest.mark.parametrize("sigma2", [2.5, 5e-324])
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    def test_complex_gaussian(self, sigma2, n, stream):
+        assert_same_bits(
+            sample_complex_gaussian(3, sigma2, n, stream_rng(n, stream)),
+            out_of_place_complex_gaussian(3, sigma2, n, stream_rng(n, stream)))
+
+    @pytest.mark.parametrize("kind, lam", [("gaussian", None), ("t", 0.2), ("k", 0.75)])
+    @pytest.mark.parametrize("sigma2", [10.0, 5e-324])
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    def test_noise_and_both_models(self, kind, lam, sigma2, n, stream):
+        spec = NoiseSpec(kind, sigma2, 4, lam=lam)
+        assert_same_bits(sample_noise(spec, n, stream_rng(n, stream)),
+                         out_of_place_noise(spec, n, stream_rng(n, stream)))
+        args = (4, THETA0_DOA, 2.0, spec, n)
+        assert_same_bits(synthesize_doa(*args, stream_rng(n, stream)),
+                         out_of_place_doa(*args, stream_rng(n, stream)))
+        spec = NoiseSpec(kind, sigma2, 10, lam=lam)
+        a_matrix = random_dataset(stream_rng(stream, 9), 10, 2)
+        args = (a_matrix, unrealify(THETA0_REG), spec, n)
+        assert_same_bits(synthesize_regression(*args, stream_rng(n, stream)),
+                         out_of_place_regression(*args, stream_rng(n, stream)))
+
+    @pytest.mark.parametrize("p, bound", [(4, 2.5), (10, 1.75)])
+    def test_peak_is_about_one_buffer(self, p, bound):
+        """The dataset's buffer plus one half-size normal draw, or for DOA
+        one full-size signal term, at a time: about 2.2 (DOA, p = 4) and
+        1.5 (regression, p = 10) times the dataset's bytes, where a
+        temporary per step would take 3.3 and 2.1."""
+        n = 2 * 10 ** 5
+        if p == 4:
+            noise = NoiseSpec("k", 10.0, p, lam=0.75)
+            synth = lambda: synthesize_doa(p, THETA0_DOA, 1.0, noise, n,
+                                           stream_rng(0, 0))
+        else:
+            noise = NoiseSpec("t", 10.0, p, lam=0.2)
+            a_matrix = random_dataset(stream_rng(0, 9), p, 2)
+            synth = lambda: synthesize_regression(
+                a_matrix, unrealify(THETA0_REG), noise, n, stream_rng(0, 0))
+        assert _peak_bytes(synth) <= bound * 16 * n * p
 
 
 class TestBlockwiseTextureMean:
