@@ -101,6 +101,8 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel,
             w = s_inv @ (x - model.mt_mean(theta)).T
         s0 = np.ones(x.shape[0]) if weights is None else np.sum(weights)
         if w is not None:    # per sample (w_n, w_n w_n^H), or weighted sums
+            if weights is not None:
+                w[:, weights == 0] = 0.0    # may be inf, and 0 * inf is NaN
             s1 = w.T if weights is None else w @ weights
             s2 = (s1[:, :, None] * s1.conj()[:, None, :] if weights is None
                   else (w * weights) @ w.T.conj())
@@ -181,16 +183,20 @@ def _sandwich(x: np.ndarray, theta_hat: np.ndarray,
               model: ParametricMomentModel, lw: np.ndarray, scaled: np.ndarray
               ) -> SandwichMatrices:
     """``sandwich`` from validated data, the log-weights ``lw`` of u on it and
-    their max-shifted weights ``scaled`` = u / max(u), in (0, 1]."""
+    their max-shifted weights ``scaled`` = u / max(u), in [0, 1]."""
     n = x.shape[0]
     if model.space.on_boundary(theta_hat):
         # stacklevel 3: the line that called the public entry
         warnings.warn("estimate lies on the parameter-space boundary; "
                       "the sandwich asymptotics assume an interior optimum",
                       RuntimeWarning, stacklevel=3)
-    psi, gam_sum = _psi_gamma(x, theta_hat, model, scaled)   # (n, m), (m, m)
-    g_scaled = (psi.T * scaled ** 2) @ psi / n
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        psi, gam_sum = _psi_gamma(x, theta_hat, model, scaled)  # (n,m), (m,m)
+        psi[scaled == 0] = 0.0           # zero-weight rows may overflow
+        g_scaled = (psi.T * scaled ** 2) @ psi / n
     f_scaled = -gam_sum / n
+    if not np.all(np.isfinite(g_scaled)):
+        raise SingularMatrix("G matrix is not finite")
     if not np.all(np.isfinite(f_scaled)) or \
             np.linalg.cond(f_scaled) > _COND_LIMIT:
         raise SingularMatrix("F matrix singular")

@@ -19,9 +19,9 @@ from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
 from .exceptions import NotPositiveDefinite, SingularMatrix
 from .samplers import NoiseSpec, _over_square, texture_expectation
-from .transform import (_weights, constant_mt_function,
-                        empirical_mt_moments, gaussian_log_weights,
-                        gaussian_mt_function, squared_norms, width_squared)
+from .transform import (GaussianWeights, constant_mt_function,
+                        empirical_mt_moments, gaussian_mt_function,
+                        width_squared)
 
 _DELTA = 1e-3
 _DEFAULT_GRID = 10_000
@@ -209,7 +209,7 @@ def empirical_asymptotic_mse_doa(data, model: ULAModel, theta_hat: float,
     """Empirical asymptotic MSE: sum u^2 alpha^2 / (sum u beta)^2 with the
     spectrum slope alpha and curvature beta statistics at theta_hat."""
     x = as_dataset(data)
-    scaled = _weights(gaussian_log_weights(squared_norms(x), omega))[0]
+    scaled = GaussianWeights(x).weigh(omega)[0]
     return _empirical_mse(*_slope_curvature(x, theta_hat, model.p), scaled)
 
 
@@ -235,13 +235,13 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
     Norms and table are built once per dataset, the basis once per geometry;
     slope and curvature are kept for the latest angle only."""
     x = as_dataset(data)
-    norms = squared_norms(x)
-    lags = _lag_table(x, norms)
+    kernel = GaussianWeights(x)
+    lags = _lag_table(x, kernel.norms)
     thetas, basis = _basis(model.p, k_theta)
     latest = {}                                 # {theta: (alpha, beta)}
 
     def fit(omega: float) -> tuple:
-        scaled, phi = _weights(gaussian_log_weights(norms, omega))
+        scaled, phi = kernel.weigh(omega)
         lag_vector = phi @ lags
         if not np.all(np.isfinite(lag_vector)):
             raise NotPositiveDefinite("reweighted lags are not finite")

@@ -19,8 +19,8 @@ import numpy as np
 from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
 from .samplers import NoiseSpec, _over_square, texture_expectation
-from .transform import (MTFunction, _weights, empirical_mt_moments,
-                        gaussian_log_weights, squared_norms, width_squared)
+from .transform import (GaussianWeights, MTFunction, empirical_mt_moments,
+                        gaussian_mt_function, width_squared)
 
 _COLLINEARITY_TOL = 1e-8
 
@@ -97,10 +97,7 @@ def build_steering_regressors(p: int, angle0: float, angle1: float,
 
 def projected_mt_function(model: RegressionModel, omega: float) -> MTFunction:
     """Gaussian weight of width omega on the orthogonal complement of range(A)."""
-    width_squared(omega)
-    return MTFunction(
-        lambda x: gaussian_log_weights(squared_norms(x, model.proj_perp), omega),
-        params={"width": float(omega)})
+    return gaussian_mt_function(omega, model.proj_perp)
 
 
 def _least_squares(model: RegressionModel, mean: np.ndarray) -> np.ndarray:
@@ -154,11 +151,13 @@ def mt_fitter_regression(data, model: RegressionModel):
     mu_hat^(u))) is z0 - theta_hat, z0 = B [Re; Im](A^H x_n). The norms and
     z0 are computed once per dataset."""
     x = as_dataset(data)
-    norms = squared_norms(x, model.proj_perp)
-    z0 = realify(x @ model.a_matrix.conj()) @ model.b_matrix.T
+    kernel = GaussianWeights(x, model.proj_perp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z0 = realify(x @ model.a_matrix.conj()) @ model.b_matrix.T
+    z0[np.isinf(kernel.norms)] = 0.0        # rows of weight 0 at every width
 
     def fit(omega: float) -> tuple:
-        scaled, phi = _weights(gaussian_log_weights(norms, omega))
+        scaled, phi = kernel.weigh(omega)
         theta = _least_squares(model, phi @ x)
         zeta = z0 - theta
         total = scaled.sum()

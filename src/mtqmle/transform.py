@@ -84,25 +84,31 @@ def width_squared(omega) -> float:
     return w2
 
 
-def gaussian_mt_function(width: float) -> MTFunction:
-    """Zero-centered Gaussian weight u(x) = exp(-||x||^2 / width^2)."""
+def gaussian_mt_function(width: float, projector=None) -> MTFunction:
+    """Gaussian weight u(x) = exp(-||P x||^2 / width^2) (P = identity if
+    None), the one-width ``MTFunction`` view of ``GaussianWeights``."""
     width_squared(width)
-    return MTFunction(lambda x: gaussian_log_weights(squared_norms(x), width),
+    return MTFunction(lambda x: GaussianWeights(x, projector).log_weights(width),
                       params={"width": float(width)})
 
 
-def squared_norms(x: np.ndarray, projector=None) -> np.ndarray:
-    """||P x_n||^2 per row of a validated dataset (P = identity if None)."""
-    y = x if projector is None else x @ projector.T
-    return np.einsum("ni,ni->n", y, y.conj()).real
+class GaussianWeights:
+    """Gaussian weights at any width from the squared norms ||P x_n||^2 of a
+    validated dataset, taken once; an inf or NaN (inf - inf) norm reads inf."""
 
+    def __init__(self, x: np.ndarray, projector=None):
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x if projector is None else x @ projector.T
+            self.norms = np.fmin(np.einsum("ni,ni->n", y, y.conj()).real, np.inf)
 
-def gaussian_log_weights(sq_norms: np.ndarray, width: float) -> np.ndarray:
-    """-||P x||^2 / width^2; many widths can share one ``squared_norms``.
-    A quotient that overflows is -inf, the exact log of a vanishing weight."""
-    w2 = width_squared(width)
-    with np.errstate(over="ignore"):
-        return -sq_norms / w2
+    def log_weights(self, omega) -> np.ndarray:
+        """-norms / omega^2; an overflow is -inf, the log of a zero weight."""
+        with np.errstate(over="ignore"):
+            return -self.norms / width_squared(omega)
+
+    def weigh(self, omega) -> tuple:
+        """``_weights`` at width omega: (max-shifted, normalized) weights."""
+        return _weights(self.log_weights(omega))
 
 
 @dataclass

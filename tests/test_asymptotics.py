@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +434,18 @@ class TestSandwich:
         with pytest.raises(SingularMatrix, match="F matrix singular"):
             sandwich(x, np.zeros(2), mm, constant_mt_function())
 
+    def test_overflowing_score_of_a_weighted_sample_raises(self, reg_gaussian):
+        """A sample of nonzero weight whose score overflows makes G infinite:
+        a typed error, with no RuntimeWarning, instead of an inf c_hat."""
+        x = make_regression_data(reg_gaussian, 100, 21)
+        u = constant_mt_function()
+        mm = regression_moment_model(reg_gaussian, x, u)
+        x[0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="G matrix is not finite"):
+                sandwich(x, THETA0_REG, mm, u)
+
 
 class TestPublicEntriesValidate:
     """The public entries validate their data and log-weights themselves."""
@@ -835,3 +848,24 @@ class TestCRLBDomination:
             assert tr >= 0.97 * crlb
         wide = np.trace(asymptotic_mse_regression(reg_gaussian, 1e4, 1000))
         assert wide == pytest.approx(crlb, rel=1e-4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda x, mm: influence(x[0], THETA0_REG, mm,
+                                         constant_mt_function()),
+                 ValueError, "provide f_matrix or reference_data",
+                 id="influence without F"),
+    pytest.param(lambda x, mm: influence(x[0], THETA0_REG, mm,
+                                         constant_mt_function(),
+                                         f_matrix=np.zeros((4, 4))),
+                 SingularMatrix, "F matrix singular", id="influence singular F"),
+    pytest.param(lambda x, mm: fisher_information(
+        lambda data, th: np.zeros((data.shape[0] - 1, 4)), x, THETA0_REG),
+        ValueError, "score returned a wrong number of rows",
+        id="fisher score rows"),
+])
+def test_input_checks(reg_gaussian, call, error, message):
+    x = make_regression_data(reg_gaussian, 50, 3)
+    mm = regression_moment_model(reg_gaussian, x, constant_mt_function())
+    with pytest.raises(error, match=message):
+        call(x, mm)

@@ -385,3 +385,9 @@ class TestAREExactness:
         got = _tuned_or_error(tune_c_for_are, target, p)
         assert isinstance(got, tuple)
         assert got == _tuned_or_error(oracle_tune_c_for_are, target, p)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, np.nan])
+def test_are_refuses_a_cutoff_that_is_not_positive(c):
+    with pytest.raises(ValueError, match="c must be positive"):
+        are_tukey(c, 10)

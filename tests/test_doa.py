@@ -28,8 +28,8 @@ from mtqmle.exceptions import (DegenerateWeights, NotPositiveDefinite,
                                SingularMatrix)
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa)
-from mtqmle.transform import (constant_mt_function, empirical_mt_moments,
-                              gaussian_mt_function, squared_norms)
+from mtqmle.transform import (GaussianWeights, constant_mt_function,
+                              empirical_mt_moments, gaussian_mt_function)
 
 from conftest import (THETA0_DOA, random_pd, sample_covariance, sample_mean,
                       whole_array_texture_mean)
@@ -489,7 +489,7 @@ class TestLagRoute:
         noise = NoiseSpec("k", doa_sigma2_for_snr_db(1.0, -10.0), p, lam=0.75)
         x = synthesize_doa(p, THETA0_DOA, 1.0, noise, 500, stream_rng(61, p))
         x = x + (0.5 - 0.3j)    # a mean the moment route removes and restores
-        table = doa._lag_table(x, squared_norms(x))
+        table = doa._lag_table(x, GaussianWeights(x).norms)
         eye = np.eye(2 * p - 1)     # a basis that returns the lag vector itself
         for omega in (1.0, 3.0, 10.0, 1e6):
             mom = empirical_mt_moments(x, gaussian_mt_function(omega))
@@ -660,3 +660,9 @@ def test_model_validation():
         ULAModel(4, -1.0, noise)
     with pytest.raises(ValueError):
         ULAModel(5, 1.0, noise)  # dimension mismatch
+
+
+@pytest.mark.parametrize("k_theta", [1, 0, -3])
+def test_grid_needs_two_points(k_theta):
+    with pytest.raises(ValueError, match="need at least 2 grid points"):
+        ULAModel.grid(k_theta)

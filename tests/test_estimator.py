@@ -652,3 +652,20 @@ class TestMomentMapContract:
                                  rng.uniform(lo, hi, (20, 1))])
         self.assert_maps_match(mm, lambda th: np.zeros(4, dtype=complex), cov,
                                points)
+
+
+@pytest.mark.parametrize("fit", [
+    pytest.param(lambda mm: estimate_gqmle(TOY_X, mm), id="gqmle"),
+    pytest.param(lambda mm: estimate_mt_gqmle(TOY_X, gaussian_mt_function(2.0),
+                                              mm), id="mt-gqmle"),
+])
+def test_zero_dimensional_grid_raises(fit):
+    """A space of no coordinates has no grid point to search."""
+    mm = ParametricMomentModel(
+        mt_mean=lambda th: np.zeros(np.shape(th)[:-1] + (2,), dtype=complex),
+        mt_cov=lambda th: np.broadcast_to(HALF_EYE, np.shape(th)[:-1] + (2, 2)),
+        d_mean=lambda th: np.zeros((0, 2), dtype=complex),
+        d_cov=lambda th: np.zeros((0, 2, 2), dtype=complex),
+        space=ParameterSpace([], [], []))
+    with pytest.raises(ValueError, match="empty parameter grid"):
+        fit(mm)

@@ -8,9 +8,11 @@ perturb sums, so those are asserted to rtol 1e-12.
 import numpy as np
 import pytest
 
-from mtqmle.doa import ULAModel, mt_fitter_doa
+from mtqmle.asymptotics import select_by_trace, select_mt_parameter
+from mtqmle.doa import ULAModel, doa_moment_model, mt_fitter_doa
 from mtqmle.regression import (build_steering_regressors, mt_fitter_regression,
-                               realify)
+                               projected_mt_function, realify,
+                               regression_moment_model)
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa, synthesize_regression)
 from mtqmle.transform import (constant_mt_function, empirical_mt_moments,
@@ -108,3 +110,44 @@ def test_unitary_map_of_gaussian_weight_moments(seed):
                                        rtol=RTOL)
             np.testing.assert_allclose(
                 m_rot.mt_cov, unitary @ m.mt_cov @ unitary.conj().T, rtol=RTOL)
+
+
+GRID = np.linspace(1.0, 30.0, 30)
+# Each width path as a selection on the regression and DOA datasets.
+WIDTH_PATHS = {
+    "regression fitter":
+        lambda x, xd: select_by_trace(GRID, mt_fitter_regression(x, REG)),
+    "doa fitter":
+        lambda x, xd: select_by_trace(GRID, mt_fitter_doa(xd, ULA, K_THETA)),
+    "generic regression": lambda x, xd: select_mt_parameter(
+        x, lambda om: projected_mt_function(REG, om), GRID,
+        lambda data, u: regression_moment_model(REG, data, u)),
+    "generic doa": lambda x, xd: select_mt_parameter(
+        xd, gaussian_mt_function, (1.0, 3.0, 10.0),
+        lambda data, u: doa_moment_model(ULA, data, u.params["width"],
+                                         k_theta=721, use_solver=False)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("path", list(WIDTH_PATHS))
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("size", [1e155, 1e200, 1.7e308])
+def test_one_gross_outlier_leaves_the_selection(path, seed, size):
+    """Row 0 replaced by entries +-size +-size i: its weight is 0 at every
+    width, as at 1e80, so the selected width, the estimate and every
+    candidate's trace are those of the 1e80 row, bit for bit, also where
+    its norm or its statistics overflow."""
+    def select(magnitude):
+        x, xd = regression_data(seed), doa_data(seed)
+        for data in (x, xd):
+            data[0] = magnitude * np.resize([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j],
+                                            data.shape[1])     # quarter turns
+        return WIDTH_PATHS[path](x, xd)
+
+    got, want = select(size), select(1e80)
+    assert got.omega_opt == want.omega_opt
+    assert np.array_equal(got.traces, want.traces)
+    best = [getattr(sel.best_estimate, "theta", sel.best_estimate)
+            for sel in (got, want)]             # EstimationResult or array
+    assert np.array_equal(*best)

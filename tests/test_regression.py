@@ -29,7 +29,7 @@ from mtqmle.regression import (
 )
 from mtqmle.samplers import (NoiseSpec, regression_sigma2_for_snr_db,
                              sample_noise, stream_rng, synthesize_regression)
-from mtqmle.transform import empirical_mt_moments, squared_norms
+from mtqmle.transform import GaussianWeights, empirical_mt_moments
 
 from conftest import THETA0_REG, whole_array_texture_mean
 
@@ -301,7 +301,7 @@ class TestFitter:
         x = 1e160 * synthesize_regression(reg_gaussian.a_matrix, alpha0,
                                           reg_gaussian.noise, 200,
                                           stream_rng(40, 0))
-        assert np.all(np.isinf(squared_norms(x, reg_gaussian.proj_perp)))
+        assert np.all(np.isinf(GaussianWeights(x, reg_gaussian.proj_perp).norms))
         omegas = np.linspace(1.0, 30.0, 30)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -351,3 +351,11 @@ class TestLikelihoodGuards:
             gaussian_fim_regression(reg_t)
         with pytest.raises(ValueError, match="likelihood unknown"):
             gaussian_crlb_regression(reg_t, 100)
+
+
+@pytest.mark.parametrize("noise_p", [4, 6])
+def test_noise_dimension_must_match_the_regressors(noise_p):
+    a = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [0, 2]], dtype=complex)
+    with pytest.raises(ValueError, match="noise dimension differs from "
+                                         "observation dimension"):
+        RegressionModel(a, NoiseSpec("gaussian", 1.0, noise_p))

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -359,3 +360,28 @@ def test_noise_spec_validation():
         NoiseSpec("gaussian", -1.0, 4)  # bad dispersion
     with pytest.raises(ValueError):
         NoiseSpec("weird", 1.0, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: NoiseSpec("gaussian", 1.0, 0), "p must be at least 1",
+                 id="noise dimension"),
+    pytest.param(lambda: sample_complex_gaussian(2, 0.0, 3, stream_rng(0)),
+                 "sigma2 must be positive", id="gaussian dispersion"),
+    pytest.param(lambda: sample_bpsk(-1.0, 3, stream_rng(0)),
+                 "sigma2_s must be positive", id="symbol power"),
+    pytest.param(lambda: synthesize_regression(
+        np.ones((3, 2)), np.ones(3), NoiseSpec("gaussian", 1.0, 3), 5,
+        stream_rng(0)), "regressor matrix and coefficient dimensions differ",
+        id="regression coefficients"),
+    pytest.param(lambda: synthesize_doa(4, 0.1, 1.0,
+                                        NoiseSpec("gaussian", 1.0, 3), 5,
+                                        stream_rng(0)),
+                 "noise dimension differs from sensor count", id="doa noise"),
+    pytest.param(lambda: save_dataset(np.ones(3), io.StringIO()),
+                 "dataset must be 2-D", id="save 1-D"),
+    pytest.param(lambda: load_dataset(io.StringIO("re_0,im_0,re_1\n1,2,3\n")),
+                 "malformed dataset file: odd column count", id="load odd"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

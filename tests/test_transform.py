@@ -5,11 +5,11 @@ from mtqmle.exceptions import DegenerateWeights, NotPositiveDefinite
 from mtqmle.regression import projected_mt_function
 from mtqmle.samplers import stream_rng, synthesize_regression
 from mtqmle.transform import (
+    GaussianWeights,
     MTFunction,
     check_mt_condition,
     constant_mt_function,
     empirical_mt_moments,
-    gaussian_log_weights,
     gaussian_mt_function,
     width_squared,
 )
@@ -166,7 +166,7 @@ class TestGaussianMTFunction:
             with pytest.raises(ValueError):
                 projected_mt_function(reg_gaussian, width)
             with pytest.raises(ValueError, match="omega"):
-                gaussian_log_weights(np.ones(3), width)
+                GaussianWeights(np.ones((3, 1), complex)).log_weights(width)
 
     def test_width_outside_the_float_range(self):
         """An integer too large for a float gets the width error, not an
