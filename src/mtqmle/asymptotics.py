@@ -93,6 +93,9 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel,
     """
     psi, (s_inv, d_mean, w, b, a, d_cov) = _score(x, theta, model)
     m = theta.size
+    if weights is not None:     # a zero-weight sample adds exactly 0, also
+        zero = weights == 0     # where its statistics overflow (0 * inf)
+        psi[zero] = 0.0
     if model.has_second_derivatives:
         d2_mean = np.asarray(model.d2_mean(theta))    # (m, m, p)
         d2_cov = np.asarray(model.d2_cov(theta))      # (m, m, p, p)
@@ -102,7 +105,7 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel,
         s0 = np.ones(x.shape[0]) if weights is None else np.sum(weights)
         if w is not None:    # per sample (w_n, w_n w_n^H), or weighted sums
             if weights is not None:
-                w[:, weights == 0] = 0.0    # may be inf, and 0 * inf is NaN
+                w[:, zero] = 0.0
             s1 = w.T if weights is None else w @ weights
             s2 = (s1[:, :, None] * s1.conj()[:, None, :] if weights is None
                   else (w * weights) @ w.T.conj())
@@ -132,6 +135,7 @@ def _psi_gamma(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel,
             out[:, :, j] = (_score(x, theta + h, model)[0]
                             - _score(x, theta - h, model)[0]) / (2.0 * step)
         if weights is not None:
+            out[zero] = 0.0
             out = np.einsum("n,nkj->kj", weights, out)
     return psi, 0.5 * (out + np.swapaxes(out, -1, -2))
 
@@ -192,7 +196,6 @@ def _sandwich(x: np.ndarray, theta_hat: np.ndarray,
                       RuntimeWarning, stacklevel=3)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         psi, gam_sum = _psi_gamma(x, theta_hat, model, scaled)  # (n,m), (m,m)
-        psi[scaled == 0] = 0.0           # zero-weight rows may overflow
         g_scaled = (psi.T * scaled ** 2) @ psi / n
     f_scaled = -gam_sum / n
     if not np.all(np.isfinite(g_scaled)):
@@ -212,28 +215,28 @@ def score_identity_check(data, theta_hat, model: ParametricMomentModel,
                          u: MTFunction) -> float:
     """|| n^-1 sum u(x_n) psi(x_n; theta_hat) ||, zero at an interior maximizer."""
     x = as_dataset(data)
-    uvals = u.weights(x)
-    psi = psi_u_batch(x, theta_hat, model)
-    return float(np.linalg.norm(uvals @ psi / x.shape[0]))
+    lw = u._log_weights(x)
+    scaled = _weights(lw)[0]                    # weighed as the sandwich is
+    with np.errstate(over="ignore", invalid="ignore"):  # in zeroed rows only
+        psi = _psi_gamma(x, model.space._point(theta_hat), model, scaled)[0]
+    return float(np.linalg.norm(scaled @ psi) * np.exp(lw.max()) / len(x))
 
 
 def influence(y, theta0, model: ParametricMomentModel, u: MTFunction,
-              f_matrix: Optional[np.ndarray] = None,
-              reference_data=None) -> np.ndarray:
+              f_matrix: np.ndarray) -> np.ndarray:
     """Influence of a contamination point: F^-1 psi(y; theta0) u(y).
 
-    ``f_matrix`` may come from an application closed form; otherwise it is
-    estimated from ``reference_data`` as the weighted negative mean Hessian.
+    ``f_matrix`` is a real (m, m) F: an application closed form, or the
+    sandwich's estimate ``sandwich(x, theta0, model, u).f_hat`` from data x.
     """
     y = np.asarray(y, dtype=complex).ravel()
     theta0 = model.space._point(theta0)
-    if f_matrix is None:
-        if reference_data is None:
-            raise ValueError("provide f_matrix or reference_data")
-        ref = as_dataset(reference_data)
-        f_matrix = -_psi_gamma(ref, theta0, model,
-                               u.weights(ref))[1] / ref.shape[0]
-    f_matrix = np.asarray(f_matrix, dtype=float)
+    try:
+        f_matrix = np.asarray(f_matrix)
+    except ValueError:                          # a ragged nested list
+        f_matrix = np.empty(0)
+    if f_matrix.shape != theta0.shape * 2 or f_matrix.dtype.kind not in "biuf":
+        raise ValueError(f"f_matrix must be a real {theta0.shape * 2} matrix")
     if not np.all(np.isfinite(f_matrix)) or \
             np.linalg.cond(f_matrix) > _COND_LIMIT:
         raise SingularMatrix("F matrix singular")
@@ -270,6 +273,8 @@ def select_by_trace(omegas: Sequence[float],
     smallest omega.
     """
     omegas = np.sort(np.asarray(list(omegas), dtype=float))
+    if omegas.size == 0:
+        raise ValueError("no candidate widths")
     traces = np.full(omegas.size, np.nan)
     estimates: list = [None] * omegas.size
     for i, omega in enumerate(omegas):

@@ -281,10 +281,11 @@ def influence_doa(y, theta0: float, model: ULAModel, omega: float) -> float:
     y = np.asarray(y, dtype=complex).ravel()
     p = model.p
     pref = _influence_prefactor(model.noise, model.sigma2_s, p, float(omega))
-    a = steering(theta0, p)
-    da = steering(theta0, p, 1)
-    stat = 12.0 * np.real((da.conj() @ y) * (y.conj() @ a))
     damp = gaussian_mt_function(omega).weights(y[None, :])[0]
+    if damp == 0.0:                             # y may overflow the statistic
+        return 0.0
+    stat = 12.0 * np.real((steering(theta0, p, 1).conj() @ y)
+                          * (y.conj() @ steering(theta0, p)))
     return pref * stat * damp / (np.pi ** 2 * np.cos(theta0) ** 2
                                  * p ** 2 * (p ** 2 - 1))
 

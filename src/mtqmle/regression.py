@@ -191,9 +191,11 @@ def influence_regression(y, theta0, model: RegressionModel, omega: float
     y = np.asarray(y, dtype=complex).ravel()
     theta0 = np.asarray(theta0, dtype=float).ravel()
     pref = 1.0 / mean_weight_regression(model, omega)
-    bracket = model.b_matrix @ realify(model.a_matrix.conj().T @ y) - theta0
     damp = projected_mt_function(model, omega).weights(y[None, :])[0]
-    return pref * bracket * damp
+    if damp == 0.0:                             # y may overflow the bracket
+        return np.zeros(theta0.size)
+    return pref * (model.b_matrix @ realify(model.a_matrix.conj().T @ y)
+                   - theta0) * damp
 
 
 def fit_noise_cov_scalars(model: RegressionModel, sigma_hat: np.ndarray

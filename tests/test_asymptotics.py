@@ -362,7 +362,7 @@ class TestWeightedHessian:
                                    rtol=1e-12, atol=0)
         y = x[1] + 0.2
         np.testing.assert_allclose(
-            influence(y, theta, mm, u, reference_data=x),
+            influence(y, theta, mm, u, sandwich(x, theta, mm, u).f_hat),
             influence(y, theta, mm, u, f_matrix=f_hat), rtol=1e-12, atol=0)
 
 
@@ -490,8 +490,8 @@ class TestPublicEntriesValidate:
         "sandwich": lambda x, th, mm, u: sandwich(x, th, mm, u),
         "score_identity_check": lambda x, th, mm, u:
             score_identity_check(x, th, mm, u),
-        "influence": lambda x, th, mm, u: influence(x[0], th, mm, u,
-                                                    reference_data=x),
+        "influence": lambda x, th, mm, u: influence(
+            x[0], th, mm, u, np.eye(mm.space.lower.size)),
     }
 
     @pytest.mark.parametrize("entry", THETA_ENTRIES)
@@ -557,7 +557,8 @@ class TestInfluence:
         u = projected_mt_function(reg_gaussian, 1.0)
         mm = regression_moment_model(reg_gaussian, x, u)
         y = 1e3 * np.ones(10, dtype=complex)  # weight underflows to zero
-        val = influence(y, THETA0_REG, mm, u, reference_data=x)
+        val = influence(y, THETA0_REG, mm, u,
+                        sandwich(x, THETA0_REG, mm, u).f_hat)
         np.testing.assert_array_equal(val, np.zeros(4))
 
     def test_matches_regression_closed_form(self, reg_t, rng):
@@ -583,14 +584,26 @@ class TestInfluence:
         off_range = reg_gaussian.proj_perp @ z
         direction = (np.sqrt(0.9) * in_range / np.linalg.norm(in_range)
                      + np.sqrt(0.1) * off_range / np.linalg.norm(off_range))
+        f_hat = sandwich(x, THETA0_REG, mm, u).f_hat
         norms = [
-            np.linalg.norm(influence(r * direction, THETA0_REG, mm, u,
-                                     reference_data=x))
+            np.linalg.norm(influence(r * direction, THETA0_REG, mm, u, f_hat))
             for r in (10.0, 100.0, 1000.0)]
         assert norms[0] > norms[1] > norms[2]
 
 
 class TestSelection:
+    def test_no_candidate_widths(self, reg_t):
+        """An empty candidate list is a caller's error, not a data failure
+        (DegenerateWeights) that a Monte Carlo run would count as a trial."""
+        x = make_regression_data(reg_t, 50, 16)
+        with pytest.raises(ValueError, match="no candidate widths") as err:
+            select_by_trace([], lambda om: (om, om, SPREAD))
+        assert not isinstance(err.value, MTQMLEError)
+        with pytest.raises(ValueError, match="no candidate widths"):
+            select_mt_parameter(
+                x, lambda om: projected_mt_function(reg_t, om), [],
+                lambda data, u: regression_moment_model(reg_t, data, u))
+
     def test_singleton_grid(self, reg_t):
         x = make_regression_data(reg_t, 300, 16)
         sel = select_mt_parameter(
@@ -850,15 +863,30 @@ class TestCRLBDomination:
         assert wide == pytest.approx(crlb, rel=1e-4)
 
 
+def influence_with(f_matrix):
+    """influence at the regression model's first sample with F = f_matrix."""
+    return lambda x, mm: influence(x[0], THETA0_REG, mm,
+                                   constant_mt_function(), f_matrix)
+
+
+NOT_REAL_4X4 = "f_matrix must be a real \\(4, 4\\) matrix"
+
+
 @pytest.mark.parametrize("call, error, message", [
-    pytest.param(lambda x, mm: influence(x[0], THETA0_REG, mm,
-                                         constant_mt_function()),
-                 ValueError, "provide f_matrix or reference_data",
-                 id="influence without F"),
-    pytest.param(lambda x, mm: influence(x[0], THETA0_REG, mm,
-                                         constant_mt_function(),
-                                         f_matrix=np.zeros((4, 4))),
-                 SingularMatrix, "F matrix singular", id="influence singular F"),
+    pytest.param(influence_with(np.zeros((4, 4))), SingularMatrix,
+                 "F matrix singular", id="influence singular F"),
+    pytest.param(influence_with(np.full((4, 4), np.nan)), SingularMatrix,
+                 "F matrix singular", id="influence non-finite F"),
+    pytest.param(influence_with(np.eye(3)), ValueError, NOT_REAL_4X4,
+                 id="influence F of a smaller dimension"),
+    pytest.param(influence_with(np.ones((4, 3))), ValueError, NOT_REAL_4X4,
+                 id="influence F not square"),
+    pytest.param(influence_with(np.ones(4)), ValueError, NOT_REAL_4X4,
+                 id="influence F 1-D"),
+    pytest.param(influence_with([[1.0] * 4, [1.0] * 4, [1.0] * 4, [1.0]]),
+                 ValueError, NOT_REAL_4X4, id="influence F ragged"),
+    pytest.param(influence_with(np.eye(4) * (1 + 1j)), ValueError,
+                 NOT_REAL_4X4, id="influence F complex"),
     pytest.param(lambda x, mm: fisher_information(
         lambda data, th: np.zeros((data.shape[0] - 1, 4)), x, THETA0_REG),
         ValueError, "score returned a wrong number of rows",

@@ -623,6 +623,15 @@ class TestInfluence:
         with pytest.raises(ValueError, match="texture expectation"):
             influence_doa(np.ones(4, dtype=complex), THETA0_DOA, model, 1e-30)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [1e160, 1e200, 1e300])
+    def test_zero_weight_gives_exact_zero(self, ula_k, r):
+        """A point of zero weight has zero influence, also where its scan
+        statistic overflows (0 * inf is NaN)."""
+        val = influence_doa(r * np.ones(4, dtype=complex) / 2, THETA0_DOA,
+                            ula_k, 5.0)
+        assert val == 0.0 and not np.signbit(val)
+
     @pytest.mark.parametrize("omega", [1.0, 5.0, 30.0])
     def test_weight_rejects_large_outliers(self, omega):
         u = gaussian_mt_function(omega)

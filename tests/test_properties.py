@@ -1,22 +1,26 @@
 """Properties that hold exactly for the reweighted estimators.
 
 Rescaling by a power of two is exact in floating point, so the (x, omega)
-scaling laws are asserted bit for bit. Permutations and shifts reorder or
-perturb sums, so those are asserted to rtol 1e-12.
+scaling laws are asserted bit for bit. Permutations, shifts and rescaling u
+reorder or perturb sums, so those are asserted to rtol 1e-12.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from mtqmle.asymptotics import select_by_trace, select_mt_parameter
+from mtqmle.asymptotics import (influence, sandwich, score_identity_check,
+                                select_by_trace, select_mt_parameter)
 from mtqmle.doa import ULAModel, doa_moment_model, mt_fitter_doa
+from mtqmle.estimator import estimate_mt_gqmle
 from mtqmle.regression import (build_steering_regressors, mt_fitter_regression,
                                projected_mt_function, realify,
                                regression_moment_model)
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa, synthesize_regression)
-from mtqmle.transform import (constant_mt_function, empirical_mt_moments,
-                              gaussian_mt_function)
+from mtqmle.transform import (MTFunction, constant_mt_function,
+                              empirical_mt_moments, gaussian_mt_function)
 
 SEEDS = [0, 1, 2]
 OMEGAS = [1.5, 4.0, 7.3]
@@ -113,41 +117,133 @@ def test_unitary_map_of_gaussian_weight_moments(seed):
 
 
 GRID = np.linspace(1.0, 30.0, 30)
+
+
+def doa_model(data, u):
+    return doa_moment_model(ULA, data, u.params["width"], k_theta=721,
+                            use_solver=False)
+
+
+def doa_model_without_d2(data, u):
+    """The DOA moment model with no second derivatives: its Hessians are
+    central differences of the score."""
+    return dataclasses.replace(doa_model(data, u), d2_mean=None, d2_cov=None)
+
+
+# (family, widths, moment model) of select_mt_parameter on each application.
+GENERIC = {
+    "regression": (lambda om: projected_mt_function(REG, om), GRID,
+                   lambda data, u: regression_moment_model(REG, data, u)),
+    "doa": (gaussian_mt_function, (1.0, 3.0, 10.0), doa_model),
+}
 # Each width path as a selection on the regression and DOA datasets.
 WIDTH_PATHS = {
     "regression fitter":
         lambda x, xd: select_by_trace(GRID, mt_fitter_regression(x, REG)),
     "doa fitter":
         lambda x, xd: select_by_trace(GRID, mt_fitter_doa(xd, ULA, K_THETA)),
-    "generic regression": lambda x, xd: select_mt_parameter(
-        x, lambda om: projected_mt_function(REG, om), GRID,
-        lambda data, u: regression_moment_model(REG, data, u)),
-    "generic doa": lambda x, xd: select_mt_parameter(
-        xd, gaussian_mt_function, (1.0, 3.0, 10.0),
-        lambda data, u: doa_moment_model(ULA, data, u.params["width"],
-                                         k_theta=721, use_solver=False)),
+    "generic regression":
+        lambda x, xd: select_mt_parameter(x, *GENERIC["regression"]),
+    "generic doa": lambda x, xd: select_mt_parameter(xd, *GENERIC["doa"]),
+    "generic doa, finite-difference Hessian": lambda x, xd:
+        select_mt_parameter(xd, *GENERIC["doa"][:2], doa_model_without_d2),
 }
+OUTLIER_SIZES = [1e155, 1e200, 1.7e308]
+
+
+def outlier_data(seed, magnitude):
+    """Both datasets with row 0 replaced by entries +-magnitude
+    +-magnitude i (quarter turns)."""
+    x, xd = regression_data(seed), doa_data(seed)
+    for data in (x, xd):
+        data[0] = magnitude * np.resize([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j],
+                                        data.shape[1])
+    return x, xd
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("path", list(WIDTH_PATHS))
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("size", [1e155, 1e200, 1.7e308])
+@pytest.mark.parametrize("size", OUTLIER_SIZES)
 def test_one_gross_outlier_leaves_the_selection(path, seed, size):
     """Row 0 replaced by entries +-size +-size i: its weight is 0 at every
     width, as at 1e80, so the selected width, the estimate and every
     candidate's trace are those of the 1e80 row, bit for bit, also where
     its norm or its statistics overflow."""
-    def select(magnitude):
-        x, xd = regression_data(seed), doa_data(seed)
-        for data in (x, xd):
-            data[0] = magnitude * np.resize([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j],
-                                            data.shape[1])     # quarter turns
-        return WIDTH_PATHS[path](x, xd)
-
-    got, want = select(size), select(1e80)
+    got, want = (WIDTH_PATHS[path](*outlier_data(seed, magnitude))
+                 for magnitude in (size, 1e80))
     assert got.omega_opt == want.omega_opt
     assert np.array_equal(got.traces, want.traces)
     best = [getattr(sel.best_estimate, "theta", sel.best_estimate)
             for sel in (got, want)]             # EstimationResult or array
     assert np.array_equal(*best)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, omega", [("regression", 4.0), ("doa", 3.0)])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("size", OUTLIER_SIZES)
+def test_one_gross_outlier_leaves_the_score_identity(kind, omega, seed, size):
+    """score_identity_check weighs as the sandwich does, so the outlier's
+    score, which may overflow, adds exactly 0 and the residual at the
+    estimate is that of the 1e80 row."""
+    family, _, model = GENERIC[kind]
+
+    def residual(magnitude):
+        x, xd = outlier_data(seed, magnitude)
+        data = x if kind == "regression" else xd
+        u = family(omega)
+        mm = model(data, u)
+        return score_identity_check(data, estimate_mt_gqmle(data, u, mm).theta,
+                                    mm, u)
+
+    want = residual(1e80)
+    assert np.isfinite(want)
+    assert residual(size) == want
+
+
+def assert_close_in_norm(got, want):
+    """||got - want|| <= RTOL ||want||: relative to the vector, as a small
+    entry of a rounded solve is not to RTOL of itself."""
+    assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
+
+
+def shifted(family, k):
+    """The family with every log-weight shifted by k: u -> e^k u."""
+    def member(omega):
+        u = family(omega)
+        return MTFunction(lambda x: u._log_weights(x) + k, u.params)
+    return member
+
+
+@pytest.mark.parametrize("kind", list(GENERIC))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", [-800.0, -5.0, 5.0])
+def test_rescaling_u(kind, seed, k):
+    """u -> e^k u leaves the selection and the influence (with the
+    sandwich's F_hat) as they are, and scales the DOA score identity by e^k.
+    At k = -800 every raw weight underflows; the max-shifted weights do
+    not."""
+    family, omegas, model = GENERIC[kind]
+    data = regression_data(seed) if kind == "regression" else doa_data(seed)
+    sel = select_mt_parameter(data, family, omegas, model)
+    sel_k = select_mt_parameter(data, shifted(family, k), omegas, model)
+    assert sel_k.omega_opt == sel.omega_opt
+    np.testing.assert_allclose(sel_k.traces, sel.traces, rtol=RTOL)
+    for est_k, est in zip(sel_k.estimates, sel.estimates):
+        assert (est_k is None) == (est is None)     # None: a skipped width
+        if est is not None:
+            assert_close_in_norm(est_k.theta, est.theta)
+    u, u_k = family(sel.omega_opt), shifted(family, k)(sel.omega_opt)
+    mm, theta = model(data, u), sel.best_estimate.theta
+    if k > -800.0:      # else e^k u(y) and e^k F_hat underflow
+        y = data[np.argmax(u.log_weights(data))]     # a weight far from 0
+        want = influence(y, theta, mm, u, sandwich(data, theta, mm, u).f_hat)
+        assert np.any(want)
+        assert_close_in_norm(influence(y, theta, mm, u_k,
+                                       sandwich(data, theta, mm, u_k).f_hat),
+                             want)
+    if kind == "doa":   # the regression residual is at rounding level
+        np.testing.assert_allclose(
+            score_identity_check(data, theta, mm, u_k),
+            np.exp(k) * score_identity_check(data, theta, mm, u), rtol=RTOL)

@@ -344,6 +344,15 @@ class TestInfluenceClosedForm:
         with pytest.raises(ValueError, match="texture expectation"):
             influence_regression(np.zeros(10), THETA0_REG, reg_gaussian, 1e-30)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [1e308, 1.7e308])
+    def test_zero_weight_gives_exact_zeros(self, reg_t, r):
+        """A point of zero weight has zero influence, also where A^H y
+        overflows (0 * inf is NaN)."""
+        val = influence_regression(np.full(10, r) * (1 + 1j), THETA0_REG,
+                                   reg_t, 5.0)
+        np.testing.assert_array_equal(val, np.zeros(4))
+
 
 class TestLikelihoodGuards:
     def test_non_gaussian_noise_has_no_likelihood(self, reg_t):
