@@ -252,6 +252,8 @@ class SelectionResult:
     omegas: np.ndarray
     traces: np.ndarray                    # NaN where a grid point degenerated
     estimates: list = field(default_factory=list)  # as best_estimate, or None
+    status: list = field(default_factory=list)  # "ok", error name or "ess"
+    ess: np.ndarray = field(default_factory=lambda: np.empty(0))  # NaN: raised
 
     @property
     def best_estimate(self) -> EstimationResult | np.ndarray | float:
@@ -270,26 +272,34 @@ def select_by_trace(omegas: Sequence[float],
     So is one whose Kish ESS 1 / sum phi^2 is below _ESS_FLOOR, unless it is
     the only candidate: a fixed width is an estimate, not a choice. Raises
     DegenerateWeights when every candidate fails. Ties resolve to the
-    smallest omega.
+    smallest omega. Each candidate's status is "ok", the name of the
+    MTQMLEError its fit raised, or "ess" when the floor skipped it; its ess is
+    the Kish ESS of the weights its fit returned, NaN where the fit raised.
     """
     omegas = np.sort(np.asarray(list(omegas), dtype=float))
     if omegas.size == 0:
         raise ValueError("no candidate widths")
     traces = np.full(omegas.size, np.nan)
+    ess = np.full(omegas.size, np.nan)
+    status = ["ok"] * omegas.size
     estimates: list = [None] * omegas.size
     for i, omega in enumerate(omegas):
         try:
             estimate, mse, phi = fit(float(omega))
-        except MTQMLEError:
+        except MTQMLEError as err:
+            status[i] = type(err).__name__
             continue
-        if omegas.size > 1 and _ess(phi) < _ESS_FLOOR:
+        ess[i] = _ess(phi)
+        if omegas.size > 1 and ess[i] < _ESS_FLOOR:
+            status[i] = "ess"
             continue
         estimates[i], traces[i] = estimate, np.trace(np.atleast_2d(mse))
     if np.all(np.isnan(traces)):
         raise DegenerateWeights("all grid points degenerate")
     idx = int(np.nanargmin(traces))  # first minimum == smallest omega on ties
     return SelectionResult(omega_opt=float(omegas[idx]), omegas=omegas,
-                           traces=traces, estimates=estimates)
+                           traces=traces, estimates=estimates, status=status,
+                           ess=ess)
 
 
 def select_mt_parameter(data, family: Callable[[float], MTFunction],
@@ -300,19 +310,26 @@ def select_mt_parameter(data, family: Callable[[float], MTFunction],
     """``select_by_trace`` with the sandwich MSE of a full re-estimate of
     theta on the same dataset for every candidate omega.
 
-    Each candidate makes two passes over the data: ``model(x, u)`` builds the
-    moment model for u = family(omega) with a pass of its own, and the fit
-    evaluates u's log-weights once and builds one set of reweighted moments,
-    which the estimator and the sandwich share. The data is validated once.
+    Each candidate's fit builds the weights and moments of u = family(omega)
+    once, for the factory, the estimator and the sandwich: ``model(x, u)``
+    gets a read-only view of x, bound to u for that call only, on which
+    ``empirical_mt_moments`` returns them. The data is validated once.
     """
     x = as_dataset(data)
+    view = x.view()
+    view.flags.writeable = False        # the bound moments stay those of x
 
     def fit(omega):
         u = family(omega)
-        model_i = model(x, u)
         lw = u._log_weights(x)
         scaled, phi = _weights(lw)
-        est = _estimate(_moments(x, phi), model_i)
+        moments = _moments(x, phi)
+        u._bound = (view, moments)
+        try:
+            model_i = model(view, u)
+        finally:
+            u._bound = None
+        est = _estimate(moments, model_i)
         return (est, _sandwich(x, est.theta, model_i, lw, scaled).c_hat, phi)
 
     return select_by_trace(omegas, fit)

@@ -91,22 +91,24 @@ def _fixed_point(x: np.ndarray, model: RegressionModel, start: np.ndarray,
     alpha = np.linalg.solve(model.aha, a.conj().T @ start)
     converged = False
     it = 0
-    for it in range(1, _MAX_ITER + 1):
-        resid = np.linalg.norm(x - (a @ alpha)[None, :], axis=1)
-        w = weight_fn(resid)
-        total = w.sum()
-        if total == 0.0:
-            raise DegenerateWeights("all samples rejected")
-        alpha_new = np.linalg.solve(model.aha, a.conj().T @ ((w @ x) / total))
-        denom = np.linalg.norm(alpha)
-        step = np.linalg.norm(alpha_new - alpha)
-        alpha = alpha_new
-        if denom > 0 and step / denom < _REL_TOL:
-            converged = True
-            break
-        if denom == 0.0 and step == 0.0:
-            converged = True
-            break
+    with np.errstate(over="ignore"):    # an inf residual gets weight 0
+        for it in range(1, _MAX_ITER + 1):
+            resid = np.linalg.norm(x - (a @ alpha)[None, :], axis=1)
+            w = weight_fn(resid)
+            total = w.sum()
+            if total == 0.0:
+                raise DegenerateWeights("all samples rejected")
+            alpha_new = np.linalg.solve(model.aha,
+                                        a.conj().T @ ((w @ x) / total))
+            denom = np.linalg.norm(alpha)
+            step = np.linalg.norm(alpha_new - alpha)
+            alpha = alpha_new
+            if denom > 0 and step / denom < _REL_TOL:
+                converged = True
+                break
+            if denom == 0.0 and step == 0.0:
+                converged = True
+                break
     return BaselineResult(theta=realify(alpha), converged=converged, n_iter=it)
 
 

@@ -103,10 +103,14 @@ class SpectrumCurve:
 def _lag_scan(thetas, basis, mean, cov) -> SpectrumCurve:
     """a^H C a over thetas, C = cov + mean mean^H, in lag form: r_0 + 2 sum_d
     Re(r_d e^{i pi d sin theta}) with r_d the sum of the d-th subdiagonal of
-    C; basis is _basis's."""
-    c_hat = hermitize(cov + np.outer(mean, mean.conj()))
-    lags = np.array([np.trace(c_hat, offset=-d) for d in range(len(mean))])
-    values = np.concatenate([lags.real, lags[1:].imag]) @ basis
+    C; basis is _basis's. NotPositiveDefinite when C, its lag sums or the
+    spectrum overflow: argmax would read a NaN as the first angle."""
+    with np.errstate(over="ignore", invalid="ignore"):      # checked below
+        c_hat = hermitize(cov + np.outer(mean, mean.conj()))
+        lags = np.array([np.trace(c_hat, offset=-d) for d in range(len(mean))])
+        values = np.concatenate([lags.real, lags[1:].imag]) @ basis
+    if not np.all(np.isfinite(values)):
+        raise NotPositiveDefinite("spectrum is not finite")
     return SpectrumCurve(thetas=thetas, values=values)
 
 

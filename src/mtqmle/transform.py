@@ -38,6 +38,9 @@ class MTFunction:
         Parameter values describing the member of the family.
     """
 
+    # (read-only x, moments) during asymptotics.select_mt_parameter's factory
+    _bound: Optional[tuple] = None
+
     def __init__(self, log_fn: Callable[[np.ndarray], np.ndarray],
                  params: Optional[dict] = None):
         self._log_fn = log_fn
@@ -164,7 +167,12 @@ def empirical_mt_moments(data, u: MTFunction) -> EmpiricalMTMoments:
     """Reweighted mean and covariance with their normalized weights
     u(x_n) / sum_m u(x_m), normalized in log space (max-shifted) so that any
     common scale of u cancels exactly; DegenerateWeights when every weight
-    vanishes, NotPositiveDefinite when the covariance overflows."""
+    vanishes, NotPositiveDefinite when the covariance overflows. During
+    select_mt_parameter's factory call, the data bound to u returns the
+    fit's own moments."""
+    bound = u._bound                # read once: another thread may clear it
+    if bound is not None and data is bound[0]:
+        return bound[1]
     x = as_dataset(data)
     return _moments(x, _weights(u._log_weights(x))[1])
 

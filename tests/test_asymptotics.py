@@ -591,6 +591,16 @@ class TestInfluence:
         assert norms[0] > norms[1] > norms[2]
 
 
+def count_moment_builds(monkeypatch) -> list:
+    """Record one entry per reweighted-moment build, wherever it is called."""
+    calls = []
+    build = transform._moments
+    counted = lambda *args: calls.append(1) or build(*args)
+    monkeypatch.setattr(transform, "_moments", counted)
+    monkeypatch.setattr(asymptotics, "_moments", counted)
+    return calls
+
+
 class TestSelection:
     def test_no_candidate_widths(self, reg_t):
         """An empty candidate list is a caller's error, not a data failure
@@ -678,6 +688,95 @@ class TestSelection:
                                   lambda data, u: mm)
         assert np.isfinite(sel.traces).all() and len(calls) == 0
 
+    def test_one_moments_build_per_width(self, reg_t, monkeypatch):
+        """On the regression generic path the factory's empirical_mt_moments
+        reads the fit's moments: one reweighted-moment build per width."""
+        calls = count_moment_builds(monkeypatch)
+        x = make_regression_data(reg_t, 200, 21)
+        sel = select_mt_parameter(
+            x, lambda om: projected_mt_function(reg_t, om), [2.0, 5.0, 10.0],
+            lambda data, u: regression_moment_model(reg_t, data, u))
+        assert np.isfinite(sel.traces).all() and len(calls) == 3
+
+    def test_factory_reads_the_fits_moments(self, reg_t):
+        """empirical_mt_moments of the data the factory gets returns the very
+        EmpiricalMTMoments the estimate is built from; once the selection
+        returns, the same call recomputes them, equal in value."""
+        seen = []
+
+        def factory(data, u):
+            seen.append((data, u, empirical_mt_moments(data, u)))
+            return regression_moment_model(reg_t, data, u)
+
+        x = make_regression_data(reg_t, 200, 22)
+        sel = select_mt_parameter(
+            x, lambda om: projected_mt_function(reg_t, om), [2.0, 5.0],
+            factory)
+        for (data, u, moments), est in zip(seen, sel.estimates):
+            assert moments is est.moments
+            assert u._bound is None
+            again = empirical_mt_moments(data, u)
+            assert again is not moments
+            assert np.array_equal(again.mt_cov, moments.mt_cov)
+            assert np.array_equal(again.weights, moments.weights)
+
+    @pytest.mark.parametrize("error", [SingularMatrix, ValueError])
+    def test_no_binding_after_factory_raised(self, reg_t, error):
+        """The binding is cleared when the factory raises: a typed error
+        skips the width, any other propagates."""
+        family_out = []
+
+        def family(om):
+            family_out.append(projected_mt_function(reg_t, om))
+            return family_out[-1]
+
+        def factory(data, u):
+            if u.params["width"] == 2.0:
+                raise error("stub")
+            return regression_moment_model(reg_t, data, u)
+
+        x = make_regression_data(reg_t, 200, 23)
+        if error is SingularMatrix:
+            sel = select_mt_parameter(x, family, [2.0, 5.0], factory)
+            assert sel.status == ["SingularMatrix", "ok"]
+        else:
+            with pytest.raises(ValueError, match="stub"):
+                select_mt_parameter(x, family, [2.0, 5.0], factory)
+        assert family_out and all(u._bound is None for u in family_out)
+
+    def test_factory_cannot_write_into_data(self, reg_t):
+        """The factory gets a read-only view: the bound moments can never
+        belong to data the factory changed."""
+        x = make_regression_data(reg_t, 200, 24)
+        before = x.copy()
+
+        def factory(data, u):
+            data[0, 0] = 0.0
+            return regression_moment_model(reg_t, data, u)
+
+        with pytest.raises(ValueError, match="read-only"):
+            select_mt_parameter(
+                x, lambda om: projected_mt_function(reg_t, om), [2.0], factory)
+        assert np.array_equal(x, before)
+
+    def test_factory_on_a_copy_recomputes(self, reg_t, monkeypatch):
+        """A factory that passes a copy of the data misses the binding and
+        builds its own moments, with the same estimates and traces."""
+        x = make_regression_data(reg_t, 200, 25)
+        family = lambda om: projected_mt_function(reg_t, om)
+        omegas = [2.0, 5.0, 10.0]
+        bound = select_mt_parameter(
+            x, family, omegas,
+            lambda data, u: regression_moment_model(reg_t, data, u))
+        calls = count_moment_builds(monkeypatch)
+        copied = select_mt_parameter(
+            x, family, omegas,
+            lambda data, u: regression_moment_model(reg_t, data.copy(), u))
+        assert len(calls) == 2 * len(omegas)
+        assert np.array_equal(copied.traces, bound.traces)
+        for got, want in zip(copied.estimates, bound.estimates):
+            assert np.array_equal(got.theta, want.theta)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fit_equals_public_chain(self, reg_t, ula_gaussian, seed):
         """Every candidate's estimate, weights and trace are bit-identical to
@@ -743,6 +842,8 @@ class TestSelection:
         np.testing.assert_array_equal(sel.omegas, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(sel.traces, [7.0, 5.0, 5.0])
         assert sel.omega_opt == 2.0 and sel.best_estimate == 20.0
+        assert sel.status == ["ok"] * 3
+        np.testing.assert_array_equal(sel.ess, [4.0, 4.0, 4.0])
 
     @pytest.mark.parametrize("error", [SingularMatrix, NotPositiveDefinite,
                                        DegenerateWeights, MTQMLEError])
@@ -755,6 +856,8 @@ class TestSelection:
         sel = select_by_trace([2.0, 1.0, 3.0], fit)
         assert np.isnan(sel.traces[0]) and sel.estimates[0] is None
         assert sel.omega_opt == 2.0
+        assert sel.status == [error.__name__, "ok", "ok"]
+        assert np.isnan(sel.ess[0]) and np.array_equal(sel.ess[1:], [4.0, 4.0])
 
     def test_rule_propagates_plain_value_error(self):
         def fit(om):
@@ -798,12 +901,29 @@ class TestSelection:
                               lambda om: (om, 4.0 - om, phis[om]))
         np.testing.assert_array_equal(sel.traces, [np.nan, 2.0, 1.0])
         assert sel.estimates[0] is None and sel.omega_opt == 3.0
+        assert sel.status == ["ess", "ok", "ok"]
+        np.testing.assert_array_equal(sel.ess, [1.0, 2.0, 4.0])
 
     def test_rule_keeps_lone_collapsed_candidate(self):
         """A fixed width is an estimate, not a choice: it is kept."""
         sel = select_by_trace([1.0], lambda om: ("est", 0.0, COLLAPSED))
         assert sel.omega_opt == 1.0 and sel.best_estimate == "est"
         np.testing.assert_array_equal(sel.traces, [0.0])
+        assert sel.status == ["ok"] and sel.ess[0] == 1.0
+
+    def test_status_on_the_generic_path(self, reg_gaussian):
+        """The collapsed widths of test_refuses_collapsed_widths read "ess",
+        and every ess equals check_mt_condition's at that width."""
+        x = make_regression_data(reg_gaussian, 300, 77)
+        family = lambda om: projected_mt_function(reg_gaussian, om)
+        omegas = [0.02, 0.05, 1.0, 5.0]
+        sel = select_mt_parameter(
+            x, family, omegas,
+            lambda data, u: regression_moment_model(reg_gaussian, data, u))
+        assert sel.status == ["ess", "ess", "ok", "ok"]
+        for om, ess in zip(omegas, sel.ess):
+            assert ess == pytest.approx(check_mt_condition(x, family(om)).ess,
+                                        rel=1e-12)
 
     def test_rule_all_collapsed_raises(self):
         with pytest.raises(DegenerateWeights, match="all grid points"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -291,6 +293,22 @@ class TestTMLE:
         x = make_data(reg_t, 50, 89)
         with pytest.raises(ValueError):
             mle_t_noise(x, reg_t, lam=-1.0)
+
+
+@pytest.mark.parametrize("row", [1e155, 1e200, 1.7e308])
+def test_gross_row_gets_weight_zero_silently(reg_t, row):
+    """A row whose residual norm overflows gets weight 0 without a warning:
+    both fixed points return their estimate with the row at 1e150."""
+    x = make_data(reg_t, 300, 0)
+    fits = (lambda d: tukey_m_estimator(d, reg_t, c=6.2).theta,
+            lambda d: mle_t_noise(d, reg_t, lam=0.2).theta)
+    x[0] = 1e150
+    want = [fit(x) for fit in fits]
+    x[0] = row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit, theta in zip(fits, want):
+            assert np.array_equal(fit(x), theta)
 
 
 class TestARE:

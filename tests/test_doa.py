@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,29 @@ class TestEstimate:
         x = 1e200 * make_doa_data(ula_gaussian, 50, 54)
         with pytest.raises(NotPositiveDefinite):
             bartlett_doa(x, ula_gaussian, 101)
+
+    @pytest.mark.parametrize("row, scale", [(6e154, 1.0), (1e155, 1.0),
+                                            (None, 2.0 ** 510)],
+                             ids=["row6e154", "row1e155", "scale2**510"])
+    def test_overflowing_spectrum_raises(self, row, scale):
+        """A finite covariance whose lag sums or spectrum overflow (one row
+        near 1e155, or the whole set scaled by 2^510) raises, without a
+        warning, where the scan once returned a NaN spectrum's first angle."""
+        ula = ULAModel(4, 1.0, NoiseSpec(
+            "k", doa_sigma2_for_snr_db(1.0, -5.0), 4, lam=0.75))
+        x = scale * synthesize_doa(4, THETA0_DOA, 1.0, ula.noise, 300,
+                                   stream_rng(0, 1))
+        if row is not None:
+            x[0] = row * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k_theta in (721, 2001):
+                with pytest.raises(NotPositiveDefinite, match="spectrum"):
+                    bartlett_doa(x, ula, k_theta)
+            x[0] = 1e154 * (1 + 1j)         # dominates, and scans finitely
+            if row is not None:
+                assert bartlett_doa(x, ula, 721) == pytest.approx(-0.0005,
+                                                                  abs=1e-12)
 
     def test_bartlett_matches_wide_weight(self, ula_gaussian):
         x = make_doa_data(ula_gaussian, 300, 53)
