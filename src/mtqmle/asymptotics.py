@@ -30,7 +30,7 @@ import numpy as np
 from .core import _logdet_cholesky, as_dataset, cholesky_pd, hermitize
 from .estimator import EstimationResult, ParametricMomentModel, _estimate
 from .exceptions import DegenerateWeights, MTQMLEError, SingularMatrix
-from .transform import MTFunction, _ess, _moments, _weights
+from .transform import GaussianWeights, MTFunction, _ess, _moments, _weights
 
 _COND_LIMIT = 1e14
 # Least Kish ESS 1 / sum phi^2 of a selectable width: below 2, x_n - mu_hat
@@ -55,19 +55,23 @@ def _score(x: np.ndarray, theta: np.ndarray, model: ParametricMomentModel
     factor of S(theta), with the pieces it is built from: S^-1, formed once
     from that factor, dm_k (m, p), w = S^-1 (x - m) (p, n), b_k = S^-1 dm_k
     (p, m), A_k = S^-1 dS_k (m, p, p) and dS_k (m, p, p). When dS = 0, w and
-    A_k are None and their score terms, exact zeros, are skipped."""
+    A_k are None and their score terms, exact zeros, are skipped, as is the
+    2 Re{(x-m)^H b_k} term when dm = 0; x - m is x itself when m = 0."""
     d_mean = np.asarray(model.d_mean(theta))
     d_cov = np.asarray(model.d_cov(theta))
     l_inv = np.linalg.inv(cholesky_pd(model.mt_cov(theta)))
     s_inv = l_inv.conj().T @ l_inv
-    e = x - model.mt_mean(theta)                      # (n, p)
+    mean = model.mt_mean(theta)
+    e = x - mean if np.any(mean) else x              # (n, p)
     b = s_inv @ d_mean.T
     if not np.any(d_cov):
         return 2.0 * np.real(e.conj() @ b), (s_inv, d_mean, None, b, None, d_cov)
     w = s_inv @ e.T
     a = s_inv @ d_cov
-    psi = (-np.trace(a, axis1=1, axis2=2).real + 2.0 * np.real(e.conj() @ b)
-           + np.einsum("kna,an->nk", w.T.conj() @ d_cov, w).real)
+    psi = -np.trace(a, axis1=1, axis2=2).real
+    if np.any(d_mean):
+        psi = psi + 2.0 * np.real(e.conj() @ b)
+    psi = psi + np.einsum("kna,an->nk", w.T.conj() @ d_cov, w).real
     return psi, (s_inv, d_mean, w, b, a, d_cov)
 
 
@@ -218,7 +222,8 @@ def score_identity_check(data, theta_hat, model: ParametricMomentModel,
     lw = u._log_weights(x)
     scaled = _weights(lw)[0]                    # weighed as the sandwich is
     with np.errstate(over="ignore", invalid="ignore"):  # in zeroed rows only
-        psi = _psi_gamma(x, model.space._point(theta_hat), model, scaled)[0]
+        psi = _score(x, model.space._point(theta_hat), model)[0]
+        psi[scaled == 0] = 0.0
     return float(np.linalg.norm(scaled @ psi) * np.exp(lw.max()) / len(x))
 
 
@@ -313,15 +318,21 @@ def select_mt_parameter(data, family: Callable[[float], MTFunction],
     Each candidate's fit builds the weights and moments of u = family(omega)
     once, for the factory, the estimator and the sandwich: ``model(x, u)``
     gets a read-only view of x, bound to u for that call only, on which
-    ``empirical_mt_moments`` returns them. The data is validated once.
+    ``empirical_mt_moments`` returns them. The data is validated once; a
+    ``gaussian_mt_function`` u reuses one GaussianWeights while its projector
+    ``is`` the last one.
     """
     x = as_dataset(data)
     view = x.view()
     view.flags.writeable = False        # the bound moments stay those of x
+    kernel = [None, None]               # (projector, GaussianWeights of x)
 
     def fit(omega):
         u = family(omega)
-        lw = u._log_weights(x)
+        tag = u._gaussian                   # (width, projector) or None
+        if tag is not None and (kernel[1] is None or kernel[0] is not tag[1]):
+            kernel[:] = tag[1], GaussianWeights(x, tag[1])
+        lw = u._log_weights(x) if tag is None else kernel[1].log_weights(tag[0])
         scaled, phi = _weights(lw)
         moments = _moments(x, phi)
         u._bound = (view, moments)

@@ -40,6 +40,8 @@ class MTFunction:
 
     # (read-only x, moments) during asymptotics.select_mt_parameter's factory
     _bound: Optional[tuple] = None
+    # (width, projector) of a gaussian_mt_function: GaussianWeights' arguments
+    _gaussian: Optional[tuple] = None
 
     def __init__(self, log_fn: Callable[[np.ndarray], np.ndarray],
                  params: Optional[dict] = None):
@@ -91,8 +93,10 @@ def gaussian_mt_function(width: float, projector=None) -> MTFunction:
     """Gaussian weight u(x) = exp(-||P x||^2 / width^2) (P = identity if
     None), the one-width ``MTFunction`` view of ``GaussianWeights``."""
     width_squared(width)
-    return MTFunction(lambda x: GaussianWeights(x, projector).log_weights(width),
-                      params={"width": float(width)})
+    u = MTFunction(lambda x: GaussianWeights(x, projector).log_weights(width),
+                   params={"width": float(width)})
+    u._gaussian = (width, projector)
+    return u
 
 
 class GaussianWeights:

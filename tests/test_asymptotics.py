@@ -42,8 +42,9 @@ from mtqmle.transform import (MTFunction, check_mt_condition,
                               constant_mt_function, empirical_mt_moments,
                               gaussian_mt_function)
 
-from conftest import (THETA0_REG, dense_psi_gamma, mt_function_from_callable,
-                      random_dataset, random_pd, regression_box)
+from conftest import (THETA0_REG, dense_psi_gamma, dense_score,
+                      mt_function_from_callable, random_dataset, random_pd,
+                      regression_box)
 
 
 # Normalized weights of a stub fit: Kish ESS 4 and 1.
@@ -327,6 +328,22 @@ class TestZeroBlocksSkipped:
             asymptotics._psi_gamma(x, theta, mm, weights)
             assert len(calls) == 1 + (in_psi_gamma and not in_score)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_public_score_and_hessian_match_dense_oracle(
+            self, kind, reg_gaussian, ula_gaussian):
+        """psi_u_batch and gamma_u_batch equal the formula with every term
+        formed: x - m with m = 0 (DOA; zero_slope_cov at theta = 0), the
+        2 Re{(x-m)^H b} term with dm = 0 (DOA), and nonzero m and dm
+        (regression, quadratic)."""
+        x, theta, mm, _ = zero_block_case(kind, reg_gaussian, ula_gaussian)
+        zero_mean = kind in ("doa", "zero_slope_cov")
+        assert (not np.any(mm.mt_mean(theta))) == zero_mean
+        assert (not np.any(mm.d_mean(theta))) == (kind == "doa")
+        np.testing.assert_array_equal(psi_u_batch(x, theta, mm),
+                                      dense_score(x, theta, mm)[0])
+        np.testing.assert_array_equal(gamma_u_batch(x, theta, mm),
+                                      dense_psi_gamma(x, theta, mm)[1])
+
     @pytest.mark.parametrize("kind, blocks", [
         ("regression", ("d_cov", "d2_mean", "d2_cov")),
         ("doa", ("d_mean", "d2_mean"))])
@@ -601,7 +618,103 @@ def count_moment_builds(monkeypatch) -> list:
     return calls
 
 
+def count_kernel_builds(monkeypatch) -> list:
+    """Record one entry per GaussianWeights built, wherever it is called."""
+    calls = []
+    init = transform.GaussianWeights.__init__
+    counted = lambda self, *args: calls.append(1) or init(self, *args)
+    monkeypatch.setattr(transform.GaussianWeights, "__init__", counted)
+    return calls
+
+
+def record_selection(monkeypatch, x, family, omegas, factory) -> tuple:
+    """select_mt_parameter's result and every candidate's SandwichMatrices."""
+    seen = []
+    inner = asymptotics._sandwich
+    with monkeypatch.context() as patch:
+        patch.setattr(asymptotics, "_sandwich",
+                      lambda *args: seen.append(inner(*args)) or seen[-1])
+        sel = select_mt_parameter(x, family, omegas, factory)
+    return sel, seen
+
+
+def assert_same_selection(got, want):
+    """Traces, ESS, status, estimates and sandwiches equal bit for bit."""
+    (sel, sandwiches), (ref, ref_sandwiches) = got, want
+    assert np.array_equal(sel.traces, ref.traces, equal_nan=True)
+    assert np.array_equal(sel.ess, ref.ess, equal_nan=True)
+    assert sel.status == ref.status and sel.omega_opt == ref.omega_opt
+    for est, ref_est in zip(sel.estimates, ref.estimates):
+        assert (est is None) == (ref_est is None)
+        if est is not None:
+            assert np.array_equal(est.theta, ref_est.theta)
+    assert len(sandwiches) == len(ref_sandwiches)
+    for s, r in zip(sandwiches, ref_sandwiches):
+        for name in ("g_hat", "f_hat", "c_hat"):
+            assert np.array_equal(getattr(s, name), getattr(r, name)), name
+
+
+def plain(family):
+    """The family's weights as plain MTFunctions, which take the per-width
+    route of a family that is not Gaussian."""
+    def member(omega):
+        u = family(omega)
+        return MTFunction(u._log_fn, u.params)
+    return member
+
+
+REG_GRID = np.linspace(1.0, 30.0, 30)
+
+
+def gaussian_selection_cases(reg_t, ula_gaussian) -> dict:
+    """name -> (data, family, widths, factory, kernel builds): the two
+    shipped Gaussian families, one mapping omega to 2 omega and one handing
+    a fresh projector copy to every width."""
+    x = make_regression_data(reg_t, 200, 23)
+    x_doa = synthesize_doa(4, 0.3, 1.0, ula_gaussian.noise, 300,
+                           stream_rng(23, 1))
+    reg = lambda data, u: regression_moment_model(reg_t, data, u)
+    doa = lambda data, u: doa_moment_model(ula_gaussian, data,
+                                           u.params["width"], k_theta=181,
+                                           use_solver=False)
+    proj = reg_t.proj_perp
+    return {
+        "regression": (x, lambda om: projected_mt_function(reg_t, om),
+                       REG_GRID, reg, 1),
+        "doa": (x_doa, gaussian_mt_function, (1.0, 3.0, 10.0), doa, 1 + 3),
+        "twice omega": (x, lambda om: gaussian_mt_function(2.0 * om, proj),
+                        REG_GRID, reg, 1),
+        "projector copies": (x, lambda om: gaussian_mt_function(om,
+                                                                proj.copy()),
+                             REG_GRID, reg, REG_GRID.size),
+    }
+
+
+GAUSSIAN_CASES = ["regression", "doa", "twice omega", "projector copies"]
+
+
 class TestSelection:
+    @pytest.mark.parametrize("case", GAUSSIAN_CASES)
+    def test_one_kernel_per_gaussian_family(self, case, reg_t, ula_gaussian,
+                                            monkeypatch):
+        """A gaussian_mt_function family takes the squared norms of the data
+        once per projector: 1 GaussianWeights for 30 regression widths, 1
+        for 3 DOA widths plus the 3 doa_moment_model builds itself, and one
+        per width when every width brings a fresh copy of the projector.
+        The same weights as plain MTFunctions are evaluated at every width,
+        and every candidate's trace, ESS, status, estimate and sandwich
+        matrices are bit-identical on both routes."""
+        x, family, omegas, factory, builds = gaussian_selection_cases(
+            reg_t, ula_gaussian)[case]
+        calls = count_kernel_builds(monkeypatch)
+        got = record_selection(monkeypatch, x, family, omegas, factory)
+        assert np.isfinite(got[0].traces).any() and len(calls) == builds
+        calls.clear()
+        want = record_selection(monkeypatch, x, plain(family), omegas,
+                                factory)
+        assert len(calls) == len(omegas) * (2 if case == "doa" else 1)
+        assert_same_selection(got, want)
+
     def test_no_candidate_widths(self, reg_t):
         """An empty candidate list is a caller's error, not a data failure
         (DegenerateWeights) that a Monte Carlo run would count as a trial."""

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mtqmle import asymptotics, transform
 from mtqmle.asymptotics import (influence, sandwich, score_identity_check,
                                 select_by_trace, select_mt_parameter)
 from mtqmle.doa import ULAModel, doa_moment_model, mt_fitter_doa
@@ -200,6 +201,33 @@ def test_one_gross_outlier_leaves_the_score_identity(kind, omega, seed, size):
     want = residual(1e80)
     assert np.isfinite(want)
     assert residual(size) == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, omega", [("regression", 4.0), ("doa", 3.0)])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("size", [None, 1e155, 1.7e308])
+def test_score_identity_reads_the_score_alone(kind, omega, seed, size):
+    """score_identity_check equals the norm of the weighted score that the
+    sandwich forms next to its Hessian, with or without a gross outlier,
+    and reads no second derivative of the model."""
+    x, xd = (outlier_data(seed, size) if size
+             else (regression_data(seed), doa_data(seed)))
+    data = x if kind == "regression" else xd
+    family, _, model = GENERIC[kind]
+    u = family(omega)
+    mm = model(data, u)
+    theta = estimate_mt_gqmle(data, u, mm).theta
+    lw = u.log_weights(data)
+    scaled = transform._weights(lw)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = asymptotics._psi_gamma(data, theta, mm, scaled)[0]
+    want = float(np.linalg.norm(scaled @ psi) * np.exp(lw.max()) / len(data))
+    calls = []
+    d2_cov = mm.d2_cov
+    mm = dataclasses.replace(mm, d2_cov=lambda th: calls.append(th) or d2_cov(th))
+    assert score_identity_check(data, theta, mm, u) == want
+    assert calls == []
 
 
 def assert_close_in_norm(got, want):
