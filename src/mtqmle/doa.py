@@ -100,15 +100,29 @@ class SpectrumCurve:
         return float(self.thetas[int(np.argmax(self.values))])
 
 
-def _lag_scan(thetas, basis, mean, cov) -> SpectrumCurve:
-    """a^H C a over thetas, C = cov + mean mean^H, in lag form: r_0 + 2 sum_d
-    Re(r_d e^{i pi d sin theta}) with r_d the sum of the d-th subdiagonal of
-    C; basis is _basis's. NotPositiveDefinite when C, its lag sums or the
-    spectrum overflow: argmax would read a NaN as the first angle."""
+def _lags(mean, cov) -> np.ndarray:
+    """Lag vector [r_0, Re r_d, Im r_d] of C = cov + mean mean^H, r_d the sum
+    of C's d-th subdiagonal. If they overflow, C is rebuilt from 2^k mean and
+    2^2k cov, whose entries are below 1: exact, so the lags carry 2^2k."""
+    with np.errstate(over="ignore", invalid="ignore"):      # _scan checks
+        for retry in (False, True):
+            c_hat = hermitize(cov + np.outer(mean, mean.conj()))
+            r = np.array([c_hat.trace(-d) for d in range(len(mean))])
+            if retry or np.all(np.isfinite(r)):
+                return np.concatenate([r.real, r[1:].imag])
+            two_k = np.ldexp(1.0, -np.frexp(np.abs(mean).max()
+                                            + np.sqrt(np.abs(cov).max()))[1])
+            mean, cov = two_k * mean, two_k * two_k * cov
+
+
+def _scan(thetas, basis, lags) -> SpectrumCurve:
+    """lags @ basis over thetas: the one scan of a lag vector. On overflow it
+    scans lags 2^-e, e from frexp of max |lags|: exact, so the values carry
+    2^-e and no argmax moves; NotPositiveDefinite if still not finite."""
     with np.errstate(over="ignore", invalid="ignore"):      # checked below
-        c_hat = hermitize(cov + np.outer(mean, mean.conj()))
-        lags = np.array([np.trace(c_hat, offset=-d) for d in range(len(mean))])
-        values = np.concatenate([lags.real, lags[1:].imag]) @ basis
+        values = lags @ basis
+        if not np.all(np.isfinite(values)):
+            values = np.ldexp(lags, -np.frexp(np.abs(lags).max())[1]) @ basis
     if not np.all(np.isfinite(values)):
         raise NotPositiveDefinite("spectrum is not finite")
     return SpectrumCurve(thetas=thetas, values=values)
@@ -118,7 +132,7 @@ def mt_spectrum(data, model: ULAModel, omega: float,
                 k_theta: int = _DEFAULT_GRID) -> SpectrumCurve:
     """Reweighted spatial spectrum over the k_theta-point grid."""
     m = empirical_mt_moments(data, gaussian_mt_function(omega))
-    return _lag_scan(*_basis(model.p, k_theta), m.mt_mean, m.mt_cov)
+    return _scan(*_basis(model.p, k_theta), _lags(m.mt_mean, m.mt_cov))
 
 
 def estimate_doa(data, model: ULAModel, omega: float,
@@ -130,7 +144,8 @@ def estimate_doa(data, model: ULAModel, omega: float,
 def bartlett_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID) -> float:
     """Constant-weight (classical Bartlett) scan over the same grid."""
     m = empirical_mt_moments(data, constant_mt_function())
-    return _lag_scan(*_basis(model.p, k_theta), m.mt_mean, m.mt_cov).argmax_theta
+    return _scan(*_basis(model.p, k_theta),
+                 _lags(m.mt_mean, m.mt_cov)).argmax_theta
 
 
 def _h_factor(p: int, s_abs2, nu2, omega2):
@@ -246,10 +261,7 @@ def mt_fitter_doa(data, model: ULAModel, k_theta: int = _DEFAULT_GRID):
 
     def fit(omega: float) -> tuple:
         scaled, phi = kernel.weigh(omega)
-        lag_vector = phi @ lags
-        if not np.all(np.isfinite(lag_vector)):
-            raise NotPositiveDefinite("reweighted lags are not finite")
-        theta = SpectrumCurve(thetas, lag_vector @ basis).argmax_theta
+        theta = _scan(thetas, basis, phi @ lags).argmax_theta
         if theta not in latest:
             latest.clear()                      # free before recomputing
             latest[theta] = _slope_curvature(x, theta, model.p)
@@ -314,9 +326,14 @@ def doa_moment_model(model: ULAModel, data, omega: float,
     maximizes the fit objective exactly for this covariance structure.
     """
     p = model.p
-    moments = empirical_mt_moments(data, gaussian_mt_function(omega))
     basis = _basis(p, k_theta)
-    theta_ref = _lag_scan(*basis, moments.mt_mean, moments.mt_cov).argmax_theta
+
+    def solver(mom):
+        lags = _lags(mom.mt_mean, mom.mt_cov)
+        return np.array([_scan(*basis, lags).argmax_theta])
+
+    moments = empirical_mt_moments(data, gaussian_mt_function(omega))
+    theta_ref = float(solver(moments)[0])
     r_s, r_w = fit_spectrum_cov_scalars(model, moments.mt_cov, theta_ref)
     eye = np.eye(p)
     zeros = np.broadcast_to(0j, (1, 1, p))      # read-only: one element
@@ -326,20 +343,14 @@ def doa_moment_model(model: ULAModel, data, omega: float,
         return r_s * (a[..., :, None] * a.conj()[..., None, :]) + r_w * eye
 
     def d_cov(theta):
-        a = steering(float(theta[0]), p)
-        da = steering(float(theta[0]), p, 1)
+        a, da = (steering(float(theta[0]), p, k) for k in range(2))
         return (r_s * (np.outer(da, a.conj()) + np.outer(a, da.conj())))[None]
 
     def d2_cov(theta):
-        a = steering(float(theta[0]), p)
-        da = steering(float(theta[0]), p, 1)
-        dda = steering(float(theta[0]), p, 2)
+        a, da, dda = (steering(float(theta[0]), p, k) for k in range(3))
         block = r_s * (np.outer(dda, a.conj()) + 2.0 * np.outer(da, da.conj())
                        + np.outer(a, dda.conj()))
         return block[None, None]
-
-    def solver(mom):
-        return np.array([_lag_scan(*basis, mom.mt_mean, mom.mt_cov).argmax_theta])
 
     lo, hi = model.theta_bounds
     space = ParameterSpace(lower=[lo], upper=[hi], grid_sizes=k_theta)

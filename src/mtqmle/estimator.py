@@ -161,7 +161,7 @@ def estimate_mt_gqmle(data, u: MTFunction, model: ParametricMomentModel
 
     Uses the model's closed-form solver when available, else the exhaustive
     grid: ties go to the lowest grid index, NaN never wins, and a grid with
-    no finite objective raises ValueError.
+    no finite objective raises NotPositiveDefinite.
     """
     return _estimate(empirical_mt_moments(data, u), model)
 
@@ -178,7 +178,8 @@ def _estimate(moments: EmpiricalMTMoments, model: ParametricMomentModel
     vals = _grid_objective(moments, model, points)
     best = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))  # first max
     if not vals[best] > -np.inf:
-        raise ValueError(f"no finite objective on the {len(points)}-point grid")
+        raise NotPositiveDefinite(
+            f"no finite objective on the {len(points)}-point grid")
     return EstimationResult(points[best], "grid", moments, model)
 
 

@@ -715,6 +715,38 @@ class TestSelection:
         assert len(calls) == len(omegas) * (2 if case == "doa" else 1)
         assert_same_selection(got, want)
 
+    def test_width_without_finite_objective_is_skipped(self, reg_t,
+                                                       ula_gaussian,
+                                                       monkeypatch):
+        """A width whose grid has no finite objective (a model mean of 1e300
+        at every grid point) fails on its data: NotPositiveDefinite skips it,
+        and the other widths select exactly as without it."""
+        x, family, omegas, factory, _ = gaussian_selection_cases(
+            reg_t, ula_gaussian)["doa"]
+
+        def huge_mean_at_3(data, u):
+            mm = factory(data, u)
+            if u.params["width"] != 3.0:
+                return mm
+            return dataclasses.replace(mm, mt_mean=lambda theta: np.full(
+                np.shape(theta)[:-1] + (4,), 1e300 + 0j))
+
+        (sel, sandwiches), (ref, ref_sandwiches) = (
+            record_selection(monkeypatch, x, family, omegas, f)
+            for f in (huge_mean_at_3, factory))
+        assert sel.status == ["ok", "NotPositiveDefinite", "ok"]
+        assert ref.status == ["ok"] * 3 and np.isnan(sel.traces[1])
+        assert sel.estimates[1] is None and np.isnan(sel.ess[1])
+        kept = [0, 2]
+        assert np.array_equal(sel.traces[kept], ref.traces[kept])
+        assert np.array_equal(sel.ess[kept], ref.ess[kept])
+        for i in kept:
+            assert np.array_equal(sel.estimates[i].theta,
+                                  ref.estimates[i].theta)
+        assert sel.omega_opt == omegas[kept[np.argmin(ref.traces[kept])]]
+        for s, r in zip(sandwiches, ref_sandwiches[::2]):
+            assert np.array_equal(s.c_hat, r.c_hat)
+
     def test_no_candidate_widths(self, reg_t):
         """An empty candidate list is a caller's error, not a data failure
         (DegenerateWeights) that a Monte Carlo run would count as a trial."""

@@ -115,10 +115,58 @@ class TestLagFormSpectrum:
         for _ in range(5):
             mean = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             cov = random_pd(rng, p)
-            lag = doa._lag_scan(grid, basis, mean, cov)
+            lag = doa._scan(grid, basis, doa._lags(mean, cov))
             oracle = _einsum_spectrum(cov + np.outer(mean, mean.conj()),
                                       grid, p)
             np.testing.assert_allclose(lag.values, oracle, rtol=1e-10)
+
+    def test_overflow_is_scanned_at_a_power_of_two(self, rng):
+        """Lags whose sums overflow, and finite lags whose spectrum
+        overflows, come out as the ordinary lags and values times one power
+        of two, so the angle stays. C is near rank one, so the spectrum's
+        peak is near 4 r_0."""
+        grid, basis = doa._basis(4, 997)
+        mean = 3.0 * steering(0.3, 4)
+        cov = 0.01 * random_pd(rng, 4)
+        lags = doa._lags(mean, cov)
+        curve = doa._scan(grid, basis, lags)
+        big_mean, big_cov = 2.0 ** 510 * mean, 2.0 ** 1020 * cov
+        top = np.ldexp(lags, 1023 - np.frexp(np.abs(lags).max())[1])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.trace(
+                big_cov + np.outer(big_mean, big_mean.conj())))
+            assert not np.all(np.isfinite(top @ basis))
+        big_lags = doa._lags(big_mean, big_cov)
+        big = doa._scan(grid, basis, top)
+        for got, want in ((big_lags, lags), (big.values, curve.values)):
+            factor = got / want
+            assert np.all(factor == factor[0]) and np.frexp(factor[0])[0] == 0.5
+        assert big.argmax_theta == curve.argmax_theta
+
+    def test_every_angle_through_one_scan(self, ula_k, monkeypatch):
+        """estimate_doa, mt_spectrum, bartlett_doa, doa_moment_model's
+        theta_ref and solver, and every width of mt_fitter_doa reach their
+        angle through one _scan call each."""
+        x = make_doa_data(ula_k, 200, 3)
+        calls = []
+        scan = doa._scan
+        monkeypatch.setattr(doa, "_scan",
+                            lambda *args: calls.append(1) or scan(*args))
+        fit = mt_fitter_doa(x, ula_k, 101)
+        mm = doa_moment_model(ula_k, x, 3.0, k_theta=101)
+        assert len(calls) == 1                  # theta_ref
+        u = gaussian_mt_function(3.0)
+        mom = empirical_mt_moments(x, u)
+        for angle in (lambda: estimate_doa(x, ula_k, 3.0, 101),
+                      lambda: mt_spectrum(x, ula_k, 3.0, 101).argmax_theta,
+                      lambda: bartlett_doa(x, ula_k, 101),
+                      lambda: mm.solver(mom)[0],
+                      lambda: estimate_mt_gqmle(x, u, mm).theta[0],
+                      lambda: fit(2.0)[0], lambda: fit(5.0)[0],
+                      lambda: fit(2.0)[0]):
+            calls.clear()
+            assert np.isfinite(angle()) and len(calls) == 1
+        assert mm.solver(mom)[0] == mm.info["theta_ref"]
 
     def test_argmax_matches_einsum_on_k_noise(self, ula_k):
         grid = ula_k.grid(10 ** 4)
@@ -150,8 +198,8 @@ def basis_builds(monkeypatch):
 
 def _fresh_scan(model, k_theta, mean, cov):
     """The spectrum through a basis built anew, outside the basis cache."""
-    return doa._lag_scan(*doa._basis.__wrapped__(model.p, k_theta), mean,
-                         cov)
+    return doa._scan(*doa._basis.__wrapped__(model.p, k_theta),
+                     doa._lags(mean, cov))
 
 
 class TestScannerCache:
@@ -279,25 +327,30 @@ class TestEstimate:
     @pytest.mark.parametrize("row, scale", [(6e154, 1.0), (1e155, 1.0),
                                             (None, 2.0 ** 510)],
                              ids=["row6e154", "row1e155", "scale2**510"])
-    def test_overflowing_spectrum_raises(self, row, scale):
+    def test_overflowing_spectrum_scans_exactly(self, row, scale):
         """A finite covariance whose lag sums or spectrum overflow (one row
-        near 1e155, or the whole set scaled by 2^510) raises, without a
-        warning, where the scan once returned a NaN spectrum's first angle."""
+        near 1e155, or the whole set scaled by 2^510) is scanned at a power
+        of two, without a warning: the row gives the angle it dominates at
+        1e154, the scaled set the unscaled set's angle. A 1.2e155 row, whose
+        covariance itself overflows, still raises."""
         ula = ULAModel(4, 1.0, NoiseSpec(
             "k", doa_sigma2_for_snr_db(1.0, -5.0), 4, lam=0.75))
-        x = scale * synthesize_doa(4, THETA0_DOA, 1.0, ula.noise, 300,
-                                   stream_rng(0, 1))
+        ref = synthesize_doa(4, THETA0_DOA, 1.0, ula.noise, 300,
+                             stream_rng(0, 1))
+        x = scale * ref
         if row is not None:
-            x[0] = row * (1 + 1j)
+            x[0], ref[0] = row * (1 + 1j), 1e154 * (1 + 1j)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k_theta in (721, 2001):
-                with pytest.raises(NotPositiveDefinite, match="spectrum"):
-                    bartlett_doa(x, ula, k_theta)
-            x[0] = 1e154 * (1 + 1j)         # dominates, and scans finitely
+                assert bartlett_doa(x, ula, k_theta) == bartlett_doa(
+                    ref, ula, k_theta)
             if row is not None:
                 assert bartlett_doa(x, ula, 721) == pytest.approx(-0.0005,
                                                                   abs=1e-12)
+            x[0] = 1.2e155 * (1 + 1j)
+            with pytest.raises(NotPositiveDefinite, match="covariance"):
+                bartlett_doa(x, ula, 721)
 
     def test_bartlett_matches_wide_weight(self, ula_gaussian):
         x = make_doa_data(ula_gaussian, 300, 53)
@@ -514,10 +567,9 @@ class TestLagRoute:
         x = synthesize_doa(p, THETA0_DOA, 1.0, noise, 500, stream_rng(61, p))
         x = x + (0.5 - 0.3j)    # a mean the moment route removes and restores
         table = doa._lag_table(x, GaussianWeights(x).norms)
-        eye = np.eye(2 * p - 1)     # a basis that returns the lag vector itself
         for omega in (1.0, 3.0, 10.0, 1e6):
             mom = empirical_mt_moments(x, gaussian_mt_function(omega))
-            lags = doa._lag_scan(None, eye, mom.mt_mean, mom.mt_cov).values
+            lags = doa._lags(mom.mt_mean, mom.mt_cov)
             np.testing.assert_allclose(mom.weights @ table, lags, rtol=1e-12)
 
     def test_fit_equals_public_functions_on_shipped_shape(self):

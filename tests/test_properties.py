@@ -13,8 +13,10 @@ import pytest
 from mtqmle import asymptotics, transform
 from mtqmle.asymptotics import (influence, sandwich, score_identity_check,
                                 select_by_trace, select_mt_parameter)
-from mtqmle.doa import ULAModel, doa_moment_model, mt_fitter_doa
+from mtqmle.doa import (ULAModel, bartlett_doa, doa_moment_model, estimate_doa,
+                        mt_fitter_doa)
 from mtqmle.estimator import estimate_mt_gqmle
+from mtqmle.exceptions import MTQMLEError
 from mtqmle.regression import (build_steering_regressors, mt_fitter_regression,
                                projected_mt_function, realify,
                                regression_moment_model)
@@ -50,7 +52,8 @@ def doa_data(seed):
                                2.0 ** 300])
 def test_power_of_two_rescaling(seed, c):
     """(x, omega) -> (c x, c omega): alpha_hat -> c alpha_hat and its MSE
-    -> c^2 MSE; the DOA theta_hat and its MSE do not move."""
+    -> c^2 MSE; the DOA theta_hat and its MSE do not move, nor do the
+    public scans' angles."""
     x, xd = regression_data(seed), doa_data(seed)
     fit, fit_c = mt_fitter_regression(x, REG), mt_fitter_regression(c * x, REG)
     fit_d, fit_dc = mt_fitter_doa(xd, ULA, K_THETA), mt_fitter_doa(c * xd, ULA,
@@ -61,6 +64,14 @@ def test_power_of_two_rescaling(seed, c):
         np.testing.assert_array_equal(theta_c, c * theta)
         np.testing.assert_array_equal(mse_c, c * c * mse)
         assert fit_dc(c * omega)[:2] == fit_d(omega)[:2]
+        assert doa_scans(c * xd, c * omega) == doa_scans(xd, omega)
+    assert bartlett_doa(c * xd, ULA, K_THETA) == bartlett_doa(xd, ULA, K_THETA)
+
+
+def doa_scans(xd, omega) -> tuple:
+    """The Gaussian-weighted scans' angles: estimate_doa and theta_ref."""
+    return (estimate_doa(xd, ULA, omega, K_THETA),
+            doa_moment_model(ULA, xd, omega, K_THETA).info["theta_ref"])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -178,6 +189,23 @@ def test_one_gross_outlier_leaves_the_selection(path, seed, size):
     best = [getattr(sel.best_estimate, "theta", sel.best_estimate)
             for sel in (got, want)]             # EstimationResult or array
     assert np.array_equal(*best)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("size", OUTLIER_SIZES)
+def test_one_gross_outlier_leaves_the_scans(seed, size):
+    """The Gaussian-weighted scans give the 1e80 row's angles bit for bit.
+    Bartlett weighs the row fully: it gives the 1e80 row's angle or raises
+    a typed error, never a NaN spectrum's first angle."""
+    xd, ref = (outlier_data(seed, magnitude)[1] for magnitude in (size, 1e80))
+    for omega in OMEGAS:
+        assert doa_scans(xd, omega) == doa_scans(ref, omega)
+    want = bartlett_doa(ref, ULA, K_THETA)
+    try:
+        assert bartlett_doa(xd, ULA, K_THETA) == want
+    except MTQMLEError:
+        pass
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
