@@ -15,6 +15,7 @@ import numpy as np
 from .core import as_dataset
 from .exceptions import DegenerateWeights, MTQMLEError
 from .regression import RegressionModel, realify
+from .transform import _weighted_mean
 
 # Two MAD scalings: the default divides by erfinv(3/4) = 0.81341..., the
 # second by the normal quartile sqrt(2) erfinv(1/2) (the conventional 1.4826).
@@ -98,15 +99,12 @@ def _fixed_point(x: np.ndarray, model: RegressionModel, start: np.ndarray,
             total = w.sum()
             if total == 0.0:
                 raise DegenerateWeights("all samples rejected")
-            alpha_new = np.linalg.solve(model.aha,
-                                        a.conj().T @ ((w @ x) / total))
+            mean = _weighted_mean(w, x) / total
+            alpha_new = np.linalg.solve(model.aha, a.conj().T @ mean)
             denom = np.linalg.norm(alpha)
             step = np.linalg.norm(alpha_new - alpha)
             alpha = alpha_new
-            if denom > 0 and step / denom < _REL_TOL:
-                converged = True
-                break
-            if denom == 0.0 and step == 0.0:
+            if denom > 0 and step / denom < _REL_TOL or step == denom == 0.0:
                 converged = True
                 break
     return BaselineResult(theta=realify(alpha), converged=converged, n_iter=it)

@@ -16,10 +16,10 @@ _CHOLESKY_JITTER = 1e-10
 
 
 def as_dataset(data) -> np.ndarray:
-    """Coerce ``data`` to a complex (n, p) array.
+    """Coerce ``data`` to a C-contiguous complex (n, p) array.
 
     A 1-D input is read as n scalar (p = 1) observations. Non-finite entries
-    are rejected.
+    are rejected; only a non-contiguous input is copied.
     """
     x = np.asarray(data, dtype=complex)
     if x.ndim == 1:
@@ -28,7 +28,7 @@ def as_dataset(data) -> np.ndarray:
         raise ValueError(f"dataset must be 1-D or 2-D, got ndim={x.ndim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("dataset contains non-finite entries")
-    return x
+    return np.ascontiguousarray(x)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .core import as_dataset, hermitize
 from .estimator import ParameterSpace, ParametricMomentModel, _fit_cov_scalars
 from .samplers import NoiseSpec, _over_square, texture_expectation
 from .transform import (GaussianWeights, MTFunction, empirical_mt_moments,
-                        gaussian_mt_function, width_squared)
+                        gaussian_mt_function, width_squared, _weighted_mean)
 
 _COLLINEARITY_TOL = 1e-8
 
@@ -158,7 +158,7 @@ def mt_fitter_regression(data, model: RegressionModel):
 
     def fit(omega: float) -> tuple:
         scaled, phi = kernel.weigh(omega)
-        theta = _least_squares(model, phi @ x)
+        theta = _least_squares(model, _weighted_mean(phi, x))
         zeta = z0 - theta
         total = scaled.sum()
         # total * total, not total ** 2: a numpy scalar's pow can round the

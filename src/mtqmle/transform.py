@@ -154,10 +154,16 @@ def _ess(phi: np.ndarray) -> float:
     return float(1.0 / (phi @ phi))
 
 
+def _weighted_mean(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n phi_n x_n of real weights and a validated (C-contiguous) dataset
+    as one real product over its (n, 2p) float view; phi is not cast."""
+    return (phi @ x.view(float)).view(complex)
+
+
 def _moments(x: np.ndarray, phi: np.ndarray) -> EmpiricalMTMoments:
     """Reweighted mean and covariance of a validated dataset under normalized
     weights ``phi``; NotPositiveDefinite when the covariance overflows."""
-    mean = phi @ x
+    mean = _weighted_mean(phi, x)
     with np.errstate(over="ignore", invalid="ignore"):
         # sqrt-weighted rows keep huge rejected outliers (weight ~ 0) finite
         y = np.sqrt(phi)[:, None] * (x - mean)

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 import mtqmle
+from mtqmle.asymptotics import select_by_trace
+from mtqmle.baselines import mle_t_noise
 from mtqmle.core import as_dataset
 from mtqmle.exceptions import (DegenerateWeights, MTQMLEError,
                                NotPositiveDefinite, SingularMatrix)
+from mtqmle.regression import (build_steering_regressors, mt_fitter_regression,
+                               projected_mt_function)
+from mtqmle.samplers import NoiseSpec
+from mtqmle.transform import empirical_mt_moments, gaussian_mt_function
 
 from conftest import (inv_quad_form, log_det_divergence, random_dataset,
                       random_pd, sample_covariance, sample_mean,
@@ -21,6 +27,16 @@ def test_typed_errors_share_one_package_base(error):
     assert getattr(mtqmle, error.__name__) is error
 
 
+REG = build_steering_regressors(10, np.pi / 3, np.pi / 6,
+                                NoiseSpec("t", 10.0, 10, lam=0.2))
+# Non-contiguous views of a C-contiguous (n, p) dataset.
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "column-reversed": lambda x: x[:, ::-1],
+    "row-strided": lambda x: np.repeat(x, 2, axis=0)[::2],
+}
+
+
 class TestAsDataset:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_entry_rejected(self, bad):
@@ -32,6 +48,41 @@ class TestAsDataset:
     def test_three_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="ndim=3"):
             as_dataset(np.zeros((2, 3, 4)))
+
+    def test_zero_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="ndim=0"):
+            as_dataset(np.complex128(1.0 + 2.0j))
+
+    def test_contiguous_input_is_not_copied(self):
+        x = random_dataset(np.random.default_rng(0), 5, 3)
+        assert as_dataset(x) is x
+
+    def test_strided_one_dimensional_input_is_one_column(self):
+        z = random_dataset(np.random.default_rng(1), 9, 1).ravel()
+        x = as_dataset(z[::2])
+        assert x.flags.c_contiguous and x.shape == (5, 1)
+        assert np.array_equal(x[:, 0], z[::2])
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_layout_leaves_every_bit(self, layout):
+        """A Fortran-ordered, column-reversed or row-strided dataset gives
+        the bits of its C-contiguous copy: the weighted means read the
+        dataset as one real (n, 2p) array."""
+        rng = np.random.default_rng(2)
+        x = LAYOUTS[layout](random_dataset(rng, 600, REG.p, scale=3.0))
+        assert not x.flags.c_contiguous
+        results = []
+        for data in (x, np.ascontiguousarray(x)):
+            moments = [empirical_mt_moments(data, u) for u in
+                       (gaussian_mt_function(4.0), projected_mt_function(REG, 4.0))]
+            sel = select_by_trace(np.linspace(1.0, 30.0, 30),
+                                  mt_fitter_regression(data, REG))
+            results.append([a for m in moments
+                            for a in (m.weights, m.mt_mean, m.mt_cov)]
+                           + [sel.omega_opt, sel.traces, sel.best_estimate,
+                              mle_t_noise(data, REG, 0.2).theta])
+        for got, want in zip(*results):     # a degenerate width's trace is NaN
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestSampleMean:

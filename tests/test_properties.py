@@ -13,17 +13,22 @@ import pytest
 from mtqmle import asymptotics, transform
 from mtqmle.asymptotics import (influence, sandwich, score_identity_check,
                                 select_by_trace, select_mt_parameter)
+from mtqmle.baselines import mad_scale, median_location
 from mtqmle.doa import (ULAModel, bartlett_doa, doa_moment_model, estimate_doa,
                         mt_fitter_doa)
 from mtqmle.estimator import estimate_mt_gqmle
 from mtqmle.exceptions import MTQMLEError
-from mtqmle.regression import (build_steering_regressors, mt_fitter_regression,
+from mtqmle.regression import (build_steering_regressors,
+                               empirical_asymptotic_mse_regression,
+                               gqmle_regression, influence_regression,
+                               mt_fitter_regression, mt_gqmle_regression,
                                projected_mt_function, realify,
                                regression_moment_model)
 from mtqmle.samplers import (NoiseSpec, doa_sigma2_for_snr_db, stream_rng,
                              synthesize_doa, synthesize_regression)
-from mtqmle.transform import (MTFunction, constant_mt_function,
-                              empirical_mt_moments, gaussian_mt_function)
+from mtqmle.transform import (MTFunction, check_mt_condition,
+                              constant_mt_function, empirical_mt_moments,
+                              gaussian_mt_function)
 
 SEEDS = [0, 1, 2]
 OMEGAS = [1.5, 4.0, 7.3]
@@ -256,6 +261,71 @@ def test_score_identity_reads_the_score_alone(kind, omega, seed, size):
     mm = dataclasses.replace(mm, d2_cov=lambda th: calls.append(th) or d2_cov(th))
     assert score_identity_check(data, theta, mm, u) == want
     assert calls == []
+
+
+# The public non-DOA entries on the regression dataset at width omega.
+# Each weighs the outlier row 0 at every width, so it must give the 1e80
+# row's answer bit for bit.
+WEIGHTED_ENTRIES = {
+    "gaussian moments": lambda x, omega:
+        empirical_mt_moments(x, gaussian_mt_function(omega)),
+    "projected moments": lambda x, omega:
+        empirical_mt_moments(x, projected_mt_function(REG, omega)),
+    "gaussian check_mt_condition": lambda x, omega:
+        check_mt_condition(x, gaussian_mt_function(omega)),
+    "projected check_mt_condition": lambda x, omega:
+        check_mt_condition(x, projected_mt_function(REG, omega)),
+    "mt_gqmle_regression": lambda x, omega: mt_gqmle_regression(x, REG, omega),
+    "empirical_asymptotic_mse_regression": lambda x, omega:
+        empirical_asymptotic_mse_regression(x, REG, omega),
+    "influence_regression": lambda x, omega:
+        influence_regression(x[0], np.array([0.3, 0.5, 0.6, 0.8]), REG, omega),
+    "median_location": lambda x, omega: median_location(x),
+    "mad_scale": lambda x, omega: mad_scale(x),
+}
+# Entries that weigh the outlier fully: the answer is finite or a typed error.
+UNWEIGHTED_ENTRIES = {
+    "gqmle_regression": lambda x: gqmle_regression(x, REG),
+    "constant moments": lambda x: empirical_mt_moments(x, constant_mt_function()),
+}
+
+
+def values(result) -> list:
+    """The fields of a dataclass result, or the result itself, as a list."""
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [result]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", list(WEIGHTED_ENTRIES))
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("size", OUTLIER_SIZES)
+def test_one_gross_outlier_leaves_the_regression_entries(entry, seed, size):
+    """Row 0 replaced by entries +-size +-size i: every Gaussian or
+    projected weight of it is 0, as at 1e80, and the median and MAD do not
+    see its size, so each entry gives the 1e80 row's answer bit for bit."""
+    x, ref = (outlier_data(seed, magnitude)[0] for magnitude in (size, 1e80))
+    for omega in OMEGAS:
+        got, want = (values(WEIGHTED_ENTRIES[entry](data, omega))
+                     for data in (x, ref))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", list(UNWEIGHTED_ENTRIES))
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("size", OUTLIER_SIZES)
+def test_one_gross_outlier_unweighted_is_finite_or_typed(entry, seed, size):
+    """With the outlier weighed fully, the answer is finite or a typed
+    error, never a NaN or an inf."""
+    try:
+        got = values(UNWEIGHTED_ENTRIES[entry](outlier_data(seed, size)[0]))
+    except MTQMLEError:
+        return
+    assert all(np.all(np.isfinite(a)) for a in got)
 
 
 def assert_close_in_norm(got, want):
